@@ -12,7 +12,6 @@ from .analysis import (
     FamilyRecord,
     IssueKind,
     IssueRecord,
-    SweepLimitError,
     SweepOptions,
     SweepResult,
     classify_action,
@@ -54,12 +53,12 @@ from .model import (
     StateConstraint,
     validate,
 )
-from .oracle import OracleSizeError, direct_program_models, oracle_answer_sets
 from .parser import ParseResult, parse, parse_files, parse_ground_atom, parse_ground_literal
 from .printer import print_domain, print_policy
 from .reify import ReifiedBase, reify
 from .report import AnalysisReport, build_report, parse_json, render, render_json, render_text
 from .states import (
+    SweepLimitError,
     enumerate_events,
     enumerate_states,
     executable_actions,
@@ -90,7 +89,6 @@ __all__ = [
     "IssueRecord",
     "Literal",
     "Modality",
-    "OracleSizeError",
     "ParseResult",
     "Policy",
     "PolicyRule",
@@ -118,7 +116,6 @@ __all__ = [
     "detect_modality_conflicts",
     "detect_obligation_conflict",
     "detect_underspecification",
-    "direct_program_models",
     "emit_asp",
     "entails",
     "enumerate_events",
@@ -127,7 +124,6 @@ __all__ = [
     "ground",
     "load_state",
     "merge_sweeps",
-    "oracle_answer_sets",
     "parse",
     "parse_files",
     "parse_ground_atom",

@@ -14,7 +14,7 @@ one family per schematic cause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -31,10 +31,9 @@ from .model import Atom, Happening, HeadLiteral, Literal, Modality, RuleKind
 from .reify import ReifiedBase
 from .states import (
     DEFAULT_MAX_STATES,
-    check_pins,
+    check_state_space,
     enumerate_states,
     executable_actions,
-    state_space_size,
 )
 
 
@@ -133,9 +132,10 @@ def detect_inconsistency(
     witness state.
     """
     models = _models(base, state, models)
+    pairs = _complementary_pairs(base.ground.head_universe)
     records: dict[tuple, IssueRecord] = {}
     for model in models:
-        for positive in _complementary_pairs(base.ground.head_universe):
+        for positive in pairs:
             negative = positive.opposite()
             if positive not in model.heads or negative not in model.heads:
                 continue
@@ -450,10 +450,6 @@ class SweepOptions:
     max_states: int = DEFAULT_MAX_STATES
 
 
-class SweepLimitError(Exception):
-    """Raised when the state space exceeds the configured ceiling."""
-
-
 @dataclass(frozen=True)
 class InstanceRecord:
     """A deduplicated ground finding with the states it was seen in.
@@ -480,23 +476,46 @@ def _witness_rank(state: WorldState) -> tuple[int, str]:
     return (state.positive_count(), str(state))
 
 
+# Accumulator entry per record key: [record, states seen, witness rank].
+_Accumulator = dict[tuple, list]
+
+
+def _accumulate(
+    accum: _Accumulator,
+    record: IssueRecord,
+    states: Iterable[WorldState],
+    rank: tuple[int, str],
+) -> None:
+    """Add a record seen in ``states``; the record whose witness ranks lower wins."""
+    key = record.key()
+    entry = accum.get(key)
+    if entry is None:
+        accum[key] = [record, set(states), rank]
+        return
+    entry[1].update(states)
+    if rank < entry[2]:
+        entry[0] = record
+        entry[2] = rank
+
+
+def _result(accum: _Accumulator, states_examined: int) -> SweepResult:
+    instances = tuple(
+        InstanceRecord(record=accum[key][0], states=frozenset(accum[key][1]))
+        for key in sorted(accum)
+    )
+    return SweepResult(instances=instances, states_examined=states_examined)
+
+
 def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepResult:
     """Run every detector over the (pinned) state space and deduplicate.
 
     Sweeping a partition of the state space and merging the results equals
-    sweeping the whole space, so callers may split the work freely.
+    sweeping the whole space, so callers may split the work freely.  Pinning
+    every state atom sweeps exactly one state.
     """
-    pin_problems = check_pins(base.ground, options.pins)
-    if pin_problems:
-        raise ValueError(str(pin_problems[0]))
-    size = state_space_size(base.ground, options.pins)
-    if size > options.max_states:
-        raise SweepLimitError(
-            f"state space holds {size} assignments, above the limit of "
-            f"{options.max_states}; pin atoms or raise the limit"
-        )
+    check_state_space(base.ground, options.pins, options.max_states)
 
-    accum: dict[tuple, tuple[IssueRecord, set[WorldState]]] = {}
+    accum: _Accumulator = {}
     states_examined = 0
     for state in enumerate_states(base.ground, options.pins):
         states_examined += 1
@@ -525,48 +544,22 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
             if r.action.action in executable
         )
 
-        for record in found:
-            key = record.key()
-            entry = accum.get(key)
-            if entry is None:
-                accum[key] = (record, {state})
-            else:
-                best, seen = entry
-                seen.add(state)
-                if _witness_rank(state) < _witness_rank(best.witness_state):
-                    accum[key] = (replace(best, witness_state=state), seen)
+        if found:
+            seen_in = (state,)
+            rank = _witness_rank(state)
+            for record in found:
+                _accumulate(accum, record, seen_in, rank)
 
-    instances = tuple(
-        InstanceRecord(record=rec, states=frozenset(seen))
-        for key, (rec, seen) in sorted(accum.items())
-    )
-    return SweepResult(instances=instances, states_examined=states_examined)
+    return _result(accum, states_examined)
 
 
 def merge_sweeps(first: SweepResult, second: SweepResult) -> SweepResult:
     """Combine sweeps of disjoint state-space slices."""
-    accum: dict[tuple, tuple[IssueRecord, set[WorldState]]] = {}
-    for result in (first, second):
-        for instance in result.instances:
-            key = instance.record.key()
-            entry = accum.get(key)
-            if entry is None:
-                accum[key] = (instance.record, set(instance.states))
-            else:
-                best, seen = entry
-                seen.update(instance.states)
-                if _witness_rank(instance.record.witness_state) < _witness_rank(
-                    best.witness_state
-                ):
-                    accum[key] = (instance.record, seen)
-    instances = tuple(
-        InstanceRecord(record=rec, states=frozenset(seen))
-        for key, (rec, seen) in sorted(accum.items())
-    )
-    return SweepResult(
-        instances=instances,
-        states_examined=first.states_examined + second.states_examined,
-    )
+    accum: _Accumulator = {}
+    for instance in first.instances + second.instances:
+        record = instance.record
+        _accumulate(accum, record, instance.states, _witness_rank(record.witness_state))
+    return _result(accum, first.states_examined + second.states_examined)
 
 
 def _strip_binding(label: str) -> str:

@@ -9,46 +9,34 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import islice
 
-from .analysis import (
-    InstanceRecord,
-    SweepLimitError,
-    SweepOptions,
-    SweepResult,
-    classify_compliance,
-    detect_ambiguity,
-    detect_inconsistency,
-    detect_modality_conflicts,
-    detect_obligation_conflict,
-    detect_underspecification,
-    sweep,
-)
+from .analysis import SweepOptions, SweepResult, classify_compliance, sweep
 from .diagnostics import SourceFile
 from .emit import emit_asp
-from .engine import answer_sets
 from .grounding import ground
 from .parser import parse_files, parse_ground_atom
 from .report import build_report, render
 from .reify import reify
 from .states import (
     DEFAULT_MAX_STATES,
-    check_pins,
+    SweepLimitError,
+    check_state_space,
     enumerate_states,
-    executable_actions,
     load_state,
     parse_pins,
-    state_space_size,
 )
 
 
-def _default_max_states() -> int:
-    raw = os.environ.get("AOPL_LINT_MAX_STATES")
-    if raw is None:
-        return DEFAULT_MAX_STATES
+def _count(text: str) -> int:
+    """A non-negative integer read from the command line or the environment."""
     try:
-        return int(raw)
+        value = int(text)
     except ValueError:
-        return DEFAULT_MAX_STATES
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -79,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="LITERAL",
         help="fix a state literal, e.g. 'colonel(c)' or '!authorized(c,m)'",
     )
-    analyze.add_argument("--max-states", type=int, default=_default_max_states())
+    analyze.add_argument("--max-states", type=_count)
     analyze.add_argument("--format", choices=("text", "json"), default="text")
     analyze.add_argument("-o", "--output", metavar="PATH")
 
@@ -116,14 +104,26 @@ def _build_parser() -> argparse.ArgumentParser:
     states_cmd = commands.add_parser("states", help="enumerate the state space")
     _add_common(states_cmd)
     states_cmd.add_argument("--pin", action="append", default=[], metavar="LITERAL")
-    states_cmd.add_argument("--limit", type=int, default=None)
-    states_cmd.add_argument("--max-states", type=int, default=_default_max_states())
+    states_cmd.add_argument("--limit", type=_count, default=None)
+    states_cmd.add_argument("--max-states", type=_count)
 
     return parser
 
 
 class _InputError(Exception):
     pass
+
+
+def _max_states(args) -> int:
+    if args.max_states is not None:
+        return args.max_states
+    raw = os.environ.get("AOPL_LINT_MAX_STATES")
+    if raw is None:
+        return DEFAULT_MAX_STATES
+    try:
+        return _count(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise _InputError(f"AOPL_LINT_MAX_STATES: {exc}") from None
 
 
 def _load_base(paths: list[str]):
@@ -180,35 +180,32 @@ def _write_output(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def _source_labels(sources) -> tuple[str | None, str | None, str | None, str | None]:
-    """Pick (domain path, domain text, policy path, policy text) for a report."""
-    if len(sources) == 1:
-        only = sources[0]
-        return only.path, only.text, only.path, only.text
+def _write_report(
+    sources, result: SweepResult, fmt: str, output: str | None, pins=()
+) -> int:
+    """Render a sweep's report; the exit code says whether it found anything.
+
+    With several sources the first is the domain and the rest the policy.
+    """
     domain = sources[0]
-    policy_path = "+".join(s.path for s in sources[1:])
-    policy_text = "".join(s.text for s in sources[1:])
-    return domain.path, domain.text, policy_path, policy_text
+    policy = sources[1:] or sources
+    report = build_report(
+        result,
+        domain_path=domain.path,
+        domain_text=domain.text,
+        policy_path="+".join(s.path for s in policy),
+        policy_text="".join(s.text for s in policy),
+        pins=tuple(str(p) for p in pins),
+    )
+    _write_output(render(report, fmt), output)
+    return 1 if report.families else 0
 
 
 def _cmd_analyze(args) -> int:
     sources, base = _load_base(args.files)
     pins = _parse_pin_args(args.pin)
-    try:
-        result = sweep(base, SweepOptions(pins=pins, max_states=args.max_states))
-    except (SweepLimitError, ValueError) as exc:
-        raise _InputError(str(exc)) from None
-    domain_path, domain_text, policy_path, policy_text = _source_labels(sources)
-    report = build_report(
-        result,
-        domain_path=domain_path,
-        domain_text=domain_text,
-        policy_path=policy_path,
-        policy_text=policy_text,
-        pins=tuple(str(p) for p in pins),
-    )
-    _write_output(render(report, args.format), args.output)
-    return 1 if report.families else 0
+    result = sweep(base, SweepOptions(pins=pins, max_states=_max_states(args)))
+    return _write_report(sources, result, args.format, args.output, pins)
 
 
 def _cmd_check(args) -> int:
@@ -216,49 +213,15 @@ def _cmd_check(args) -> int:
     state = _load_state_file(base, args.state)
     only = _parse_action(base, args.action) if args.action else None
 
-    models = answer_sets(base, state)
-    executable = set(executable_actions(base.ground, state))
-    records = []
-    records.extend(
-        r
-        for r in detect_inconsistency(base, state, models=models)
-        if r.action.action in executable
-    )
-    for action in base.ground.action_atoms:
-        if action not in executable:
-            continue
-        gap = detect_underspecification(base, state, action, models=models)
-        if gap is not None:
-            records.append(gap)
-        ambiguity, _ = detect_ambiguity(base, state, action, models=models)
-        if ambiguity is not None:
-            records.append(ambiguity)
-        records.extend(detect_obligation_conflict(base, state, action, models=models))
-    records.extend(
-        r
-        for r in detect_modality_conflicts(base, state, models=models)
-        if r.action.action in executable
-    )
+    result = sweep(base, SweepOptions(pins=state.literals()))
     if only is not None:
-        records = [r for r in records if r.action.action == only]
-
-    result = SweepResult(
-        instances=tuple(
-            InstanceRecord(record=r, states=frozenset({state}))
-            for r in sorted(records, key=lambda r: r.key())
-        ),
-        states_examined=1,
-    )
-    domain_path, domain_text, policy_path, policy_text = _source_labels(sources)
-    report = build_report(
-        result,
-        domain_path=domain_path,
-        domain_text=domain_text,
-        policy_path=policy_path,
-        policy_text=policy_text,
-    )
-    _write_output(render(report, args.format), None)
-    return 1 if report.families else 0
+        result = SweepResult(
+            instances=tuple(
+                i for i in result.instances if i.record.action.action == only
+            ),
+            states_examined=result.states_examined,
+        )
+    return _write_report(sources, result, args.format, None)
 
 
 def _cmd_classify(args) -> int:
@@ -294,21 +257,9 @@ def _cmd_emit_asp(args) -> int:
 def _cmd_states(args) -> int:
     _, base = _load_base(args.files)
     pins = _parse_pin_args(args.pin)
-    problems = check_pins(base.ground, pins)
-    if problems:
-        raise _InputError("\n".join(d.message for d in problems))
-    size = state_space_size(base.ground, pins)
-    if size > args.max_states:
-        raise _InputError(
-            f"state space holds {size} assignments, above the limit of "
-            f"{args.max_states}; pin atoms or raise the limit"
-        )
-    count = 0
-    for state in enumerate_states(base.ground, pins):
+    check_state_space(base.ground, pins, _max_states(args))
+    for state in islice(enumerate_states(base.ground, pins), args.limit):
         print(str(state))
-        count += 1
-        if args.limit is not None and count >= args.limit:
-            break
     return 0
 
 
@@ -326,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except _InputError as exc:
+    except (_InputError, SweepLimitError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

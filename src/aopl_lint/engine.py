@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Literal as TypingLiteral, Union
+from typing import Iterable, Union
 
 from .model import Atom, HeadLiteral, Literal, RuleKind
 from .reify import ReifiedBase
@@ -84,8 +84,7 @@ class AnswerSet:
         return tuple(sorted(self.atoms()))
 
 
-Query = Union[HeadLiteral, Literal, str]
-EntailmentMode = TypingLiteral["cautious", "brave"]
+Query = Union[HeadLiteral, Literal]
 
 
 def _state_literals(base: ReifiedBase, state: WorldState) -> frozenset[Literal]:
@@ -200,8 +199,6 @@ def model_contains(model: AnswerSet, query: Query) -> bool:
         return query in model.heads
     if isinstance(query, Literal):
         return query in model.state_literals
-    if isinstance(query, str):
-        return query in model.atoms()
     raise TypeError(f"unsupported query type: {type(query).__name__}")
 
 
@@ -209,20 +206,15 @@ def entails(
     base: ReifiedBase,
     state: WorldState,
     query: Query,
-    mode: EntailmentMode = "cautious",
     models: list[AnswerSet] | None = None,
 ) -> bool:
-    """Cautious (every answer set) or brave (some answer set) entailment.
+    """Cautious entailment: the query holds in every answer set.
 
     Pass precomputed ``models`` to avoid re-evaluating the same state.
     """
     if models is None:
         models = answer_sets(base, state)
-    if mode == "cautious":
-        return all(model_contains(m, query) for m in models)
-    if mode == "brave":
-        return any(model_contains(m, query) for m in models)
-    raise ValueError(f"unknown entailment mode: {mode}")
+    return all(model_contains(m, query) for m in models)
 
 
 @dataclass(frozen=True)

@@ -55,16 +55,15 @@ class GroundRule:
 class GroundPolicy:
     """A fully instantiated policy together with its ground domain.
 
-    ``atom_universe`` lists every ground static, fluent, and action atom in
-    declaration order; ``state_atoms`` is its non-action prefix ordering and
-    defines the state space.  ``head_universe`` holds the six deontic
+    ``state_atoms`` lists the ground static and fluent atoms in declaration
+    order and defines the state space; ``action_atoms`` lists the ground
+    actions in declaration order.  ``head_universe`` holds the six deontic
     literals per ground action.  ``sort_facts`` are the ground sort
     membership atoms referenced by rule or constraint conditions; they are
     true in every state.
     """
 
     rules: tuple[GroundRule, ...]
-    atom_universe: tuple[Atom, ...]
     state_atoms: tuple[Atom, ...]
     action_atoms: tuple[Atom, ...]
     head_universe: tuple[HeadLiteral, ...]
@@ -74,17 +73,6 @@ class GroundPolicy:
 
     def rule_map(self) -> dict[str, GroundRule]:
         return {r.label: r for r in self.rules}
-
-    def rules_of_kind(self, kind: RuleKind) -> tuple[GroundRule, ...]:
-        return tuple(r for r in self.rules if r.kind is kind)
-
-    def rules_about(self, action: Atom) -> tuple[GroundRule, ...]:
-        """Authorization and obligation rules whose head concerns ``action``."""
-        return tuple(
-            r
-            for r in self.rules
-            if r.head is not None and r.head.happening.action == action
-        )
 
 
 def _ground_label(base: str, variables: tuple[str, ...], binding: Mapping[str, str]) -> str:
@@ -176,9 +164,6 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
         first = next(d for d in diagnostics if d.severity.value == "error")
         raise GroundingError(f"policy does not validate: {first.message}")
 
-    atom_universe = _ground_atoms(
-        domain, (PredicateKind.STATIC, PredicateKind.FLUENT, PredicateKind.ACTION)
-    )
     state_atoms = _ground_atoms(domain, (PredicateKind.STATIC, PredicateKind.FLUENT))
     action_atoms = _ground_atoms(domain, (PredicateKind.ACTION,))
 
@@ -266,7 +251,6 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
 
     return GroundPolicy(
         rules=tuple(ground_rules),
-        atom_universe=atom_universe,
         state_atoms=state_atoms,
         action_atoms=action_atoms,
         head_universe=_head_universe(action_atoms),

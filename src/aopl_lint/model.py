@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .diagnostics import Diagnostic, Severity, sort_diagnostics
 
@@ -199,9 +199,6 @@ class Policy:
     def rule_map(self) -> dict[str, PolicyRule]:
         return {r.label: r for r in self.rules}
 
-    def rules_of_kind(self, kind: RuleKind) -> tuple[PolicyRule, ...]:
-        return tuple(r for r in self.rules if r.kind is kind)
-
 
 @dataclass(frozen=True)
 class SortDecl:
@@ -247,9 +244,6 @@ class DomainSpec:
 
     def predicate_map(self) -> dict[str, PredicateDecl]:
         return {p.name: p for p in self.predicates}
-
-    def predicates_of_kind(self, kind: PredicateKind) -> tuple[PredicateDecl, ...]:
-        return tuple(p for p in self.predicates if p.kind is kind)
 
     def merge(self, other: "DomainSpec") -> "DomainSpec":
         return DomainSpec(
@@ -517,9 +511,3 @@ def rule_variable_sorts(
     for var, sort in rule.where:
         scope.sorts.setdefault(var, sort)
     return dict(scope.sorts)
-
-
-def iter_condition_atoms(rules: Iterable[PolicyRule]) -> Iterable[Atom]:
-    for rule in rules:
-        for lit in rule.condition:
-            yield lit.atom

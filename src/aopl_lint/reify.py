@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grounding import GroundPolicy
+from .grounding import GroundPolicy, GroundRule
 from .model import HeadLiteral, Literal, RuleKind
 
 
@@ -23,7 +23,9 @@ class ReifiedBase:
     """Fact-level view of a ground policy.
 
     Treat instances as immutable: the analysis layer shares one base across
-    states and may partition sweeps over it.
+    states and may partition sweeps over it.  ``texts`` holds the source
+    text of the rules that have one; ``display`` holds every rule's text as
+    reports quote it.
     """
 
     rules: tuple[str, ...]
@@ -32,22 +34,21 @@ class ReifiedBase:
     bodies: dict[str, tuple[Literal, ...]]
     prefers: tuple[tuple[str, str], ...]
     texts: dict[str, str]
+    display: dict[str, str]
     ground: GroundPolicy
-
-    def opp(self, label: str) -> HeadLiteral | None:
-        """The complementary deontic literal of a rule's head, if any."""
-        head = self.heads.get(label)
-        return None if head is None else head.opposite()
 
     def text_or_print(self, label: str) -> str:
         """A rule's source text, falling back to the formal statement."""
-        if label in self.texts:
-            return self.texts[label]
-        rule = self.ground.rule_map()[label]
-        if rule.kind is RuleKind.PREFERENCE:
-            return f"prefer {rule.preferred} over {rule.dispreferred}"
-        body = ", ".join(str(lit) for lit in rule.condition)
-        return f"{rule.head} if {body}" if body else str(rule.head)
+        return self.display[label]
+
+
+def _display_text(rule: GroundRule) -> str:
+    if rule.text is not None:
+        return rule.text
+    if rule.kind is RuleKind.PREFERENCE:
+        return f"prefer {rule.preferred} over {rule.dispreferred}"
+    body = ", ".join(str(lit) for lit in rule.condition)
+    return f"{rule.head} if {body}" if body else str(rule.head)
 
 
 def reify(ground_policy: GroundPolicy) -> ReifiedBase:
@@ -81,5 +82,6 @@ def reify(ground_policy: GroundPolicy) -> ReifiedBase:
         bodies=bodies,
         prefers=tuple(prefers),
         texts=texts,
+        display={rule.label: _display_text(rule) for rule in ground_policy.rules},
         ground=ground_policy,
     )

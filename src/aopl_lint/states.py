@@ -65,6 +65,28 @@ def state_space_size(gp: GroundPolicy, pins: Iterable[Literal] = ()) -> int:
     return 1 << len(unpinned)
 
 
+class SweepLimitError(ValueError):
+    """Raised for invalid pins or a state space above the configured ceiling.
+
+    Subclasses ``ValueError``: both are bad argument values.
+    """
+
+
+def check_state_space(
+    gp: GroundPolicy, pins: tuple[Literal, ...], max_states: int
+) -> None:
+    """Refuse bad pins and slices holding more than ``max_states`` assignments."""
+    problems = check_pins(gp, pins)
+    if problems:
+        raise SweepLimitError("\n".join(str(d) for d in problems))
+    size = state_space_size(gp, pins)
+    if size > max_states:
+        raise SweepLimitError(
+            f"state space holds {size} assignments, above the limit of "
+            f"{max_states}; pin atoms or raise the limit"
+        )
+
+
 def enumerate_states(
     gp: GroundPolicy, pins: Iterable[Literal] = ()
 ) -> Iterator[WorldState]:

@@ -1,4 +1,4 @@
-"""Brute-force stable-model oracle used to cross-check the engine.
+"""Brute-force stable-model oracle: the test suite's reference for the engine.
 
 The oracle knows nothing about the engine's grouping shortcut.  It grounds
 the reified program into plain rules over opaque atoms and runs textbook
@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .engine import AnswerSet, WorldState
-from .grounding import GroundPolicy
-from .model import HeadLiteral, Literal, RuleKind
-from .reify import ReifiedBase
+from aopl_lint.engine import AnswerSet, WorldState
+from aopl_lint.grounding import GroundPolicy
+from aopl_lint.model import HeadLiteral, Literal, RuleKind
+from aopl_lint.reify import ReifiedBase
 
 # An atom is any hashable tuple; a rule is (head, positive body, negative body).
 Atom_ = tuple

@@ -30,7 +30,6 @@ from aopl_lint import (
     emit_asp,
     enumerate_states,
     ground,
-    oracle_answer_sets,
     reify,
     sweep,
 )
@@ -38,6 +37,7 @@ from aopl_lint.report import explanation_lines
 from aopl_lint.states import parse_pins
 
 from corpus import corpus
+from oracle import oracle_answer_sets
 from helpers import DATA, action_atom, base_from, load_base, make_state
 
 ASSUME = "assume_comm(c,m)"

@@ -1,10 +1,12 @@
 """Issue detectors, compliance classes, sweeps, and family collapsing."""
 
 import pytest
+from hypothesis import assume, given, settings
 
 from aopl_lint import (
     AuthorizationClass,
     IssueKind,
+    Literal,
     SweepLimitError,
     SweepOptions,
     answer_sets,
@@ -16,12 +18,16 @@ from aopl_lint import (
     detect_modality_conflicts,
     detect_obligation_conflict,
     detect_underspecification,
+    enumerate_states,
+    ground,
     merge_sweeps,
+    reify,
     sweep,
 )
 from aopl_lint.states import parse_pins
 
 from helpers import action_atom, base_from, make_state
+from strategies import domain_and_policy
 
 
 def lits(record_field):
@@ -431,6 +437,19 @@ class TestSweep:
         assert merged.states_examined == full.states_examined == 16
         assert merged.instances == full.instances
 
+    @pytest.mark.parametrize(
+        "fixture", ["mission_strict", "mission_defeasible", "mission_ambiguous"]
+    )
+    def test_one_state_sweep_matches_the_full_sweep(self, fixture, request):
+        base = request.getfixturevalue(fixture)
+        full = sweep(base)
+        for state in enumerate_states(base.ground):
+            alone = sweep(base, SweepOptions(pins=state.literals()))
+            assert alone.states_examined == 1
+            assert {i.record.key() for i in alone.instances} == {
+                i.record.key() for i in full.instances if state in i.states
+            }, str(state)
+
     def test_state_limit(self, mission_strict):
         with pytest.raises(SweepLimitError, match="16 assignments"):
             sweep(mission_strict, SweepOptions(max_states=8))
@@ -444,6 +463,23 @@ class TestSweep:
     def test_bad_pins_raise(self, mission_strict):
         with pytest.raises(ValueError, match="not a state atom"):
             sweep(mission_strict, SweepOptions(pins=tuple(parse_pins(["ghost"]))))
+
+
+@given(domain_and_policy())
+@settings(max_examples=60, deadline=None)
+def test_merged_halves_equal_the_full_sweep(pair):
+    policy, domain = pair
+    base = reify(ground(policy, domain))
+    atoms = base.ground.state_atoms
+    assume(1 <= len(atoms) <= 6)
+    halves = [
+        sweep(base, SweepOptions(pins=(Literal(atoms[0], positive),)))
+        for positive in (True, False)
+    ]
+    merged = merge_sweeps(*halves)
+    full = sweep(base)
+    assert merged.instances == full.instances
+    assert merged.states_examined == full.states_examined
 
 
 TWO_COMMANDERS = """\

@@ -77,6 +77,25 @@ class TestAnalyze:
         assert main(["analyze", "--pin", "ghost", DOM, STRICT]) == 2
         assert "not a state atom" in capsys.readouterr().err
 
+    def test_non_integer_env_max_states_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("AOPL_LINT_MAX_STATES", "abc")
+        assert main(["analyze", DOM, STRICT]) == 2
+        assert "AOPL_LINT_MAX_STATES: 'abc' is not an integer" in capsys.readouterr().err
+
+    def test_negative_max_states_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--max-states", "-5", DOM, STRICT])
+        assert exc.value.code == 2
+        assert "-5 is negative" in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_bad_input(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal")
+
+        monkeypatch.setattr("aopl_lint.cli.sweep", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["analyze", DOM, STRICT])
+
 
 class TestParseErrors:
     def test_syntax_error_exits_two(self, capsys, tmp_path):
@@ -211,6 +230,12 @@ class TestStates:
     def test_limit(self, capsys):
         assert main(["states", "--limit", "3", DOM, STRICT]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
+
+    def test_negative_limit_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["states", "--limit", "-1", DOM, STRICT])
+        assert exc.value.code == 2
+        assert "-1 is negative" in capsys.readouterr().err
 
     def test_pins(self, capsys):
         assert main(["states", "--pin", "colonel(c)", "--pin", "!observer(c)", DOM, STRICT]) == 0

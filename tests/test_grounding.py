@@ -32,7 +32,6 @@ class TestMissionGrounding:
             "ordered_by_superior(c,m)",
         ]
         assert [str(a) for a in gp.action_atoms] == ["assume_comm(c,m)", "authorize_comm(c,m)"]
-        assert list(gp.atom_universe) == list(gp.state_atoms) + list(gp.action_atoms)
 
     def test_head_universe_six_per_action(self, mission_strict):
         gp = mission_strict.ground
@@ -46,11 +45,6 @@ class TestMissionGrounding:
             "obl(-assume_comm(c,m))",
             "!obl(-assume_comm(c,m))",
         ]
-
-    def test_rules_about(self, mission_strict):
-        gp = mission_strict.ground
-        assume = gp.action_atoms[0]
-        assert [r.label for r in gp.rules_about(assume)] == ["s1[c,m]", "s2[c,m]", "o1[c,m]"]
 
     def test_conditions_are_ground(self, mission_strict):
         for rule in mission_strict.ground.rules:
@@ -90,7 +84,7 @@ class TestLargerDomain:
 
     def test_shared_preference_variables_ground_together(self):
         gp = ground_from(TWO_BY_TWO)
-        prefs = gp.rules_of_kind(RuleKind.PREFERENCE)
+        prefs = [r for r in gp.rules if r.kind is RuleKind.PREFERENCE]
         pairs = {(p.preferred, p.dispreferred) for p in prefs}
         # C and M are shared, so only diagonal pairs appear, never
         # d2[c1,m1] against d1[c2,m2].
@@ -111,7 +105,7 @@ rule d2: normally !permitted(go(B)).
 prefer p1: d1 > d2.
 """
         gp = ground_from(text)
-        prefs = gp.rules_of_kind(RuleKind.PREFERENCE)
+        prefs = [r for r in gp.rules if r.kind is RuleKind.PREFERENCE]
         assert len(prefs) == 4
         assert {(p.preferred, p.dispreferred) for p in prefs} == {
             ("d1[c1]", "d2[c1]"),

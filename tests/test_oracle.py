@@ -2,10 +2,14 @@
 
 import pytest
 
-from aopl_lint import OracleSizeError, direct_program_models, oracle_answer_sets
-from aopl_lint.oracle import _least_model, stable_models
-
 from helpers import base_from, make_state
+from oracle import (
+    OracleSizeError,
+    _least_model,
+    direct_program_models,
+    oracle_answer_sets,
+    stable_models,
+)
 
 
 def models_of(program, **kw):

@@ -34,10 +34,10 @@ class TestMissionFacts:
         )
 
     def test_opp_flips_head_sign(self, mission_defeasible):
-        base = mission_defeasible
-        assert str(base.opp("d2[c,m]")) == "!permitted(assume_comm(c,m))"
-        assert str(base.opp("d1[c,m]")) == "permitted(assume_comm(c,m))"
-        assert base.opp("p1[c,m]") is None
+        heads = mission_defeasible.heads
+        assert str(heads["d2[c,m]"].opposite()) == "!permitted(assume_comm(c,m))"
+        assert str(heads["d1[c,m]"].opposite()) == "permitted(assume_comm(c,m))"
+        assert heads["d1[c,m]"].opposite().opposite() == heads["d1[c,m]"]
 
 
 class TestTextFallback:
