@@ -31,7 +31,6 @@ from .engine import (
     AmbiguityStats,
     AnswerSet,
     WorldState,
-    ambiguity_stats,
     answer_sets,
     entails,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "SweepOptions",
     "SweepResult",
     "WorldState",
-    "ambiguity_stats",
     "answer_sets",
     "build_report",
     "classify_action",

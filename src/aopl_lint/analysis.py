@@ -7,9 +7,12 @@ directions, and which obligations collide with authorizations.  Every record
 names the ground rules involved and the condition literals that made them
 fire or fail, so reports can quote the original statements.
 
-The sweep runs the detectors across a whole state space, deduplicates the
-ground findings, and collapses instances that differ only in constants into
-one family per schematic cause.
+One per-state detector, ``detect_state``, reads every finding off the
+factored answer sets; the public ``detect_*`` functions are views of it for
+one state.  The sweep compiles the base once, runs ``detect_state`` across
+a whole state space, deduplicates the ground findings, and collapses
+instances that differ only in constants into one family per schematic
+cause.
 """
 
 from __future__ import annotations
@@ -21,19 +24,20 @@ from typing import Iterable
 from .engine import (
     AmbiguityStats,
     AnswerSet,
+    CompiledBase,
+    Outcome,
     WorldState,
-    ambiguity_stats,
     answer_sets,
+    compile_base,
     entails,
+    factor,
 )
-from .grounding import GroundRule
-from .model import Atom, Happening, HeadLiteral, Literal, Modality, RuleKind
+from .model import Atom, Happening, HeadLiteral, Literal, Modality
 from .reify import ReifiedBase
 from .states import (
     DEFAULT_MAX_STATES,
     check_state_space,
     enumerate_states,
-    executable_actions,
 )
 
 
@@ -105,70 +109,166 @@ def _models(base: ReifiedBase, state: WorldState, models: list[AnswerSet] | None
     return answer_sets(base, state) if models is None else models
 
 
-def _fired_with_head(
-    base: ReifiedBase, model: AnswerSet, head: HeadLiteral
-) -> list[str]:
-    return [
-        label
-        for label in base.rules
-        if label in model.fired_rules and base.heads.get(label) == head
-    ]
+def _holds(base: ReifiedBase, state: WorldState, literal: Literal) -> bool:
+    if literal.atom in set(base.ground.sort_facts):
+        return literal.positive
+    return state.satisfies(literal)
 
 
-def _complementary_pairs(heads: Iterable[HeadLiteral]) -> list[HeadLiteral]:
-    """The positive member of every complementary pair, in a fixed order."""
-    return sorted({h if h.positive else h.opposite() for h in heads}, key=str)
+# A finding is a compact tuple led by its kind's index in _KINDS; with the
+# state it fixes the IssueRecord, which _record builds only when needed.
+_KINDS = tuple(KIND_ORDER)
+_INCONSISTENCY, _OBLIGATION, _MODALITY, _AMBIGUITY, _UNDERSPECIFIED = range(5)
+_UNDECIDED: tuple[Outcome, ...] = (((), ()),)
 
 
-def detect_inconsistency(
-    base: ReifiedBase,
-    state: WorldState,
-    models: list[AnswerSet] | None = None,
+def detect_state(compiled: CompiledBase, state: int, actions: Iterable[int]) -> list[tuple]:
+    """Every finding about the given actions in one state, as compact tuples.
+
+    Every combination of pair outcomes is an answer set, so each question
+    reads off the outcomes of the action's three pairs: permitted(a),
+    obl(a) and obl(-a).  A label list is read across all outcomes of a pair
+    when a finding combines it with another pair.
+    """
+    groups = factor(compiled, state)[1]
+    findings: list[tuple] = []
+    for action in actions:
+        permitted, obl_do, obl_not, auth_rules, auth_mask = compiled.actions[action]
+        for pair in (permitted, obl_do, obl_not):
+            for pos, neg in groups.get(pair, ()):
+                findings.extend((_INCONSISTENCY, pair, r1, r2) for r1 in pos for r2 in neg)
+        perm = groups.get(permitted, _UNDECIDED)
+        do = groups.get(obl_do, _UNDECIDED)
+        refrain = groups.get(obl_not, _UNDECIDED)
+        undecided = any(not pos and not neg for pos, neg in perm)
+
+        if not auth_rules:
+            findings.append((_UNDERSPECIFIED, action, 1, 0))
+        elif undecided:
+            findings.append((_UNDERSPECIFIED, action, 2, state & auth_mask))
+
+        if len(perm) > 1:
+            n, n_p, n_np = _counts(groups, perm)
+            if n_p < n and n_np < n and n_p + n_np == n:
+                # Only a pair's two one-sided outcomes split this way.
+                permitting = tuple(r for pos, _ in perm for r in pos)
+                forbidding = tuple(r for _, neg in perm for r in neg)
+                findings.append((_AMBIGUITY, action, permitting, forbidding, n, n_p, n_np))
+
+        obliging = [r for pos, _ in do for r in pos]
+        refraining = [r for pos, _ in refrain for r in pos]
+        if all(pos for pos, _ in do) and all(pos for pos, _ in refrain):
+            findings.extend((_OBLIGATION, action, r1, r2) for r1 in obliging for r2 in refraining)
+        for r1 in obliging:
+            findings.extend((_MODALITY, action, 1, r1, r2) for _, neg in perm for r2 in neg)
+            if undecided:
+                findings.append((_MODALITY, action, 3, r1, None))
+        for r1 in refraining:
+            findings.extend((_MODALITY, action, 2, r1, r2) for pos, _ in perm for r2 in pos)
+    return findings
+
+
+def _counts(
+    groups: dict[int, tuple[Outcome, ...]], outcomes: tuple[Outcome, ...]
+) -> tuple[int, int, int]:
+    """Answer sets in total, with the pair's positive head, with its negative."""
+    n = 1
+    for group in groups.values():
+        n *= len(group)
+    share = n // len(outcomes)
+    return (
+        n,
+        share * sum(1 for pos, _ in outcomes if pos),
+        share * sum(1 for _, neg in outcomes if neg),
+    )
+
+
+def _record(compiled: CompiledBase, finding: tuple, state: WorldState) -> IssueRecord:
+    """The IssueRecord a compact finding stands for, witnessed by ``state``."""
+    base = compiled.base
+    tag = finding[0]
+    kind = _KINDS[tag]
+    if tag == _INCONSISTENCY:
+        action = compiled.pairs[finding[1]].happening
+    else:
+        action = Happening(base.ground.action_atoms[finding[1]], True)
+
+    if tag == _AMBIGUITY:
+        _, _, permitting, forbidding, n, n_p, n_np = finding
+        labels = tuple(dict.fromkeys(permitting + forbidding))
+        return IssueRecord(
+            kind=kind,
+            action=action,
+            witness_state=state,
+            rule_labels=labels,
+            rule_texts=_texts(base, labels),
+            pairs=tuple((p, f) for p in permitting for f in forbidding),
+            stats=AmbiguityStats(n=n, n_p=n_p, n_np=n_np),
+        )
+    if tag == _UNDERSPECIFIED:
+        if finding[2] == 1:
+            return IssueRecord(kind=kind, action=action, witness_state=state, case=1)
+        missing: list[tuple[str, tuple[Literal, ...]]] = []
+        for rule in compiled.actions[finding[1]][3]:
+            failing = tuple(lit for lit in rule.condition if not _holds(base, state, lit))
+            if failing:
+                missing.append((rule.label, failing))
+        labels = tuple(label for label, _ in missing)
+        return IssueRecord(
+            kind=kind,
+            action=action,
+            witness_state=state,
+            rule_labels=labels,
+            rule_texts=_texts(base, labels),
+            missing=tuple(missing),
+            case=2,
+        )
+
+    if tag == _MODALITY:
+        _, _, urgency, r1, r2 = finding
+    else:
+        _, _, r1, r2 = finding
+        urgency = None
+    labels = (r1,) if r2 is None else (r1, r2)
+    return IssueRecord(
+        kind=kind,
+        action=action,
+        witness_state=state,
+        rule_labels=labels,
+        rule_texts=_texts(base, labels),
+        pos_support=base.bodies[r1],
+        neg_support=base.bodies[r2] if r2 is not None else (),
+        urgency=urgency,
+    )
+
+
+def _view(
+    base: ReifiedBase, state: WorldState, kind: int, action: Atom | None = None
 ) -> list[IssueRecord]:
+    """One kind of ``detect_state`` finding, as records sorted by key."""
+    compiled = compile_base(base)
+    actions = base.ground.action_atoms
+    chosen = range(len(actions)) if action is None else (actions.index(action),)
+    records: dict[tuple, IssueRecord] = {}
+    for finding in detect_state(compiled, compiled.mask(state), chosen):
+        if finding[0] == kind:
+            record = _record(compiled, finding, state)
+            records.setdefault(record.key(), record)
+    return [records[key] for key in sorted(records)]
+
+
+def detect_inconsistency(base: ReifiedBase, state: WorldState) -> list[IssueRecord]:
     """Rule pairs deriving a deontic literal and its negation together.
 
     One record per (action, firing rule pair) found in some answer set; the
     supports are the body literals of each side, all of which hold in the
     witness state.
     """
-    models = _models(base, state, models)
-    pairs = _complementary_pairs(base.ground.head_universe)
-    records: dict[tuple, IssueRecord] = {}
-    for model in models:
-        for positive in pairs:
-            negative = positive.opposite()
-            if positive not in model.heads or negative not in model.heads:
-                continue
-            for r1 in _fired_with_head(base, model, positive):
-                for r2 in _fired_with_head(base, model, negative):
-                    record = IssueRecord(
-                        kind=IssueKind.INCONSISTENCY,
-                        action=positive.happening,
-                        witness_state=state,
-                        rule_labels=(r1, r2),
-                        rule_texts=_texts(base, (r1, r2)),
-                        pos_support=base.bodies[r1],
-                        neg_support=base.bodies[r2],
-                    )
-                    records.setdefault(record.key(), record)
-    return [records[key] for key in sorted(records)]
-
-
-def _authorization_rules(base: ReifiedBase, action: Atom) -> list[GroundRule]:
-    return [
-        rule
-        for rule in base.ground.rules
-        if rule.head is not None
-        and rule.head.modality is Modality.PERMITTED
-        and rule.head.happening.action == action
-    ]
+    return _view(base, state, _INCONSISTENCY)
 
 
 def detect_underspecification(
-    base: ReifiedBase,
-    state: WorldState,
-    action: Atom,
-    models: list[AnswerSet] | None = None,
+    base: ReifiedBase, state: WorldState, action: Atom
 ) -> IssueRecord | None:
     """Authorization coverage gap for one action in one state.
 
@@ -176,53 +276,12 @@ def detect_underspecification(
     Case 2: rules exist, but some answer set settles the action neither way;
     the record lists, per rule, the body literals that fail in this state.
     """
-    auth_rules = _authorization_rules(base, action)
-    happening = Happening(action, True)
-    if not auth_rules:
-        return IssueRecord(
-            kind=IssueKind.UNDERSPECIFIED,
-            action=happening,
-            witness_state=state,
-            case=1,
-        )
-
-    models = _models(base, state, models)
-    permitted = HeadLiteral(Modality.PERMITTED, happening, True)
-    negated = permitted.opposite()
-    undecided = any(
-        permitted not in m.heads and negated not in m.heads for m in models
-    )
-    if not undecided:
-        return None
-
-    missing: list[tuple[str, tuple[Literal, ...]]] = []
-    for rule in auth_rules:
-        failing = tuple(lit for lit in rule.condition if not _holds(base, state, lit))
-        if failing:
-            missing.append((rule.label, failing))
-    labels = tuple(label for label, _ in missing)
-    return IssueRecord(
-        kind=IssueKind.UNDERSPECIFIED,
-        action=happening,
-        witness_state=state,
-        rule_labels=labels,
-        rule_texts=_texts(base, labels),
-        missing=tuple(missing),
-        case=2,
-    )
-
-
-def _holds(base: ReifiedBase, state: WorldState, literal: Literal) -> bool:
-    if literal.atom in set(base.ground.sort_facts):
-        return literal.positive
-    return state.satisfies(literal)
+    found = _view(base, state, _UNDERSPECIFIED, action)
+    return found[0] if found else None
 
 
 def detect_ambiguity(
-    base: ReifiedBase,
-    state: WorldState,
-    action: Atom,
-    models: list[AnswerSet] | None = None,
+    base: ReifiedBase, state: WorldState, action: Atom
 ) -> tuple[IssueRecord | None, AmbiguityStats]:
     """Defeasible disagreement about an action's permission in one state.
 
@@ -232,85 +291,27 @@ def detect_ambiguity(
     record pairs each applicable permitting rule with each applicable
     forbidding one.
     """
-    models = _models(base, state, models)
-    permitted = HeadLiteral(Modality.PERMITTED, Happening(action, True), True)
-    stats = ambiguity_stats(models, permitted)
-    ambiguous = (
-        stats.n != stats.n_p
-        and stats.n != stats.n_np
-        and stats.n == stats.n_p + stats.n_np
-    )
-    if not ambiguous:
-        return None, stats
-
-    ab_rules = models[0].ab_rules
-    def applicable_defeasible(head: HeadLiteral) -> list[str]:
-        return [
-            rule.label
-            for rule in base.ground.rules
-            if rule.kind is RuleKind.DEFEASIBLE
-            and rule.head == head
-            and rule.label not in ab_rules
-            and all(_holds(base, state, lit) for lit in rule.condition)
-        ]
-
-    permitting = applicable_defeasible(permitted)
-    forbidding = applicable_defeasible(permitted.opposite())
-    pairs = tuple((p, f) for p in permitting for f in forbidding)
-    labels = tuple(dict.fromkeys(permitting + forbidding))
-    record = IssueRecord(
-        kind=IssueKind.AMBIGUITY,
-        action=Happening(action, True),
-        witness_state=state,
-        rule_labels=labels,
-        rule_texts=_texts(base, labels),
-        pairs=pairs,
-        stats=stats,
-    )
-    return record, stats
+    found = _view(base, state, _AMBIGUITY, action)
+    if found:
+        return found[0], found[0].stats
+    compiled = compile_base(base)
+    groups = factor(compiled, compiled.mask(state))[1]
+    permitted = compiled.actions[base.ground.action_atoms.index(action)][0]
+    return None, AmbiguityStats(*_counts(groups, groups.get(permitted, _UNDECIDED)))
 
 
 def detect_obligation_conflict(
-    base: ReifiedBase,
-    state: WorldState,
-    action: Atom,
-    models: list[AnswerSet] | None = None,
+    base: ReifiedBase, state: WorldState, action: Atom
 ) -> list[IssueRecord]:
     """Obligations to both do and not do the same action in one state.
 
     Fires when obl(e) and obl(-e) are each cautiously entailed; the records
     pair the rules that derive them within a single answer set.
     """
-    models = _models(base, state, models)
-    obl_do = HeadLiteral(Modality.OBL, Happening(action, True), True)
-    obl_not = HeadLiteral(Modality.OBL, Happening(action, False), True)
-    if not (
-        entails(base, state, obl_do, models=models)
-        and entails(base, state, obl_not, models=models)
-    ):
-        return []
-    records: dict[tuple, IssueRecord] = {}
-    for model in models:
-        for r1 in _fired_with_head(base, model, obl_do):
-            for r2 in _fired_with_head(base, model, obl_not):
-                record = IssueRecord(
-                    kind=IssueKind.OBLIGATION_CONFLICT,
-                    action=Happening(action, True),
-                    witness_state=state,
-                    rule_labels=(r1, r2),
-                    rule_texts=_texts(base, (r1, r2)),
-                    pos_support=base.bodies[r1],
-                    neg_support=base.bodies[r2],
-                )
-                records.setdefault(record.key(), record)
-    return [records[key] for key in sorted(records)]
+    return _view(base, state, _OBLIGATION, action)
 
 
-def detect_modality_conflicts(
-    base: ReifiedBase,
-    state: WorldState,
-    models: list[AnswerSet] | None = None,
-) -> list[IssueRecord]:
+def detect_modality_conflicts(base: ReifiedBase, state: WorldState) -> list[IssueRecord]:
     """Obligations colliding with authorizations, ranked by urgency.
 
     Urgency 1: obligated to do an action some rule forbids.  Urgency 2:
@@ -318,44 +319,7 @@ def detect_modality_conflicts(
     obligated to do an action whose permission the answer set leaves open.
     Each record cites the obligating rule and, for 1 and 2, its opponent.
     """
-    models = _models(base, state, models)
-    records: dict[tuple, IssueRecord] = {}
-
-    def add(urgency: int, action: Atom, r1: str, r2: str | None) -> None:
-        labels = (r1,) if r2 is None else (r1, r2)
-        record = IssueRecord(
-            kind=IssueKind.MODALITY_CONFLICT,
-            action=Happening(action, True),
-            witness_state=state,
-            rule_labels=labels,
-            rule_texts=_texts(base, labels),
-            pos_support=base.bodies[r1],
-            neg_support=base.bodies[r2] if r2 is not None else (),
-            urgency=urgency,
-        )
-        records.setdefault(record.key(), record)
-
-    for model in models:
-        for action in base.ground.action_atoms:
-            does = Happening(action, True)
-            permitted = HeadLiteral(Modality.PERMITTED, does, True)
-            forbidden = permitted.opposite()
-            obl_do = HeadLiteral(Modality.OBL, does, True)
-            obl_not = HeadLiteral(Modality.OBL, does.negated(), True)
-
-            if obl_do in model.heads:
-                for r1 in _fired_with_head(base, model, obl_do):
-                    if forbidden in model.heads:
-                        for r2 in _fired_with_head(base, model, forbidden):
-                            add(1, action, r1, r2)
-                    if permitted not in model.heads and forbidden not in model.heads:
-                        add(3, action, r1, None)
-            if obl_not in model.heads and permitted in model.heads:
-                for r1 in _fired_with_head(base, model, obl_not):
-                    for r2 in _fired_with_head(base, model, permitted):
-                        add(2, action, r1, r2)
-
-    return [records[key] for key in sorted(records)]
+    return _view(base, state, _MODALITY)
 
 
 class AuthorizationClass(Enum):
@@ -507,49 +471,38 @@ def _result(accum: _Accumulator, states_examined: int) -> SweepResult:
 
 
 def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepResult:
-    """Run every detector over the (pinned) state space and deduplicate.
+    """Run ``detect_state`` over the (pinned) state space and deduplicate.
 
     Sweeping a partition of the state space and merging the results equals
     sweeping the whole space, so callers may split the work freely.  Pinning
     every state atom sweeps exactly one state.
     """
     check_state_space(base.ground, options.pins, options.max_states)
+    compiled = compile_base(base)
 
-    accum: _Accumulator = {}
+    # Per compact finding: [states seen, witness state, witness rank].
+    seen: dict[tuple, list] = {}
     states_examined = 0
     for state in enumerate_states(base.ground, options.pins):
         states_examined += 1
-        models = answer_sets(base, state)
-        executable = set(executable_actions(base.ground, state))
-
-        found: list[IssueRecord] = []
-        found.extend(
-            r
-            for r in detect_inconsistency(base, state, models=models)
-            if r.action.action in executable
-        )
-        for action in base.ground.action_atoms:
-            if action not in executable:
+        mask = compiled.mask(state)
+        findings = detect_state(compiled, mask, compiled.executable(mask))
+        if not findings:
+            continue
+        rank = _witness_rank(state)
+        for finding in findings:
+            entry = seen.get(finding)
+            if entry is None:
+                seen[finding] = [{state}, state, rank]
                 continue
-            gap = detect_underspecification(base, state, action, models=models)
-            if gap is not None:
-                found.append(gap)
-            ambiguity, _ = detect_ambiguity(base, state, action, models=models)
-            if ambiguity is not None:
-                found.append(ambiguity)
-            found.extend(detect_obligation_conflict(base, state, action, models=models))
-        found.extend(
-            r
-            for r in detect_modality_conflicts(base, state, models=models)
-            if r.action.action in executable
-        )
+            entry[0].add(state)
+            if rank < entry[2]:
+                entry[1] = state
+                entry[2] = rank
 
-        if found:
-            seen_in = (state,)
-            rank = _witness_rank(state)
-            for record in found:
-                _accumulate(accum, record, seen_in, rank)
-
+    accum: _Accumulator = {}
+    for finding, (states, witness, rank) in seen.items():
+        _accumulate(accum, _record(compiled, finding, witness), states, rank)
     return _result(accum, states_examined)
 
 

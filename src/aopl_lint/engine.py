@@ -4,19 +4,22 @@ Rule conditions never mention deontic atoms, so every body's truth value is
 fixed by the state before any deontic reasoning starts.  That restriction
 shapes the whole procedure:
 
-1. evaluate every body against the state (sort membership atoms are true by
+1. compile the base once: states become int bitmasks over the state atoms
+   and bodies become mask pairs (sort membership atoms are true by
    construction),
-2. derive the defeated-rule atoms: a preference defeats its weaker target
-   whenever the stronger rule's body holds,
+2. evaluate every body against the state and derive the defeated-rule
+   atoms: a preference defeats its weaker target whenever the stronger
+   rule's body holds,
 3. fire every strict rule whose body holds,
 4. split the surviving applicable defeasible rules into groups by
-   complementary head pair and enumerate each group's stable choices: a rule
-   fires exactly when its complementary head is absent from the candidate.
+   complementary head pair and list each group's stable outcomes: a rule
+   fires exactly when its complementary head is absent.
 
 Groups interact with strict conclusions but not with each other, so the
-answer sets are the cross product of per-group choices.  Each is returned as
-a structured view rather than a flat atom set; ``AnswerSet.atoms()`` recovers
-the canonical holds-atoms when a flat view is wanted.
+answer sets are the cross product of per-group outcomes.  ``factor`` keeps
+them in that factored form, which is what the sweep reads; ``answer_sets``
+expands the product into structured views, and ``AnswerSet.atoms()``
+recovers the canonical holds-atoms when a flat view is wanted.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Union
 
-from .model import Atom, HeadLiteral, Literal, RuleKind
+from .grounding import GroundRule
+from .model import Atom, Happening, HeadLiteral, Literal, Modality, RuleKind
 from .reify import ReifiedBase
 
 
@@ -40,6 +44,14 @@ class WorldState:
         extra = self.true_atoms - set(self.universe)
         if extra:
             raise ValueError(f"state atoms outside the universe: {sorted(map(str, extra))}")
+
+    def __hash__(self) -> int:
+        # A sweep hashes each state once per finding it holds; hash it once.
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.universe, self.true_atoms)))
+            return self._hash
 
     def literals(self) -> tuple[Literal, ...]:
         return tuple(Literal(a, a in self.true_atoms) for a in self.universe)
@@ -93,100 +105,207 @@ def _state_literals(base: ReifiedBase, state: WorldState) -> frozenset[Literal]:
     return frozenset(literals)
 
 
-def _body_satisfied(
-    body: tuple[Literal, ...], state: WorldState, sort_facts: frozenset[Atom]
-) -> bool:
+# One outcome of a complementary head pair: the labels firing its positive
+# head, then the labels firing its negative head, each in base rule order.
+Outcome = tuple[tuple[str, ...], tuple[str, ...]]
+
+
+@dataclass(frozen=True)
+class CompiledBase:
+    """A reified base in integer form, compiled once and shared across states.
+
+    A state is an int with bit ``i`` set when ``state_atoms[i]`` is true.  A
+    body is a (must-be-true, must-be-false) mask pair with sort facts folded
+    in; a body that can never hold is left out.  ``pairs`` holds the
+    positive member of every complementary head pair, ordered by ``str``.
+    ``rules`` holds (true mask, false mask, label, pair, positive head,
+    strict) per strict or defeasible rule in base order, and ``prefers``
+    (the stronger body's masks, the weaker label) per preference.
+    ``actions`` holds, per ground action, its permitted, obl(a) and obl(-a)
+    pair indexes, its authorization rules and the state bits their
+    conditions mention; ``exec_conditions`` holds (masks, action index).
+    """
+
+    base: ReifiedBase
+    bits: dict[Atom, int]
+    bodies: dict[str, tuple[int, int]]
+    pairs: tuple[HeadLiteral, ...]
+    rules: tuple[tuple[int, int, str, int, bool, bool], ...]
+    prefers: tuple[tuple[int, int, str], ...]
+    actions: tuple[tuple[int, int, int, tuple[GroundRule, ...], int], ...]
+    exec_conditions: tuple[tuple[int, int, int], ...]
+
+    def mask(self, state: WorldState) -> int:
+        """The state as an int over ``state_atoms``."""
+        bits = self.bits
+        return sum(bits[atom] for atom in state.true_atoms)
+
+    def executable(self, state: int) -> list[int]:
+        """Indexes of the actions no executability condition blocks."""
+        blocked = {
+            action
+            for need, forbid, action in self.exec_conditions
+            if state & need == need and not state & forbid
+        }
+        return [a for a in range(len(self.actions)) if a not in blocked]
+
+
+def _body_masks(
+    body: Iterable[Literal], bits: dict[Atom, int], sort_facts: frozenset[Atom]
+) -> tuple[int, int] | None:
+    need = forbid = 0
     for lit in body:
         if lit.atom in sort_facts:
             if not lit.positive:
-                return False
-        elif not state.satisfies(lit):
-            return False
-    return True
+                return None
+        elif lit.atom in bits:
+            if lit.positive:
+                need |= bits[lit.atom]
+            else:
+                forbid |= bits[lit.atom]
+        elif lit.positive:
+            return None
+    return need, forbid
 
 
-def _pair_key(head: HeadLiteral) -> str:
-    positive = head if head.positive else head.opposite()
-    return str(positive)
+def compile_base(base: ReifiedBase) -> CompiledBase:
+    """The integer form of a reified base; see ``CompiledBase``."""
+    gp = base.ground
+    bits = {atom: 1 << i for i, atom in enumerate(gp.state_atoms)}
+    sort_facts = frozenset(gp.sort_facts)
+    bodies = {
+        label: masks
+        for label in base.rules
+        if (masks := _body_masks(base.bodies[label], bits, sort_facts)) is not None
+    }
+    pairs = tuple(sorted({h if h.positive else h.opposite() for h in gp.head_universe}, key=str))
+    pair_of = {head: i for i, head in enumerate(pairs)}
+    rules = tuple(
+        (
+            *bodies[label],
+            label,
+            pair_of[head if head.positive else head.opposite()],
+            head.positive,
+            base.types[label] is RuleKind.STRICT,
+        )
+        for label, head in base.heads.items()
+        if label in bodies
+    )
+
+    authorizations: dict[Atom, list[GroundRule]] = {action: [] for action in gp.action_atoms}
+    for rule in gp.rules:
+        if rule.head is not None and rule.head.modality is Modality.PERMITTED:
+            authorizations[rule.head.happening.action].append(rule)
+    actions = []
+    for action, auth in authorizations.items():
+        does = Happening(action, True)
+        mentioned = {bits[lit.atom] for rule in auth for lit in rule.condition if lit.atom in bits}
+        actions.append(
+            (
+                pair_of[HeadLiteral(Modality.PERMITTED, does, True)],
+                pair_of[HeadLiteral(Modality.OBL, does, True)],
+                pair_of[HeadLiteral(Modality.OBL, does.negated(), True)],
+                tuple(auth),
+                sum(mentioned),
+            )
+        )
+    action_index = {action: i for i, action in enumerate(gp.action_atoms)}
+    exec_conditions = tuple(
+        (*masks, action_index[constraint.action])
+        for constraint in gp.exec_constraints
+        if (masks := _body_masks(constraint.condition, bits, sort_facts)) is not None
+    )
+    return CompiledBase(
+        base=base,
+        bits=bits,
+        bodies=bodies,
+        pairs=pairs,
+        rules=rules,
+        prefers=tuple((*bodies[s], w) for s, w in base.prefers if s in bodies),
+        actions=tuple(actions),
+        exec_conditions=exec_conditions,
+    )
 
 
-def _group_choices(
-    group: list[str], base: ReifiedBase, strict_heads: frozenset[HeadLiteral]
-) -> list[tuple[str, ...]]:
-    """Stable subsets of one complementary-head group of applicable rules.
+def factor(
+    compiled: CompiledBase, state: int
+) -> tuple[frozenset[str], dict[int, tuple[Outcome, ...]]]:
+    """The defeated rules and the stable outcomes of each complementary pair.
 
-    A candidate choice is stable when every rule in the group fires exactly
-    if its complementary head is absent from the candidate's conclusions.
+    A pair appears when a strict rule fires or a defeasible rule applies on
+    it; any other pair has the one empty outcome.  A defeasible rule fires
+    exactly when its complementary head is absent, so rules sharing a head
+    fire together, a strict conclusion blocks the opposite defeasible side,
+    and two unblocked defeasible sides give two outcomes, one per side.  The
+    answer sets are the cross product of the pairs' outcomes.
     """
-    choices: list[tuple[str, ...]] = []
-    for mask in range(1 << len(group)):
-        chosen = tuple(label for i, label in enumerate(group) if mask >> i & 1)
-        heads = set(strict_heads)
-        heads.update(base.heads[label] for label in chosen)
-        stable = True
-        for i, label in enumerate(group):
-            fires = bool(mask >> i & 1)
-            blocked = base.heads[label].opposite() in heads
-            if fires == blocked:
-                stable = False
-                break
-        if stable:
-            choices.append(chosen)
-    return choices
+    ab = frozenset(
+        weaker
+        for need, forbid, weaker in compiled.prefers
+        if state & need == need and not state & forbid
+    )
+    found: dict[int, tuple[list[str], list[str], list[str], list[str]]] = {}
+    for need, forbid, label, pair, positive, strict in compiled.rules:
+        if state & need != need or state & forbid or (not strict and label in ab):
+            continue
+        lists = found.get(pair)
+        if lists is None:
+            lists = found[pair] = ([], [], [], [])  # positive, negative, strict of each
+        side = 0 if positive else 1
+        lists[side].append(label)
+        if strict:
+            lists[side + 2].append(label)
+    groups: dict[int, tuple[Outcome, ...]] = {}
+    for pair, (pos, neg, strict_pos, strict_neg) in found.items():
+        if strict_pos and strict_neg:
+            groups[pair] = ((tuple(strict_pos), tuple(strict_neg)),)
+        elif strict_pos:
+            groups[pair] = ((tuple(pos), ()),)
+        elif strict_neg:
+            groups[pair] = (((), tuple(neg)),)
+        elif pos and neg:
+            groups[pair] = ((tuple(pos), ()), ((), tuple(neg)))
+        else:
+            groups[pair] = ((tuple(pos), tuple(neg)),)
+    return ab, groups
 
 
 def answer_sets(base: ReifiedBase, state: WorldState) -> list[AnswerSet]:
     """All answer sets of the reified policy joined with the state.
 
-    At least one exists for every policy in the supported class; the list is
-    sorted by canonical atom strings, so equal inputs give identical output.
+    Expands the factored form into models.  At least one exists for every
+    policy in the supported class; the list is sorted by canonical atom
+    strings, so equal inputs give identical output.
     """
-    sort_facts = frozenset(base.ground.sort_facts)
-    body_sat = {
-        label: _body_satisfied(base.bodies[label], state, sort_facts)
-        for label in base.rules
-    }
-    satisfied = frozenset(label for label, ok in body_sat.items() if ok)
-    ab_rules = frozenset(
-        weaker for stronger, weaker in base.prefers if body_sat[stronger]
-    )
-
-    strict_fired = tuple(
+    compiled = compile_base(base)
+    mask = compiled.mask(state)
+    ab_rules, groups = factor(compiled, mask)
+    satisfied = frozenset(
         label
-        for label in base.rules
-        if base.types[label] is RuleKind.STRICT and body_sat[label]
+        for label, (need, forbid) in compiled.bodies.items()
+        if mask & need == need and not mask & forbid
     )
-    strict_heads = frozenset(base.heads[label] for label in strict_fired)
-
-    applicable = [
-        label
-        for label in base.rules
-        if base.types[label] is RuleKind.DEFEASIBLE
-        and body_sat[label]
-        and label not in ab_rules
-    ]
-    groups: dict[str, list[str]] = {}
-    for label in applicable:
-        groups.setdefault(_pair_key(base.heads[label]), []).append(label)
-
     state_literals = _state_literals(base, state)
-    per_group = [
-        _group_choices(groups[key], base, strict_heads) for key in sorted(groups)
+    choices = [
+        [(compiled.pairs[pair], outcome) for outcome in outcomes]
+        for pair, outcomes in groups.items()
     ]
-
     models: list[AnswerSet] = []
-    for combo in product(*per_group):
-        defeasible_fired = tuple(label for chosen in combo for label in chosen)
-        fired = frozenset(strict_fired + defeasible_fired)
-        heads = frozenset(
-            set(strict_heads) | {base.heads[label] for label in defeasible_fired}
-        )
+    for combo in product(*choices):
+        fired: set[str] = set()
+        heads: set[HeadLiteral] = set()
+        for head, (pos, neg) in combo:
+            fired.update(pos, neg)
+            if pos:
+                heads.add(head)
+            if neg:
+                heads.add(head.opposite())
         models.append(
             AnswerSet(
                 state_literals=state_literals,
                 satisfied_bodies=satisfied,
-                fired_rules=fired,
-                heads=heads,
+                fired_rules=frozenset(fired),
+                heads=frozenset(heads),
                 ab_rules=ab_rules,
             )
         )
@@ -228,16 +347,3 @@ class AmbiguityStats:
     n: int
     n_p: int
     n_np: int
-
-
-def ambiguity_stats(models: Iterable[AnswerSet], permitted: HeadLiteral) -> AmbiguityStats:
-    """Count models deciding an action's permission each way."""
-    negated = permitted.opposite()
-    n = n_p = n_np = 0
-    for model in models:
-        n += 1
-        if permitted in model.heads:
-            n_p += 1
-        if negated in model.heads:
-            n_np += 1
-    return AmbiguityStats(n=n, n_p=n_p, n_np=n_np)

@@ -147,7 +147,7 @@ class HeadLiteral:
 
     def opposite(self) -> "HeadLiteral":
         """The complementary deontic literal (classical negation flipped)."""
-        return replace(self, positive=not self.positive)
+        return HeadLiteral(self.modality, self.happening, not self.positive)
 
     def substitute(self, binding: Mapping[str, str]) -> "HeadLiteral":
         return replace(self, happening=self.happening.substitute(binding))

@@ -18,3 +18,8 @@ def mission_defeasible():
 @pytest.fixture(scope="session")
 def mission_ambiguous():
     return load_base("mission.dom", "mission_ambiguous.aopl")
+
+
+@pytest.fixture(scope="session")
+def shifts():
+    return load_base("shifts.dom", "shifts.aopl")

@@ -284,7 +284,7 @@ def test_7_ambiguity_counts_add_up(corpus_evaluations, mission_ambiguous):
     for base, rows in corpus_evaluations:
         for state, models in rows:
             for action in base.ground.action_atoms:
-                record, _ = detect_ambiguity(base, state, action, models)
+                record, _ = detect_ambiguity(base, state, action)
                 if record is not None:
                     audit(models, action, record.stats)
 
@@ -293,7 +293,7 @@ def test_7_ambiguity_counts_add_up(corpus_evaluations, mission_ambiguous):
     act = action_atom(base.ground, ASSUME)
     for state in enumerate_states(base.ground):
         models = answer_sets(base, state)
-        record, _ = detect_ambiguity(base, state, act, models)
+        record, _ = detect_ambiguity(base, state, act)
         if record is not None:
             mission_seen += 1
             audit(models, act, record.stats)

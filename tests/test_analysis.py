@@ -3,6 +3,10 @@
 import pytest
 from hypothesis import assume, given, settings
 
+import aopl_lint.analysis
+import aopl_lint.engine
+import aopl_lint.states
+
 from aopl_lint import (
     AuthorizationClass,
     IssueKind,
@@ -22,6 +26,7 @@ from aopl_lint import (
     ground,
     merge_sweeps,
     reify,
+    state_space_size,
     sweep,
 )
 from aopl_lint.states import parse_pins
@@ -349,6 +354,14 @@ class TestClassifyCompliance:
         assert verdict.obligation_compliant
 
 
+FANOUT = (
+    "sorts item: " + ", ".join(f"x{i}" for i in range(1, 13)) + ".\n"
+    "fluent flagged(item).\naction act(item).\n"
+    "rule a1: normally permitted(act(X)) if flagged(X).\n"
+    "rule a2: normally !permitted(act(X)) if flagged(X).\n"
+)
+
+
 def find(instances, kind, labels=None):
     out = [
         i
@@ -449,6 +462,47 @@ class TestSweep:
             assert {i.record.key() for i in alone.instances} == {
                 i.record.key() for i in full.instances if state in i.states
             }, str(state)
+
+    def test_independent_ambiguities_are_counted_without_models(self, monkeypatch):
+        base = base_from(FANOUT)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep materialised answer sets")
+
+        monkeypatch.setattr(aopl_lint.engine, "answer_sets", refuse)
+        monkeypatch.setattr(aopl_lint.analysis, "answer_sets", refuse)
+        pins = tuple(Literal(atom, True) for atom in base.ground.state_atoms)
+        assert len(pins) == 12
+        result = sweep(base, SweepOptions(pins=pins))
+        ambiguous = find(result.instances, IssueKind.AMBIGUITY)
+        assert sorted(str(i.record.action) for i in ambiguous) == sorted(
+            str(a) for a in base.ground.action_atoms
+        )
+        for instance in ambiguous:
+            stats = instance.record.stats
+            assert (stats.n, stats.n_p, stats.n_np) == (4096, 2048, 2048)
+
+    @pytest.mark.parametrize(
+        "pins, assignments, examined",
+        [
+            ((), 256, 49),
+            (("trained(ann)",), 128, 4 * 7),
+            (("!trained(bob)", "on_duty(ann,day)"), 64, 2 * 3),
+        ],
+    )
+    def test_constraint_checks_add_up(self, shifts, pins, assignments, examined, monkeypatch):
+        verdicts = []
+        original = aopl_lint.states.satisfies_constraints
+
+        def counting(gp, state):
+            verdicts.append(original(gp, state))
+            return verdicts[-1]
+
+        monkeypatch.setattr(aopl_lint.states, "satisfies_constraints", counting)
+        pins = tuple(parse_pins(pins))
+        result = sweep(shifts, SweepOptions(pins=pins))
+        assert len(verdicts) == state_space_size(shifts.ground, pins) == assignments
+        assert sum(verdicts) == result.states_examined == examined
 
     def test_state_limit(self, mission_strict):
         with pytest.raises(SweepLimitError, match="16 assignments"):

@@ -1,19 +1,23 @@
 """Answer-set evaluation: fixture behaviors, cross-checks against the oracle."""
 
 import pytest
+from hypothesis import assume, given, reject, settings
 
 from aopl_lint import (
     WorldState,
-    ambiguity_stats,
     answer_sets,
     entails,
     enumerate_states,
+    ground,
     parse_ground_literal,
+    reify,
 )
 from aopl_lint.engine import model_contains
 
 from helpers import base_from, make_state
-from oracle import direct_program_models, oracle_answer_sets
+from oracle import OracleSizeError, direct_program_models, oracle_answer_sets
+from reference import ambiguity_stats
+from strategies import domain_and_policy
 
 
 def heads_of(model):
@@ -102,6 +106,17 @@ class TestGroupInteraction:
         (model,) = answer_sets(base, make_state(base.ground, "f"))
         assert heads_of(model) == {"!permitted(go)"}
         assert model.fired_rules == {"s1"}
+
+    def test_strict_conflict_blocks_both_defeasible_sides(self):
+        base = base_from(
+            "fluent f.\naction go.\n"
+            "rule s1: permitted(go) if f.\n"
+            "rule s2: !permitted(go) if f.\n"
+            "rule d1: normally permitted(go).\n"
+            "rule d2: normally !permitted(go).\n"
+        )
+        (model,) = answer_sets(base, make_state(base.ground, "f"))
+        assert model.fired_rules == {"s1", "s2"}
 
     def test_same_head_rules_fire_together(self):
         base = base_from(
@@ -209,3 +224,20 @@ class TestOracleAgreement:
             )
             direct = direct_program_models(base.ground, state)
             assert engine == direct, str(state)
+
+
+@given(domain_and_policy())
+@settings(max_examples=200, deadline=None)
+def test_engine_matches_oracle_on_generated_policies(pair):
+    policy, domain = pair
+    base = reify(ground(policy, domain))
+    # The guess-and-check oracle is exponential in the ground policy; these
+    # bounds keep the whole test to a few seconds.
+    assume(len(base.ground.state_atoms) <= 4 and len(base.ground.rules) <= 24)
+    for state in enumerate_states(base.ground):
+        try:
+            oracle = oracle_answer_sets(base, state, max_guess_atoms=12)
+        except OracleSizeError:
+            reject()
+        engine = answer_sets(base, state)
+        assert [m.atoms() for m in engine] == [m.atoms() for m in oracle], str(state)
