@@ -9,10 +9,11 @@ fire or fail, so reports can quote the original statements.
 
 One per-state detector, ``detect_state``, reads every finding off the
 factored answer sets; the public ``detect_*`` functions are views of it for
-one state.  The sweep compiles the base once, runs ``detect_state`` across
-a whole state space, deduplicates the ground findings, and collapses
-instances that differ only in constants into one family per schematic
-cause.
+one state, and the ``classify_*`` functions read the same factors.  The
+sweep runs ``detect_state`` across a whole state space, deduplicates the
+ground findings, and collapses instances that differ only in constants into
+one family per schematic cause.  All of them evaluate through the base's
+integer index, built once per base.
 """
 
 from __future__ import annotations
@@ -21,21 +22,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .engine import (
-    AmbiguityStats,
-    AnswerSet,
-    CompiledBase,
-    Outcome,
-    WorldState,
-    answer_sets,
-    compile_base,
-    entails,
-    factor,
-)
-from .model import Atom, Happening, HeadLiteral, Literal, Modality
+from .engine import AmbiguityStats, Outcome, WorldState, factor
+from .model import Atom, Happening, Literal
 from .reify import ReifiedBase
 from .states import (
     DEFAULT_MAX_STATES,
+    _satisfies,
     check_state_space,
     enumerate_states,
 )
@@ -105,16 +97,6 @@ def _texts(base: ReifiedBase, labels: Iterable[str]) -> tuple[str, ...]:
     return tuple(base.text_or_print(label) for label in labels)
 
 
-def _models(base: ReifiedBase, state: WorldState, models: list[AnswerSet] | None):
-    return answer_sets(base, state) if models is None else models
-
-
-def _holds(base: ReifiedBase, state: WorldState, literal: Literal) -> bool:
-    if literal.atom in set(base.ground.sort_facts):
-        return literal.positive
-    return state.satisfies(literal)
-
-
 # A finding is a compact tuple led by its kind's index in _KINDS; with the
 # state it fixes the IssueRecord, which _record builds only when needed.
 _KINDS = tuple(KIND_ORDER)
@@ -122,7 +104,7 @@ _INCONSISTENCY, _OBLIGATION, _MODALITY, _AMBIGUITY, _UNDERSPECIFIED = range(5)
 _UNDECIDED: tuple[Outcome, ...] = (((), ()),)
 
 
-def detect_state(compiled: CompiledBase, state: int, actions: Iterable[int]) -> list[tuple]:
+def detect_state(base: ReifiedBase, state: int, actions: Iterable[int]) -> list[tuple]:
     """Every finding about the given actions in one state, as compact tuples.
 
     Every combination of pair outcomes is an answer set, so each question
@@ -130,10 +112,11 @@ def detect_state(compiled: CompiledBase, state: int, actions: Iterable[int]) -> 
     obl(a) and obl(-a).  A label list is read across all outcomes of a pair
     when a finding combines it with another pair.
     """
-    groups = factor(compiled, state)[1]
+    groups = factor(base, state)[1]
+    index_actions = base.index.actions
     findings: list[tuple] = []
     for action in actions:
-        permitted, obl_do, obl_not, auth_rules, auth_mask = compiled.actions[action]
+        permitted, obl_do, obl_not, auth_rules, auth_mask = index_actions[action]
         for pair in (permitted, obl_do, obl_not):
             for pos, neg in groups.get(pair, ()):
                 findings.extend((_INCONSISTENCY, pair, r1, r2) for r1 in pos for r2 in neg)
@@ -183,13 +166,13 @@ def _counts(
     )
 
 
-def _record(compiled: CompiledBase, finding: tuple, state: WorldState) -> IssueRecord:
+def _record(base: ReifiedBase, finding: tuple, state: WorldState) -> IssueRecord:
     """The IssueRecord a compact finding stands for, witnessed by ``state``."""
-    base = compiled.base
+    index = base.index
     tag = finding[0]
     kind = _KINDS[tag]
     if tag == _INCONSISTENCY:
-        action = compiled.pairs[finding[1]].happening
+        action = index.pairs[finding[1]].happening
     else:
         action = Happening(base.ground.action_atoms[finding[1]], True)
 
@@ -208,9 +191,12 @@ def _record(compiled: CompiledBase, finding: tuple, state: WorldState) -> IssueR
     if tag == _UNDERSPECIFIED:
         if finding[2] == 1:
             return IssueRecord(kind=kind, action=action, witness_state=state, case=1)
+        sort_facts = frozenset(base.ground.sort_facts)
         missing: list[tuple[str, tuple[Literal, ...]]] = []
-        for rule in compiled.actions[finding[1]][3]:
-            failing = tuple(lit for lit in rule.condition if not _holds(base, state, lit))
+        for rule in index.actions[finding[1]][3]:
+            failing = tuple(
+                lit for lit in rule.condition if not _satisfies(state, lit, sort_facts)
+            )
             if failing:
                 missing.append((rule.label, failing))
         labels = tuple(label for label, _ in missing)
@@ -236,8 +222,8 @@ def _record(compiled: CompiledBase, finding: tuple, state: WorldState) -> IssueR
         witness_state=state,
         rule_labels=labels,
         rule_texts=_texts(base, labels),
-        pos_support=base.bodies[r1],
-        neg_support=base.bodies[r2] if r2 is not None else (),
+        pos_support=index.by_label[r1].condition,
+        neg_support=index.by_label[r2].condition if r2 is not None else (),
         urgency=urgency,
     )
 
@@ -246,13 +232,12 @@ def _view(
     base: ReifiedBase, state: WorldState, kind: int, action: Atom | None = None
 ) -> list[IssueRecord]:
     """One kind of ``detect_state`` finding, as records sorted by key."""
-    compiled = compile_base(base)
     actions = base.ground.action_atoms
     chosen = range(len(actions)) if action is None else (actions.index(action),)
     records: dict[tuple, IssueRecord] = {}
-    for finding in detect_state(compiled, compiled.mask(state), chosen):
+    for finding in detect_state(base, base.index.mask(state), chosen):
         if finding[0] == kind:
-            record = _record(compiled, finding, state)
+            record = _record(base, finding, state)
             records.setdefault(record.key(), record)
     return [records[key] for key in sorted(records)]
 
@@ -294,9 +279,9 @@ def detect_ambiguity(
     found = _view(base, state, _AMBIGUITY, action)
     if found:
         return found[0], found[0].stats
-    compiled = compile_base(base)
-    groups = factor(compiled, compiled.mask(state))[1]
-    permitted = compiled.actions[base.ground.action_atoms.index(action)][0]
+    index = base.index
+    groups = factor(base, index.mask(state))[1]
+    permitted = index.actions[base.ground.action_atoms.index(action)][0]
     return None, AmbiguityStats(*_counts(groups, groups.get(permitted, _UNDECIDED)))
 
 
@@ -348,63 +333,63 @@ class Compliance:
     obligation_compliant: bool
 
 
-def classify_action(
-    base: ReifiedBase,
-    state: WorldState,
-    action: Atom,
-    models: list[AnswerSet] | None = None,
-) -> AuthorizationClass:
-    models = _models(base, state, models)
-    permitted = HeadLiteral(Modality.PERMITTED, Happening(action, True), True)
-    negated = permitted.opposite()
-    strongly = entails(base, state, permitted, models=models)
-    forbidden = entails(base, state, negated, models=models)
+def _authorization(outcomes: tuple[Outcome, ...]) -> AuthorizationClass:
+    """The class an action's permitted(a) pair outcomes give it.
+
+    A side holds cautiously when every outcome has it; the action is
+    underspecified when some outcome has neither side.
+    """
+    strongly = all(pos for pos, _ in outcomes)
+    forbidden = all(neg for _, neg in outcomes)
     if strongly and forbidden:
         return AuthorizationClass.CONFLICTED
     if strongly:
         return AuthorizationClass.STRONGLY_COMPLIANT
     if forbidden:
         return AuthorizationClass.NON_COMPLIANT
-    if any(permitted not in m.heads and negated not in m.heads for m in models):
+    if any(not pos and not neg for pos, neg in outcomes):
         return AuthorizationClass.UNDERSPECIFIED
     return AuthorizationClass.AMBIGUOUS
 
 
+def _action_pairs(
+    base: ReifiedBase, state: WorldState
+) -> dict[Atom, tuple[tuple[Outcome, ...], ...]]:
+    """Per ground action, the outcomes of its permitted, obl(a) and obl(-a) pairs."""
+    index = base.index
+    groups = factor(base, index.mask(state))[1]
+    return {
+        action: tuple(groups.get(pair, _UNDECIDED) for pair in entry[:3])
+        for action, entry in zip(base.ground.action_atoms, index.actions)
+    }
+
+
+def classify_action(base: ReifiedBase, state: WorldState, action: Atom) -> AuthorizationClass:
+    """Classify one action's permission in one state."""
+    return _authorization(_action_pairs(base, state)[action][0])
+
+
 def classify_compliance(
-    base: ReifiedBase,
-    state: WorldState,
-    event: tuple[Atom, ...],
-    models: list[AnswerSet] | None = None,
+    base: ReifiedBase, state: WorldState, event: tuple[Atom, ...]
 ) -> Compliance:
     """Classify an event against the policy in one state."""
-    models = _models(base, state, models)
-    classes = tuple((action, classify_action(base, state, action, models)) for action in event)
-
-    strongly = True
-    weakly = True
-    for action in event:
-        permitted = HeadLiteral(Modality.PERMITTED, Happening(action, True), True)
-        if not entails(base, state, permitted, models=models):
-            strongly = False
-        if entails(base, state, permitted.opposite(), models=models):
-            weakly = False
-
-    obligation_ok = True
+    pairs = _action_pairs(base, state)
+    permissions = [pairs[action][0] for action in event]
+    weakly = not any(all(neg for _, neg in outcomes) for outcomes in permissions)
     performed = set(event)
-    for action in base.ground.action_atoms:
-        obl_do = HeadLiteral(Modality.OBL, Happening(action, True), True)
-        obl_not = HeadLiteral(Modality.OBL, Happening(action, False), True)
-        if entails(base, state, obl_do, models=models) and action not in performed:
-            obligation_ok = False
-        if entails(base, state, obl_not, models=models) and action in performed:
-            obligation_ok = False
-
+    # An action's cautious obl(-a) binds when it is performed, obl(a) when not.
+    violated = any(
+        all(pos for pos, _ in (refrain if action in performed else do))
+        for action, (_, do, refrain) in pairs.items()
+    )
     return Compliance(
-        action_classes=classes,
-        strongly_compliant=strongly,
+        action_classes=tuple(
+            (action, _authorization(outcomes)) for action, outcomes in zip(event, permissions)
+        ),
+        strongly_compliant=all(pos for outcomes in permissions for pos, _ in outcomes),
         weakly_compliant=weakly,
         non_compliant=not weakly,
-        obligation_compliant=obligation_ok,
+        obligation_compliant=not violated,
     )
 
 
@@ -478,15 +463,15 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
     every state atom sweeps exactly one state.
     """
     check_state_space(base.ground, options.pins, options.max_states)
-    compiled = compile_base(base)
+    index = base.index
 
     # Per compact finding: [states seen, witness state, witness rank].
     seen: dict[tuple, list] = {}
     states_examined = 0
     for state in enumerate_states(base.ground, options.pins):
         states_examined += 1
-        mask = compiled.mask(state)
-        findings = detect_state(compiled, mask, compiled.executable(mask))
+        mask = index.mask(state)
+        findings = detect_state(base, mask, index.executable(mask))
         if not findings:
             continue
         rank = _witness_rank(state)
@@ -502,7 +487,7 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
 
     accum: _Accumulator = {}
     for finding, (states, witness, rank) in seen.items():
-        _accumulate(accum, _record(compiled, finding, witness), states, rank)
+        _accumulate(accum, _record(base, finding, witness), states, rank)
     return _result(accum, states_examined)
 
 

@@ -74,10 +74,11 @@ def _literal_classical(literal: Literal) -> str:
 
 
 def _emit_lp(base: ReifiedBase, lines: list[str]) -> None:
+    by_label = base.ground.rule_map()
     for rule in sorted(base.ground.rules, key=lambda r: r.label):
         lines.append(f"% {rule.label}")
         if rule.kind is RuleKind.PREFERENCE:
-            stronger_body = base.bodies[rule.preferred]
+            stronger_body = by_label[rule.preferred].condition
             head = f"ab({mangle_label(rule.dispreferred)})"
             if stronger_body:
                 body = ", ".join(_literal_classical(lit) for lit in stronger_body)

@@ -4,9 +4,9 @@ Rule conditions never mention deontic atoms, so every body's truth value is
 fixed by the state before any deontic reasoning starts.  That restriction
 shapes the whole procedure:
 
-1. compile the base once: states become int bitmasks over the state atoms
-   and bodies become mask pairs (sort membership atoms are true by
-   construction),
+1. index the base once (``ReifiedBase.index``): states become int bitmasks
+   over the state atoms and bodies become mask pairs (sort membership atoms
+   are true by construction),
 2. evaluate every body against the state and derive the defeated-rule
    atoms: a preference defeats its weaker target whenever the stronger
    rule's body holds,
@@ -17,8 +17,8 @@ shapes the whole procedure:
 
 Groups interact with strict conclusions but not with each other, so the
 answer sets are the cross product of per-group outcomes.  ``factor`` keeps
-them in that factored form, which is what the sweep reads; ``answer_sets``
-expands the product into structured views, and ``AnswerSet.atoms()``
+them in that factored form, which is what the detectors and the
+classifiers read; ``answer_sets`` expands the product into structured views, and ``AnswerSet.atoms()``
 recovers the canonical holds-atoms when a flat view is wanted.
 """
 
@@ -26,10 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Union
+from typing import Union
 
-from .grounding import GroundRule
-from .model import Atom, Happening, HeadLiteral, Literal, Modality, RuleKind
+from .model import Atom, HeadLiteral, Literal
 from .reify import ReifiedBase
 
 
@@ -110,125 +109,8 @@ def _state_literals(base: ReifiedBase, state: WorldState) -> frozenset[Literal]:
 Outcome = tuple[tuple[str, ...], tuple[str, ...]]
 
 
-@dataclass(frozen=True)
-class CompiledBase:
-    """A reified base in integer form, compiled once and shared across states.
-
-    A state is an int with bit ``i`` set when ``state_atoms[i]`` is true.  A
-    body is a (must-be-true, must-be-false) mask pair with sort facts folded
-    in; a body that can never hold is left out.  ``pairs`` holds the
-    positive member of every complementary head pair, ordered by ``str``.
-    ``rules`` holds (true mask, false mask, label, pair, positive head,
-    strict) per strict or defeasible rule in base order, and ``prefers``
-    (the stronger body's masks, the weaker label) per preference.
-    ``actions`` holds, per ground action, its permitted, obl(a) and obl(-a)
-    pair indexes, its authorization rules and the state bits their
-    conditions mention; ``exec_conditions`` holds (masks, action index).
-    """
-
-    base: ReifiedBase
-    bits: dict[Atom, int]
-    bodies: dict[str, tuple[int, int]]
-    pairs: tuple[HeadLiteral, ...]
-    rules: tuple[tuple[int, int, str, int, bool, bool], ...]
-    prefers: tuple[tuple[int, int, str], ...]
-    actions: tuple[tuple[int, int, int, tuple[GroundRule, ...], int], ...]
-    exec_conditions: tuple[tuple[int, int, int], ...]
-
-    def mask(self, state: WorldState) -> int:
-        """The state as an int over ``state_atoms``."""
-        bits = self.bits
-        return sum(bits[atom] for atom in state.true_atoms)
-
-    def executable(self, state: int) -> list[int]:
-        """Indexes of the actions no executability condition blocks."""
-        blocked = {
-            action
-            for need, forbid, action in self.exec_conditions
-            if state & need == need and not state & forbid
-        }
-        return [a for a in range(len(self.actions)) if a not in blocked]
-
-
-def _body_masks(
-    body: Iterable[Literal], bits: dict[Atom, int], sort_facts: frozenset[Atom]
-) -> tuple[int, int] | None:
-    need = forbid = 0
-    for lit in body:
-        if lit.atom in sort_facts:
-            if not lit.positive:
-                return None
-        elif lit.atom in bits:
-            if lit.positive:
-                need |= bits[lit.atom]
-            else:
-                forbid |= bits[lit.atom]
-        elif lit.positive:
-            return None
-    return need, forbid
-
-
-def compile_base(base: ReifiedBase) -> CompiledBase:
-    """The integer form of a reified base; see ``CompiledBase``."""
-    gp = base.ground
-    bits = {atom: 1 << i for i, atom in enumerate(gp.state_atoms)}
-    sort_facts = frozenset(gp.sort_facts)
-    bodies = {
-        label: masks
-        for label in base.rules
-        if (masks := _body_masks(base.bodies[label], bits, sort_facts)) is not None
-    }
-    pairs = tuple(sorted({h if h.positive else h.opposite() for h in gp.head_universe}, key=str))
-    pair_of = {head: i for i, head in enumerate(pairs)}
-    rules = tuple(
-        (
-            *bodies[label],
-            label,
-            pair_of[head if head.positive else head.opposite()],
-            head.positive,
-            base.types[label] is RuleKind.STRICT,
-        )
-        for label, head in base.heads.items()
-        if label in bodies
-    )
-
-    authorizations: dict[Atom, list[GroundRule]] = {action: [] for action in gp.action_atoms}
-    for rule in gp.rules:
-        if rule.head is not None and rule.head.modality is Modality.PERMITTED:
-            authorizations[rule.head.happening.action].append(rule)
-    actions = []
-    for action, auth in authorizations.items():
-        does = Happening(action, True)
-        mentioned = {bits[lit.atom] for rule in auth for lit in rule.condition if lit.atom in bits}
-        actions.append(
-            (
-                pair_of[HeadLiteral(Modality.PERMITTED, does, True)],
-                pair_of[HeadLiteral(Modality.OBL, does, True)],
-                pair_of[HeadLiteral(Modality.OBL, does.negated(), True)],
-                tuple(auth),
-                sum(mentioned),
-            )
-        )
-    action_index = {action: i for i, action in enumerate(gp.action_atoms)}
-    exec_conditions = tuple(
-        (*masks, action_index[constraint.action])
-        for constraint in gp.exec_constraints
-        if (masks := _body_masks(constraint.condition, bits, sort_facts)) is not None
-    )
-    return CompiledBase(
-        base=base,
-        bits=bits,
-        bodies=bodies,
-        pairs=pairs,
-        rules=rules,
-        prefers=tuple((*bodies[s], w) for s, w in base.prefers if s in bodies),
-        actions=tuple(actions),
-        exec_conditions=exec_conditions,
-    )
-
-
 def factor(
-    compiled: CompiledBase, state: int
+    base: ReifiedBase, state: int
 ) -> tuple[frozenset[str], dict[int, tuple[Outcome, ...]]]:
     """The defeated rules and the stable outcomes of each complementary pair.
 
@@ -237,15 +119,17 @@ def factor(
     exactly when its complementary head is absent, so rules sharing a head
     fire together, a strict conclusion blocks the opposite defeasible side,
     and two unblocked defeasible sides give two outcomes, one per side.  The
-    answer sets are the cross product of the pairs' outcomes.
+    answer sets are the cross product of the pairs' outcomes.  ``state`` is
+    an int mask over the state atoms; see ``Index``.
     """
+    index = base.index
     ab = frozenset(
         weaker
-        for need, forbid, weaker in compiled.prefers
+        for need, forbid, weaker in index.prefers
         if state & need == need and not state & forbid
     )
     found: dict[int, tuple[list[str], list[str], list[str], list[str]]] = {}
-    for need, forbid, label, pair, positive, strict in compiled.rules:
+    for need, forbid, label, pair, positive, strict in index.rules:
         if state & need != need or state & forbid or (not strict and label in ab):
             continue
         lists = found.get(pair)
@@ -277,17 +161,17 @@ def answer_sets(base: ReifiedBase, state: WorldState) -> list[AnswerSet]:
     policy in the supported class; the list is sorted by canonical atom
     strings, so equal inputs give identical output.
     """
-    compiled = compile_base(base)
-    mask = compiled.mask(state)
-    ab_rules, groups = factor(compiled, mask)
+    index = base.index
+    mask = index.mask(state)
+    ab_rules, groups = factor(base, mask)
     satisfied = frozenset(
         label
-        for label, (need, forbid) in compiled.bodies.items()
+        for label, (need, forbid) in index.bodies.items()
         if mask & need == need and not mask & forbid
     )
     state_literals = _state_literals(base, state)
     choices = [
-        [(compiled.pairs[pair], outcome) for outcome in outcomes]
+        [(index.pairs[pair], outcome) for outcome in outcomes]
         for pair, outcomes in groups.items()
     ]
     models: list[AnswerSet] = []

@@ -99,26 +99,32 @@ def _reified_program(base: ReifiedBase, state: WorldState) -> list[Rule_]:
     def fact(atom: Atom_) -> None:
         program.append((atom, (), ()))
 
-    for label in base.rules:
-        fact(("rule_fact", label))
-        fact(("type_fact", label, base.types[label]))
-        for member in base.bodies[label]:
-            fact(("mbr_fact", label, member))
-    for label, head in base.heads.items():
+    rules = base.ground.rules
+    heads = {rule.label: rule.head for rule in rules if rule.head is not None}
+    prefers = [
+        (rule.preferred, rule.dispreferred) for rule in rules if rule.kind is RuleKind.PREFERENCE
+    ]
+    for rule in rules:
+        fact(("rule_fact", rule.label))
+        fact(("type_fact", rule.label, rule.kind))
+        for member in rule.condition:
+            fact(("mbr_fact", rule.label, member))
+    for label, head in heads.items():
         fact(("head_fact", label, head))
-    for stronger, weaker in base.prefers:
+    for stronger, weaker in prefers:
         fact(("prefer_fact", stronger, weaker))
     for lit in state.literals():
         fact(_holds(("lit", lit)))
     for atom in base.ground.sort_facts:
         fact(_holds(("lit", Literal(atom, True))))
 
-    for label in base.rules:
+    for rule in rules:
+        label = rule.label
         program.append((("body_fact", label), (("rule_fact", label),), ()))
-        members = tuple(_holds(("lit", m)) for m in base.bodies[label])
+        members = tuple(_holds(("lit", m)) for m in rule.condition)
         program.append((_holds(("body", label)), (("body_fact", label),) + members, ()))
 
-        kind = base.types[label]
+        kind = rule.kind
         if kind is RuleKind.STRICT:
             program.append(
                 (
@@ -128,9 +134,9 @@ def _reified_program(base: ReifiedBase, state: WorldState) -> list[Rule_]:
                 )
             )
         elif kind is RuleKind.DEFEASIBLE:
-            opposite = base.heads[label].opposite()
+            opposite = rule.head.opposite()
             program.append(
-                (("opp_fact", label, opposite), (("head_fact", label, base.heads[label]),), ())
+                (("opp_fact", label, opposite), (("head_fact", label, rule.head),), ())
             )
             program.append(
                 (
@@ -144,7 +150,7 @@ def _reified_program(base: ReifiedBase, state: WorldState) -> list[Rule_]:
                 )
             )
 
-    for stronger, weaker in base.prefers:
+    for stronger, weaker in prefers:
         program.append(
             (
                 _holds(("ab", weaker)),
@@ -153,7 +159,7 @@ def _reified_program(base: ReifiedBase, state: WorldState) -> list[Rule_]:
             )
         )
 
-    for label, head in base.heads.items():
+    for label, head in heads.items():
         program.append(
             (
                 _holds(("hd", head)),

@@ -1,10 +1,11 @@
 """The model-list detectors and sweep loop, kept as a differential reference.
 
-These are the per-state detectors that loop over materialised answer sets,
-their model counter ``ambiguity_stats``, and the sweep that ran them state
-by state.  The package's ``sweep`` and
-its ``detect_*`` views work on factored answer sets instead; the tests
-require both to give the same findings, witnesses and state sets.
+These are the per-state detectors and compliance classifiers that loop over
+materialised answer sets, their model counter ``ambiguity_stats``, and the
+sweep that ran them state by state.  The package's ``sweep``, its
+``detect_*`` views and its ``classify_*`` functions work on factored answer
+sets instead; the tests require both to give the same findings, witnesses,
+state sets and verdicts.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from aopl_lint.analysis import (
+    AuthorizationClass,
+    Compliance,
     IssueKind,
     IssueRecord,
     SweepOptions,
@@ -56,10 +59,15 @@ def _fired_with_head(
     base: ReifiedBase, model: AnswerSet, head: HeadLiteral
 ) -> list[str]:
     return [
-        label
-        for label in base.rules
-        if label in model.fired_rules and base.heads.get(label) == head
+        rule.label
+        for rule in base.ground.rules
+        if rule.label in model.fired_rules and rule.head == head
     ]
+
+
+def _bodies(base: ReifiedBase) -> dict[str, tuple[Literal, ...]]:
+    """Each ground rule's condition literals, by label."""
+    return {rule.label: rule.condition for rule in base.ground.rules}
 
 
 def _complementary_pairs(heads: Iterable[HeadLiteral]) -> list[HeadLiteral]:
@@ -79,6 +87,7 @@ def detect_inconsistency(
     witness state.
     """
     models = _models(base, state, models)
+    bodies = _bodies(base)
     pairs = _complementary_pairs(base.ground.head_universe)
     records: dict[tuple, IssueRecord] = {}
     for model in models:
@@ -94,8 +103,8 @@ def detect_inconsistency(
                         witness_state=state,
                         rule_labels=(r1, r2),
                         rule_texts=_texts(base, (r1, r2)),
-                        pos_support=base.bodies[r1],
-                        neg_support=base.bodies[r2],
+                        pos_support=bodies[r1],
+                        neg_support=bodies[r2],
                     )
                     records.setdefault(record.key(), record)
     return [records[key] for key in sorted(records)]
@@ -236,6 +245,7 @@ def detect_obligation_conflict(
         and entails(base, state, obl_not, models=models)
     ):
         return []
+    bodies = _bodies(base)
     records: dict[tuple, IssueRecord] = {}
     for model in models:
         for r1 in _fired_with_head(base, model, obl_do):
@@ -246,8 +256,8 @@ def detect_obligation_conflict(
                     witness_state=state,
                     rule_labels=(r1, r2),
                     rule_texts=_texts(base, (r1, r2)),
-                    pos_support=base.bodies[r1],
-                    neg_support=base.bodies[r2],
+                    pos_support=bodies[r1],
+                    neg_support=bodies[r2],
                 )
                 records.setdefault(record.key(), record)
     return [records[key] for key in sorted(records)]
@@ -266,6 +276,7 @@ def detect_modality_conflicts(
     Each record cites the obligating rule and, for 1 and 2, its opponent.
     """
     models = _models(base, state, models)
+    bodies = _bodies(base)
     records: dict[tuple, IssueRecord] = {}
 
     def add(urgency: int, action: Atom, r1: str, r2: str | None) -> None:
@@ -276,8 +287,8 @@ def detect_modality_conflicts(
             witness_state=state,
             rule_labels=labels,
             rule_texts=_texts(base, labels),
-            pos_support=base.bodies[r1],
-            neg_support=base.bodies[r2] if r2 is not None else (),
+            pos_support=bodies[r1],
+            neg_support=bodies[r2] if r2 is not None else (),
             urgency=urgency,
         )
         records.setdefault(record.key(), record)
@@ -303,6 +314,66 @@ def detect_modality_conflicts(
                         add(2, action, r1, r2)
 
     return [records[key] for key in sorted(records)]
+
+
+def classify_action(
+    base: ReifiedBase,
+    state: WorldState,
+    action: Atom,
+    models: list[AnswerSet] | None = None,
+) -> AuthorizationClass:
+    models = _models(base, state, models)
+    permitted = HeadLiteral(Modality.PERMITTED, Happening(action, True), True)
+    negated = permitted.opposite()
+    strongly = entails(base, state, permitted, models=models)
+    forbidden = entails(base, state, negated, models=models)
+    if strongly and forbidden:
+        return AuthorizationClass.CONFLICTED
+    if strongly:
+        return AuthorizationClass.STRONGLY_COMPLIANT
+    if forbidden:
+        return AuthorizationClass.NON_COMPLIANT
+    if any(permitted not in m.heads and negated not in m.heads for m in models):
+        return AuthorizationClass.UNDERSPECIFIED
+    return AuthorizationClass.AMBIGUOUS
+
+
+def classify_compliance(
+    base: ReifiedBase,
+    state: WorldState,
+    event: tuple[Atom, ...],
+    models: list[AnswerSet] | None = None,
+) -> Compliance:
+    """Classify an event against the policy in one state."""
+    models = _models(base, state, models)
+    classes = tuple((action, classify_action(base, state, action, models)) for action in event)
+
+    strongly = True
+    weakly = True
+    for action in event:
+        permitted = HeadLiteral(Modality.PERMITTED, Happening(action, True), True)
+        if not entails(base, state, permitted, models=models):
+            strongly = False
+        if entails(base, state, permitted.opposite(), models=models):
+            weakly = False
+
+    obligation_ok = True
+    performed = set(event)
+    for action in base.ground.action_atoms:
+        obl_do = HeadLiteral(Modality.OBL, Happening(action, True), True)
+        obl_not = HeadLiteral(Modality.OBL, Happening(action, False), True)
+        if entails(base, state, obl_do, models=models) and action not in performed:
+            obligation_ok = False
+        if entails(base, state, obl_not, models=models) and action in performed:
+            obligation_ok = False
+
+    return Compliance(
+        action_classes=classes,
+        strongly_compliant=strongly,
+        weakly_compliant=weakly,
+        non_compliant=not weakly,
+        obligation_compliant=obligation_ok,
+    )
 
 
 def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepResult:

@@ -124,7 +124,7 @@ def test_2_preference_resolves_the_conflict(mission_defeasible):
             oracle_matches += 1
         if "colonel(c)" in _true_atoms(state):
             colonel_states += 1
-            if classify_action(base, state, act, models) is not (
+            if classify_action(base, state, act) is not (
                 AuthorizationClass.STRONGLY_COMPLIANT
             ):
                 ok = False
@@ -213,7 +213,7 @@ def test_5_no_state_is_both_compliant_and_forbidden(corpus_evaluations):
                     consistent_events += 1
                     if strongly and forbidden:
                         violations += 1
-                verdict = classify_action(base, state, action, models)
+                verdict = classify_action(base, state, action)
                 if verdict is AuthorizationClass.STRONGLY_COMPLIANT and forbidden:
                     violations += 1
     ok = violations == 0 and consistent_events > 0
@@ -254,7 +254,7 @@ def test_6_consistent_policies_partition_cleanly(corpus_evaluations):
                 pairs += 1
                 if len(raised) != 1:
                     violations += 1
-                elif classify_action(base, state, action, models) is not expected[raised[0]]:
+                elif classify_action(base, state, action) is not expected[raised[0]]:
                     violations += 1
     ok = violations == 0 and consistent_policies > 0 and pairs > 0
     _verdict(

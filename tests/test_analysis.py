@@ -353,6 +353,19 @@ class TestClassifyCompliance:
         verdict = classify_compliance(mission_ambiguous, state, ())
         assert verdict.obligation_compliant
 
+    def test_independent_ambiguities_are_classified_without_models(self, monkeypatch):
+        base = base_from(FANOUT)
+        gp = base.ground
+        refuse_models(monkeypatch)
+        state = make_state(gp, *(str(atom) for atom in gp.state_atoms))
+        verdict = classify_compliance(base, state, gp.action_atoms)
+        assert [verdict for _, verdict in verdict.action_classes] == [
+            AuthorizationClass.AMBIGUOUS
+        ] * 12
+        assert not verdict.strongly_compliant
+        assert verdict.weakly_compliant
+        assert verdict.obligation_compliant
+
 
 FANOUT = (
     "sorts item: " + ", ".join(f"x{i}" for i in range(1, 13)) + ".\n"
@@ -360,6 +373,17 @@ FANOUT = (
     "rule a1: normally permitted(act(X)) if flagged(X).\n"
     "rule a2: normally !permitted(act(X)) if flagged(X).\n"
 )
+
+
+def refuse_models(monkeypatch):
+    """Make building answer sets, directly or through entailment, fail."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("answer sets were materialised")
+
+    for name in ("answer_sets", "entails"):
+        monkeypatch.setattr(aopl_lint.engine, name, refuse)
+        monkeypatch.setattr(aopl_lint.analysis, name, refuse, raising=False)
 
 
 def find(instances, kind, labels=None):
@@ -465,12 +489,7 @@ class TestSweep:
 
     def test_independent_ambiguities_are_counted_without_models(self, monkeypatch):
         base = base_from(FANOUT)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the sweep materialised answer sets")
-
-        monkeypatch.setattr(aopl_lint.engine, "answer_sets", refuse)
-        monkeypatch.setattr(aopl_lint.analysis, "answer_sets", refuse)
+        refuse_models(monkeypatch)
         pins = tuple(Literal(atom, True) for atom in base.ground.state_atoms)
         assert len(pins) == 12
         result = sweep(base, SweepOptions(pins=pins))

@@ -1,40 +1,59 @@
 """Ground policies become fact bases without loss."""
 
-from aopl_lint import Literal, RuleKind, parse_ground_literal
+from aopl_lint import RuleKind, emit_asp, parse_ground_literal
 
 from helpers import base_from
+
+
+def facts(base) -> list[str]:
+    """The policy facts of the ``rei`` program, in emission order."""
+    program = emit_asp(base, "rei")
+    policy = program.split("% policy-independent evaluation rules", 1)[0]
+    return [line for line in policy.splitlines() if line and not line.startswith("%")]
+
+
+def facts_about(base, prefix: str) -> list[str]:
+    return [fact for fact in facts(base) if fact.startswith(prefix)]
 
 
 class TestMissionFacts:
     def test_every_rule_is_reified(self, mission_defeasible):
         base = mission_defeasible
-        assert base.rules == ("d1[c,m]", "d2[c,m]", "s3[c,m]", "o1[c,m]", "p1[c,m]")
-        assert base.types["d1[c,m]"] is RuleKind.DEFEASIBLE
-        assert base.types["s3[c,m]"] is RuleKind.STRICT
-        assert base.types["p1[c,m]"] is RuleKind.PREFERENCE
+        labels = tuple(rule.label for rule in base.ground.rules)
+        assert labels == ("d1[c,m]", "d2[c,m]", "s3[c,m]", "o1[c,m]", "p1[c,m]")
+        assert "type(d1(c,m), defeasible)." in facts(base)
+        assert "type(s3(c,m), strict)." in facts(base)
+        assert "type(p1(c,m), prefer)." in facts(base)
+        kinds = {rule.label: rule.kind for rule in base.ground.rules}
+        assert kinds["p1[c,m]"] is RuleKind.PREFERENCE
 
     def test_heads_cover_rules_but_not_preferences(self, mission_defeasible):
         base = mission_defeasible
-        assert set(base.heads) == {"d1[c,m]", "d2[c,m]", "s3[c,m]", "o1[c,m]"}
-        assert str(base.heads["d2[c,m]"]) == "permitted(assume_comm(c,m))"
-        assert str(base.heads["o1[c,m]"]) == "obl(assume_comm(c,m))"
+        heads = facts_about(base, "head(")
+        headed = {fact[len("head(") :].split(", ", 1)[0] for fact in heads}
+        assert headed == {"d1(c,m)", "d2(c,m)", "s3(c,m)", "o1(c,m)"}
+        assert "head(d2(c,m), permitted(assume_comm(c,m)))." in facts(base)
+        assert "head(o1(c,m), obl(assume_comm(c,m)))." in facts(base)
 
     def test_bodies_group_condition_literals(self, mission_defeasible):
         base = mission_defeasible
-        assert base.bodies["d1[c,m]"] == (parse_ground_literal("authorized(c,m)"),)
-        assert base.bodies["p1[c,m]"] == ()
+        rules = base.ground.rule_map()
+        assert rules["d1[c,m]"].condition == (parse_ground_literal("authorized(c,m)"),)
+        assert facts_about(base, "mbr(b(d1(c,m))") == ["mbr(b(d1(c,m)), authorized(c,m))."]
+        assert rules["p1[c,m]"].condition == ()
+        assert facts_about(base, "mbr(b(p1(c,m))") == []
 
     def test_prefer_pairs(self, mission_defeasible):
-        assert mission_defeasible.prefers == (("d2[c,m]", "d1[c,m]"),)
+        assert facts_about(mission_defeasible, "prefer(") == ["prefer(d2(c,m), d1(c,m))."]
 
     def test_texts(self, mission_defeasible):
         assert (
-            mission_defeasible.texts["s3[c,m]"]
-            == "A military observer can never authorize a mission."
+            'text(s3(c,m), "A military observer can never authorize a mission.").'
+            in facts(mission_defeasible)
         )
 
     def test_opp_flips_head_sign(self, mission_defeasible):
-        heads = mission_defeasible.heads
+        heads = {rule.label: rule.head for rule in mission_defeasible.ground.rules}
         assert str(heads["d2[c,m]"].opposite()) == "!permitted(assume_comm(c,m))"
         assert str(heads["d1[c,m]"].opposite()) == "permitted(assume_comm(c,m))"
         assert heads["d1[c,m]"].opposite().opposite() == heads["d1[c,m]"]
@@ -68,15 +87,16 @@ class TestInjectivity:
     def test_distinct_policies_reify_distinctly(self):
         a = base_from("fluent f.\naction go.\nrule r1: permitted(go) if f.\n")
         b = base_from("fluent f.\naction go.\nrule r1: permitted(go) if !f.\n")
-        assert a.bodies["r1"] != b.bodies["r1"]
+        assert emit_asp(a, "rei") != emit_asp(b, "rei")
         c = base_from("fluent f.\naction go.\nrule r1: normally permitted(go) if f.\n")
-        assert a.types["r1"] is not c.types["r1"]
+        assert emit_asp(a, "rei") != emit_asp(c, "rei")
 
     def test_empty_condition_still_has_a_body_entry(self):
         base = base_from("action go.\nrule r1: permitted(go).\n")
-        assert base.bodies["r1"] == ()
+        assert base.ground.rule_map()["r1"].condition == ()
+        assert "rule(r1)." in facts(base)
+        assert facts_about(base, "mbr(") == []
 
     def test_negative_condition_literal_is_preserved(self):
         base = base_from("fluent f.\naction go.\nrule r1: permitted(go) if !f.\n")
-        (lit,) = base.bodies["r1"]
-        assert isinstance(lit, Literal) and lit.positive is False
+        assert facts_about(base, "mbr(") == ["mbr(b(r1), neg(f))."]
