@@ -60,8 +60,10 @@ class IssueRecord:
     ``pos_support`` and ``neg_support`` list the body literals that hold and
     make each side fire.  ``missing`` maps inapplicable rules to the body
     literals that fail, for coverage gaps.  ``pairs`` carries the opposing
-    rule pairs behind an ambiguity.  ``urgency`` ranks modality conflicts,
-    1 being the most pressing.
+    rule pairs behind an ambiguity, and ``stats`` the witness state's answer
+    set counts, which depend on other actions and so are not part of the
+    finding's identity.  ``urgency`` ranks modality conflicts, 1 being the
+    most pressing.
     """
 
     kind: IssueKind
@@ -89,7 +91,6 @@ class IssueRecord:
             self.pairs,
             self.urgency if self.urgency is not None else 0,
             self.case if self.case is not None else 0,
-            (self.stats.n, self.stats.n_p, self.stats.n_np) if self.stats else (),
         )
 
 
@@ -550,7 +551,6 @@ def _family_key(record: IssueRecord) -> tuple:
         tuple((_strip_binding(a), _strip_binding(b)) for a, b in record.pairs),
         record.urgency if record.urgency is not None else 0,
         record.case if record.case is not None else 0,
-        (record.stats.n, record.stats.n_p, record.stats.n_np) if record.stats else (),
     )
 
 

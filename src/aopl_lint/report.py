@@ -150,7 +150,8 @@ def render_text(report: AnalysisReport) -> str:
         if family.stats is not None:
             n, n_p, n_np = family.stats
             lines.append(
-                f"    answer sets: {n} total, {n_p} permitting, {n_np} forbidding"
+                f"    answer sets in the witness state: {n} total, "
+                f"{n_p} permitting, {n_np} forbidding"
             )
         witness = ", ".join(family.witness_true_atoms)
         lines.append(f"    smallest witness state: {{{witness}}}")

@@ -50,6 +50,25 @@ class TestAnalyze:
         assert report.states_examined == 16
         assert report.domain_path == DOM
 
+    def test_one_ambiguity_is_one_family(self, capsys, tmp_path):
+        # Two independent ambiguous actions: each state's answer-set count
+        # depends on the other action, which must not split either family.
+        path = tmp_path / "two.aopl"
+        path.write_text(
+            "sorts thing: a.\nfluent f(thing).\nfluent g(thing).\n"
+            "action x(thing).\naction y(thing).\n"
+            "rule x1: normally permitted(x(W)) if f(W).\n"
+            "rule x2: normally !permitted(x(W)) if f(W).\n"
+            "rule y1: normally permitted(y(W)) if g(W).\n"
+            "rule y2: normally !permitted(y(W)) if g(W).\n",
+            encoding="utf-8",
+        )
+        assert main(["analyze", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "  ambiguity: 2\n" in out
+        assert out.count("answer sets in the witness state: 2 total, 1 permitting") == 2
+        assert out.count("    seen in 2 states\n") == 4
+
     def test_pins_slice_the_space(self, capsys):
         assert main(["analyze", "--pin", "!colonel(c)", DOM, STRICT]) == 1
         out = capsys.readouterr().out

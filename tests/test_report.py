@@ -135,7 +135,10 @@ class TestTextRendering:
 
     def test_ambiguity_stats_line(self, mission_ambiguous):
         text = render_text(build_report(sweep(mission_ambiguous)))
-        assert "    answer sets: 2 total, 1 permitting, 1 forbidding\n" in text
+        assert (
+            "    answer sets in the witness state: 2 total, 1 permitting, 1 forbidding\n"
+            in text
+        )
 
     def test_rendering_is_deterministic(self, strict_report):
         assert render_text(strict_report) == render_text(strict_report)
