@@ -18,8 +18,9 @@ shapes the whole procedure:
 Groups interact with strict conclusions but not with each other, so the
 answer sets are the cross product of per-group outcomes.  ``factor`` keeps
 them in that factored form, which is what the detectors and the
-classifiers read; ``answer_sets`` expands the product into structured views, and ``AnswerSet.atoms()``
-recovers the canonical holds-atoms when a flat view is wanted.
+classifiers read; ``answer_sets`` expands the product into structured
+views, and ``AnswerSet.atoms()`` recovers the canonical holds-atoms when a
+flat view is wanted.
 """
 
 from __future__ import annotations

@@ -359,7 +359,7 @@ class TestClassifyCompliance:
         refuse_models(monkeypatch)
         state = make_state(gp, *(str(atom) for atom in gp.state_atoms))
         verdict = classify_compliance(base, state, gp.action_atoms)
-        assert [verdict for _, verdict in verdict.action_classes] == [
+        assert [cls for _, cls in verdict.action_classes] == [
             AuthorizationClass.AMBIGUOUS
         ] * 12
         assert not verdict.strongly_compliant
