@@ -365,9 +365,13 @@ def _action_pairs(
     }
 
 
+# The pairs of an action outside the ground actions: no rule decides them.
+_NO_RULES = (_UNDECIDED,) * 3
+
+
 def classify_action(base: ReifiedBase, state: WorldState, action: Atom) -> AuthorizationClass:
     """Classify one action's permission in one state."""
-    return _authorization(_action_pairs(base, state)[action][0])
+    return _authorization(_action_pairs(base, state).get(action, _NO_RULES)[0])
 
 
 def classify_compliance(
@@ -375,7 +379,7 @@ def classify_compliance(
 ) -> Compliance:
     """Classify an event against the policy in one state."""
     pairs = _action_pairs(base, state)
-    permissions = [pairs[action][0] for action in event]
+    permissions = [pairs.get(action, _NO_RULES)[0] for action in event]
     weakly = not any(all(neg for _, neg in outcomes) for outcomes in permissions)
     performed = set(event)
     # An action's cautious obl(-a) binds when it is performed, obl(a) when not.

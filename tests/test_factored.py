@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from aopl_lint import (
+    Atom,
     SweepOptions,
     answer_sets,
     classify_action,
@@ -120,6 +121,19 @@ def test_classifiers_match_the_reference_on_the_corpus():
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_classifiers_match_the_reference_on_fixtures(fixture, request):
     assert_same_classes(request.getfixturevalue(fixture))
+
+
+def test_classifiers_match_the_reference_outside_the_ground_actions(mission_strict):
+    base = mission_strict
+    stray = Atom("stray")
+    event = (stray, base.ground.action_atoms[0])
+    for state in enumerate_states(base.ground):
+        assert classify_action(base, state, stray) is reference.classify_action(
+            base, state, stray
+        )
+        assert classify_compliance(base, state, event) == reference.classify_compliance(
+            base, state, event
+        )
 
 
 def test_a_base_is_indexed_once(monkeypatch):
