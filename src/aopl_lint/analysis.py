@@ -132,12 +132,10 @@ def detect_state(base: ReifiedBase, state: int, actions: Iterable[int]) -> list[
             findings.append((_UNDERSPECIFIED, action, 2, state & auth_mask))
 
         if len(perm) > 1:
-            n, n_p, n_np = _counts(groups, perm)
-            if n_p < n and n_np < n and n_p + n_np == n:
-                # Only a pair's two one-sided outcomes split this way.
-                permitting = tuple(r for pos, _ in perm for r in pos)
-                forbidding = tuple(r for _, neg in perm for r in neg)
-                findings.append((_AMBIGUITY, action, permitting, forbidding, n, n_p, n_np))
+            # Only an unblocked defeasible split gives two outcomes, one per side.
+            permitting = tuple(r for pos, _ in perm for r in pos)
+            forbidding = tuple(r for _, neg in perm for r in neg)
+            findings.append((_AMBIGUITY, action, permitting, forbidding))
 
         obliging = [r for pos, _ in do for r in pos]
         refraining = [r for pos, _ in refrain for r in pos]
@@ -152,18 +150,19 @@ def detect_state(base: ReifiedBase, state: int, actions: Iterable[int]) -> list[
     return findings
 
 
-def _counts(
-    groups: dict[int, tuple[Outcome, ...]], outcomes: tuple[Outcome, ...]
-) -> tuple[int, int, int]:
-    """Answer sets in total, with the pair's positive head, with its negative."""
+def _stats(base: ReifiedBase, state: WorldState, action: int) -> AmbiguityStats:
+    """Answer sets in ``state``: in total, with permitted(a), with its negation."""
+    index = base.index
+    groups = factor(base, index.mask(state))[1]
+    outcomes = groups.get(index.actions[action][0], _UNDECIDED)
     n = 1
     for group in groups.values():
         n *= len(group)
     share = n // len(outcomes)
-    return (
-        n,
-        share * sum(1 for pos, _ in outcomes if pos),
-        share * sum(1 for _, neg in outcomes if neg),
+    return AmbiguityStats(
+        n=n,
+        n_p=share * sum(1 for pos, _ in outcomes if pos),
+        n_np=share * sum(1 for _, neg in outcomes if neg),
     )
 
 
@@ -178,7 +177,7 @@ def _record(base: ReifiedBase, finding: tuple, state: WorldState) -> IssueRecord
         action = Happening(base.ground.action_atoms[finding[1]], True)
 
     if tag == _AMBIGUITY:
-        _, _, permitting, forbidding, n, n_p, n_np = finding
+        _, _, permitting, forbidding = finding
         labels = tuple(dict.fromkeys(permitting + forbidding))
         return IssueRecord(
             kind=kind,
@@ -187,7 +186,7 @@ def _record(base: ReifiedBase, finding: tuple, state: WorldState) -> IssueRecord
             rule_labels=labels,
             rule_texts=_texts(base, labels),
             pairs=tuple((p, f) for p in permitting for f in forbidding),
-            stats=AmbiguityStats(n=n, n_p=n_p, n_np=n_np),
+            stats=_stats(base, state, finding[1]),
         )
     if tag == _UNDERSPECIFIED:
         if finding[2] == 1:
@@ -235,12 +234,12 @@ def _view(
     """One kind of ``detect_state`` finding, as records sorted by key."""
     actions = base.ground.action_atoms
     chosen = range(len(actions)) if action is None else (actions.index(action),)
-    records: dict[tuple, IssueRecord] = {}
-    for finding in detect_state(base, base.index.mask(state), chosen):
-        if finding[0] == kind:
-            record = _record(base, finding, state)
-            records.setdefault(record.key(), record)
-    return [records[key] for key in sorted(records)]
+    records = [
+        _record(base, finding, state)
+        for finding in detect_state(base, base.index.mask(state), chosen)
+        if finding[0] == kind
+    ]
+    return sorted(records, key=IssueRecord.key)
 
 
 def detect_inconsistency(base: ReifiedBase, state: WorldState) -> list[IssueRecord]:
@@ -280,10 +279,7 @@ def detect_ambiguity(
     found = _view(base, state, _AMBIGUITY, action)
     if found:
         return found[0], found[0].stats
-    index = base.index
-    groups = factor(base, index.mask(state))[1]
-    permitted = index.actions[base.ground.action_atoms.index(action)][0]
-    return None, AmbiguityStats(*_counts(groups, groups.get(permitted, _UNDECIDED)))
+    return None, _stats(base, state, base.ground.action_atoms.index(action))
 
 
 def detect_obligation_conflict(
@@ -430,34 +426,27 @@ def _witness_rank(state: WorldState) -> tuple[int, str]:
     return (state.positive_count(), str(state))
 
 
-# Accumulator entry per record key: [record, states seen, witness rank].
+# Accumulator entry per key: [witness, states seen, witness rank, additions].
 _Accumulator = dict[tuple, list]
 
 
 def _accumulate(
     accum: _Accumulator,
-    record: IssueRecord,
+    key: tuple,
+    witness: object,
     states: Iterable[WorldState],
     rank: tuple[int, str],
 ) -> None:
-    """Add a record seen in ``states``; the record whose witness ranks lower wins."""
-    key = record.key()
+    """Add ``witness`` seen in ``states`` under ``key``; the lowest rank wins."""
     entry = accum.get(key)
     if entry is None:
-        accum[key] = [record, set(states), rank]
+        accum[key] = [witness, set(states), rank, 1]
         return
     entry[1].update(states)
+    entry[3] += 1
     if rank < entry[2]:
-        entry[0] = record
+        entry[0] = witness
         entry[2] = rank
-
-
-def _result(accum: _Accumulator, states_examined: int) -> SweepResult:
-    instances = tuple(
-        InstanceRecord(record=accum[key][0], states=frozenset(accum[key][1]))
-        for key in sorted(accum)
-    )
-    return SweepResult(instances=instances, states_examined=states_examined)
 
 
 def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepResult:
@@ -470,8 +459,8 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
     check_state_space(base.ground, options.pins, options.max_states)
     index = base.index
 
-    # Per compact finding: [states seen, witness state, witness rank].
-    seen: dict[tuple, list] = {}
+    # Keyed by compact finding; each stands for exactly one record key.
+    accum: _Accumulator = {}
     states_examined = 0
     for state in enumerate_states(base.ground, options.pins):
         states_examined += 1
@@ -479,21 +468,19 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
         findings = detect_state(base, mask, index.executable(mask))
         if not findings:
             continue
+        seen_in = (state,)
         rank = _witness_rank(state)
         for finding in findings:
-            entry = seen.get(finding)
-            if entry is None:
-                seen[finding] = [{state}, state, rank]
-                continue
-            entry[0].add(state)
-            if rank < entry[2]:
-                entry[1] = state
-                entry[2] = rank
+            _accumulate(accum, finding, state, seen_in, rank)
 
-    accum: _Accumulator = {}
-    for finding, (states, witness, rank) in seen.items():
-        _accumulate(accum, _record(base, finding, witness), states, rank)
-    return _result(accum, states_examined)
+    instances = sorted(
+        (
+            InstanceRecord(record=_record(base, finding, witness), states=frozenset(states))
+            for finding, (witness, states, _, _) in accum.items()
+        ),
+        key=lambda instance: instance.record.key(),
+    )
+    return SweepResult(instances=tuple(instances), states_examined=states_examined)
 
 
 def merge_sweeps(first: SweepResult, second: SweepResult) -> SweepResult:
@@ -501,8 +488,16 @@ def merge_sweeps(first: SweepResult, second: SweepResult) -> SweepResult:
     accum: _Accumulator = {}
     for instance in first.instances + second.instances:
         record = instance.record
-        _accumulate(accum, record, instance.states, _witness_rank(record.witness_state))
-    return _result(accum, first.states_examined + second.states_examined)
+        rank = _witness_rank(record.witness_state)
+        _accumulate(accum, record.key(), record, instance.states, rank)
+    instances = tuple(
+        InstanceRecord(record=accum[key][0], states=frozenset(accum[key][1]))
+        for key in sorted(accum)
+    )
+    return SweepResult(
+        instances=instances,
+        states_examined=first.states_examined + second.states_examined,
+    )
 
 
 def _strip_binding(label: str) -> str:
@@ -560,46 +555,38 @@ def _family_key(record: IssueRecord) -> tuple:
 
 def collapse_families(result: SweepResult) -> tuple[FamilyRecord, ...]:
     """Group instance records into families and pick representatives."""
-    groups: dict[tuple, list[InstanceRecord]] = {}
+    accum: _Accumulator = {}
     for instance in result.instances:
-        groups.setdefault(_family_key(instance.record), []).append(instance)
+        record = instance.record
+        rank = _witness_rank(record.witness_state)
+        _accumulate(accum, _family_key(record), record, instance.states, rank)
 
-    families: list[FamilyRecord] = []
-    for key, members in groups.items():
-        representative = min(
-            members, key=lambda m: _witness_rank(m.record.witness_state)
+    families = [
+        FamilyRecord(
+            kind=record.kind,
+            action=str(record.action),
+            base_labels=tuple(_strip_binding(l) for l in record.rule_labels),
+            instance_labels=record.rule_labels,
+            rule_texts=record.rule_texts,
+            pos_support=tuple(str(l) for l in record.pos_support),
+            neg_support=tuple(str(l) for l in record.neg_support),
+            missing=tuple((r, tuple(str(l) for l in lits)) for r, lits in record.missing),
+            pairs=record.pairs,
+            urgency=record.urgency,
+            stats=(record.stats.n, record.stats.n_p, record.stats.n_np)
+            if record.stats
+            else None,
+            case=record.case,
+            witness_true_atoms=tuple(
+                str(a)
+                for a in record.witness_state.universe
+                if a in record.witness_state.true_atoms
+            ),
+            state_count=len(states),
+            instance_count=count,
         )
-        record = representative.record
-        all_states: set[WorldState] = set()
-        for member in members:
-            all_states.update(member.states)
-        families.append(
-            FamilyRecord(
-                kind=record.kind,
-                action=str(record.action),
-                base_labels=tuple(_strip_binding(l) for l in record.rule_labels),
-                instance_labels=record.rule_labels,
-                rule_texts=record.rule_texts,
-                pos_support=tuple(str(l) for l in record.pos_support),
-                neg_support=tuple(str(l) for l in record.neg_support),
-                missing=tuple(
-                    (r, tuple(str(l) for l in lits)) for r, lits in record.missing
-                ),
-                pairs=record.pairs,
-                urgency=record.urgency,
-                stats=(record.stats.n, record.stats.n_p, record.stats.n_np)
-                if record.stats
-                else None,
-                case=record.case,
-                witness_true_atoms=tuple(
-                    str(a)
-                    for a in record.witness_state.universe
-                    if a in record.witness_state.true_atoms
-                ),
-                state_count=len(all_states),
-                instance_count=len(members),
-            )
-        )
+        for record, states, _, count in accum.values()
+    ]
     families.sort(
         key=lambda f: (
             KIND_ORDER[f.kind],

@@ -131,7 +131,7 @@ def _load_base(paths: list[str]):
     for path in paths:
         try:
             sources.append(SourceFile.load(path))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _InputError(f"cannot read {path}: {exc}") from exc
     result = parse_files(sources)
     if not result.ok:
@@ -147,7 +147,7 @@ def _load_state_file(base, path: str):
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     state, diagnostics = load_state(base.ground, text)
     if state is None:
@@ -175,9 +175,12 @@ def _parse_pin_args(texts: list[str]):
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_report(

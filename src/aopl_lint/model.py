@@ -245,14 +245,6 @@ class DomainSpec:
     def predicate_map(self) -> dict[str, PredicateDecl]:
         return {p.name: p for p in self.predicates}
 
-    def merge(self, other: "DomainSpec") -> "DomainSpec":
-        return DomainSpec(
-            sorts=self.sorts + other.sorts,
-            predicates=self.predicates + other.predicates,
-            state_constraints=self.state_constraints + other.state_constraints,
-            exec_constraints=self.exec_constraints + other.exec_constraints,
-        )
-
 
 def _positional_sorts(atom: Atom, domain: DomainSpec) -> tuple[str, ...] | None:
     """Expected argument sorts for an atom, or None if undeclared.

@@ -124,8 +124,9 @@ def render_text(report: AnalysisReport) -> str:
         lines.append(f"pins: {', '.join(report.pins)}")
     lines.append(f"states examined: {report.states_examined}")
     lines.append(f"findings: {len(report.families)}")
+    counts = report.counts()
     for kind in sorted(IssueKind, key=lambda k: KIND_ORDER[k]):
-        lines.append(f"  {kind.value}: {report.counts()[kind.value]}")
+        lines.append(f"  {kind.value}: {counts[kind.value]}")
 
     for number, family in enumerate(report.families, start=1):
         lines.append("")

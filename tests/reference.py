@@ -1,11 +1,14 @@
 """The model-list detectors and sweep loop, kept as a differential reference.
 
 These are the per-state detectors and compliance classifiers that loop over
-materialised answer sets, their model counter ``ambiguity_stats``, and the
-sweep that ran them state by state.  The package's ``sweep``, its
-``detect_*`` views and its ``classify_*`` functions work on factored answer
-sets instead; the tests require both to give the same findings, witnesses,
-state sets and verdicts.
+materialised answer sets, their model counter ``ambiguity_stats``, the
+sweep that ran them state by state with its record-keyed accumulator, and
+the family collapse that grouped the sweep's instances.  The package's
+``sweep``, its ``detect_*`` views and its ``classify_*`` functions work on
+factored answer sets instead, and the package keys one accumulator by
+compact finding, record key or family key; the tests require both to give
+the same findings, witnesses, state sets, families and verdicts.  Nothing
+here reads a private name of the package.
 """
 
 from __future__ import annotations
@@ -13,17 +16,15 @@ from __future__ import annotations
 from typing import Iterable
 
 from aopl_lint.analysis import (
+    KIND_ORDER,
     AuthorizationClass,
     Compliance,
+    FamilyRecord,
+    InstanceRecord,
     IssueKind,
     IssueRecord,
     SweepOptions,
     SweepResult,
-    _Accumulator,
-    _accumulate,
-    _result,
-    _texts,
-    _witness_rank,
 )
 from aopl_lint.engine import (
     AmbiguityStats,
@@ -36,6 +37,10 @@ from aopl_lint.grounding import GroundRule
 from aopl_lint.model import Atom, Happening, HeadLiteral, Literal, Modality, RuleKind
 from aopl_lint.reify import ReifiedBase
 from aopl_lint.states import check_state_space, enumerate_states, executable_actions
+
+
+def _texts(base: ReifiedBase, labels: Iterable[str]) -> tuple[str, ...]:
+    return tuple(base.text_or_print(label) for label in labels)
 
 
 def ambiguity_stats(models: Iterable[AnswerSet], permitted: HeadLiteral) -> AmbiguityStats:
@@ -376,6 +381,40 @@ def classify_compliance(
     )
 
 
+def _witness_rank(state: WorldState) -> tuple[int, str]:
+    return (state.positive_count(), str(state))
+
+
+# Accumulator entry per record key: [record, states seen, witness rank].
+_Accumulator = dict[tuple, list]
+
+
+def _accumulate(
+    accum: _Accumulator,
+    record: IssueRecord,
+    states: Iterable[WorldState],
+    rank: tuple[int, str],
+) -> None:
+    """Add a record seen in ``states``; the record whose witness ranks lower wins."""
+    key = record.key()
+    entry = accum.get(key)
+    if entry is None:
+        accum[key] = [record, set(states), rank]
+        return
+    entry[1].update(states)
+    if rank < entry[2]:
+        entry[0] = record
+        entry[2] = rank
+
+
+def _result(accum: _Accumulator, states_examined: int) -> SweepResult:
+    instances = tuple(
+        InstanceRecord(record=accum[key][0], states=frozenset(accum[key][1]))
+        for key in sorted(accum)
+    )
+    return SweepResult(instances=instances, states_examined=states_examined)
+
+
 def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepResult:
     """Run every detector over the (pinned) state space and deduplicate.
 
@@ -421,3 +460,86 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
                 _accumulate(accum, record, seen_in, rank)
 
     return _result(accum, states_examined)
+
+
+def _strip_binding(label: str) -> str:
+    return label.split("[", 1)[0]
+
+
+def _literal_family(literal: Literal) -> str:
+    sign = "" if literal.positive else "!"
+    return f"{sign}{literal.atom.predicate}"
+
+
+def _family_key(record: IssueRecord) -> tuple:
+    action_sign = "" if record.action.positive else "-"
+    return (
+        record.kind.value,
+        f"{action_sign}{record.action.action.predicate}",
+        tuple(_strip_binding(l) for l in record.rule_labels),
+        tuple(_literal_family(l) for l in record.pos_support),
+        tuple(_literal_family(l) for l in record.neg_support),
+        tuple(
+            (_strip_binding(r), tuple(_literal_family(l) for l in lits))
+            for r, lits in record.missing
+        ),
+        tuple((_strip_binding(a), _strip_binding(b)) for a, b in record.pairs),
+        record.urgency if record.urgency is not None else 0,
+        record.case if record.case is not None else 0,
+    )
+
+
+def collapse_families(result: SweepResult) -> tuple[FamilyRecord, ...]:
+    """Group instance records into families and pick representatives."""
+    groups: dict[tuple, list[InstanceRecord]] = {}
+    for instance in result.instances:
+        groups.setdefault(_family_key(instance.record), []).append(instance)
+
+    families: list[FamilyRecord] = []
+    for key, members in groups.items():
+        representative = min(
+            members, key=lambda m: _witness_rank(m.record.witness_state)
+        )
+        record = representative.record
+        all_states: set[WorldState] = set()
+        for member in members:
+            all_states.update(member.states)
+        families.append(
+            FamilyRecord(
+                kind=record.kind,
+                action=str(record.action),
+                base_labels=tuple(_strip_binding(l) for l in record.rule_labels),
+                instance_labels=record.rule_labels,
+                rule_texts=record.rule_texts,
+                pos_support=tuple(str(l) for l in record.pos_support),
+                neg_support=tuple(str(l) for l in record.neg_support),
+                missing=tuple(
+                    (r, tuple(str(l) for l in lits)) for r, lits in record.missing
+                ),
+                pairs=record.pairs,
+                urgency=record.urgency,
+                stats=(record.stats.n, record.stats.n_p, record.stats.n_np)
+                if record.stats
+                else None,
+                case=record.case,
+                witness_true_atoms=tuple(
+                    str(a)
+                    for a in record.witness_state.universe
+                    if a in record.witness_state.true_atoms
+                ),
+                state_count=len(all_states),
+                instance_count=len(members),
+            )
+        )
+    families.sort(
+        key=lambda f: (
+            KIND_ORDER[f.kind],
+            f.urgency if f.urgency is not None else 0,
+            f.action,
+            f.base_labels,
+            f.pos_support,
+            f.neg_support,
+            f.missing,
+        )
+    )
+    return tuple(families)

@@ -83,6 +83,11 @@ class TestAnalyze:
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text(encoding="utf-8"))["findings"]
 
+    def test_unwritable_output_exits_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.txt"
+        assert main(["analyze", "-o", str(target), DOM, STRICT]) == 2
+        assert f"cannot write {target}: " in capsys.readouterr().err
+
     def test_max_states_limit(self, capsys):
         assert main(["analyze", "--max-states", "8", DOM, STRICT]) == 2
         err = capsys.readouterr().err
@@ -126,6 +131,12 @@ class TestParseErrors:
     def test_missing_file_exits_two(self, capsys):
         assert main(["analyze", "/nonexistent/x.aopl"]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_non_utf8_source_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.aopl"
+        bad.write_bytes("% caf\xe9\naction go.\n".encode("latin-1"))
+        assert main(["analyze", str(bad)]) == 2
+        assert f"cannot read {bad}: " in capsys.readouterr().err
 
     def test_validation_error_names_the_rule(self, capsys, tmp_path):
         bad = tmp_path / "bad.aopl"
@@ -178,6 +189,12 @@ class TestCheck:
         bad.write_text("ghost(c)\n", encoding="utf-8")
         assert main(["check", "--state", str(bad), DOM, STRICT]) == 2
         assert "not a state atom" in capsys.readouterr().err
+
+    def test_non_utf8_state_file_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.state"
+        bad.write_bytes("% caf\xe9\ncolonel(c)\n".encode("latin-1"))
+        assert main(["check", "--state", str(bad), DOM, STRICT]) == 2
+        assert f"cannot read {bad}: " in capsys.readouterr().err
 
 
 class TestClassify:
@@ -237,6 +254,11 @@ class TestEmitAsp:
         target = tmp_path / "prog.lp"
         assert main(["emit-asp", "-o", str(target), DOM, DEFEASIBLE]) == 0
         assert "% policy-independent evaluation rules" in target.read_text(encoding="utf-8")
+
+    def test_unwritable_output_exits_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "prog.lp"
+        assert main(["emit-asp", "-o", str(target), DOM, DEFEASIBLE]) == 2
+        assert f"cannot write {target}: " in capsys.readouterr().err
 
 
 class TestStates:

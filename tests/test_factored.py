@@ -1,4 +1,4 @@
-"""The factored sweep, detectors and classifiers against the model-list reference."""
+"""The factored sweep, its families, detectors and classifiers against the reference."""
 
 import importlib
 
@@ -11,6 +11,7 @@ from aopl_lint import (
     answer_sets,
     classify_action,
     classify_compliance,
+    collapse_families,
     detect_ambiguity,
     detect_inconsistency,
     detect_modality_conflicts,
@@ -30,7 +31,13 @@ from corpus import corpus
 from helpers import load_base
 from strategies import domain_and_policy
 
-FIXTURES = ["mission_strict", "mission_defeasible", "mission_ambiguous", "shifts"]
+FIXTURES = [
+    "mission_strict",
+    "mission_defeasible",
+    "mission_ambiguous",
+    "shifts",
+    "shared_ambiguities",
+]
 
 
 def assert_same_sweep(base, options=SweepOptions()):
@@ -38,6 +45,7 @@ def assert_same_sweep(base, options=SweepOptions()):
     want = reference.sweep(base, options)
     assert got.instances == want.instances
     assert got.states_examined == want.states_examined
+    assert collapse_families(got) == reference.collapse_families(want)
 
 
 def assert_same_detectors(base, state):
