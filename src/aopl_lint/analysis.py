@@ -12,8 +12,8 @@ factored answer sets; the public ``detect_*`` functions are views of it for
 one state, and the ``classify_*`` functions read the same factors.  The
 sweep runs ``detect_state`` across a whole state space, deduplicates the
 ground findings, and collapses instances that differ only in constants into
-one family per schematic cause.  All of them evaluate through the base's
-integer index, built once per base.
+one family per schematic cause.  All of them evaluate through the ground
+policy's integer index, built once per ground policy.
 """
 
 from __future__ import annotations
@@ -25,12 +25,7 @@ from typing import Iterable
 from .engine import AmbiguityStats, Outcome, WorldState, factor
 from .model import Atom, Happening, Literal
 from .reify import ReifiedBase
-from .states import (
-    DEFAULT_MAX_STATES,
-    _satisfies,
-    check_state_space,
-    enumerate_states,
-)
+from .states import DEFAULT_MAX_STATES, check_state_space, enumerate_states
 
 
 class IssueKind(Enum):
@@ -191,12 +186,10 @@ def _record(base: ReifiedBase, finding: tuple, state: WorldState) -> IssueRecord
     if tag == _UNDERSPECIFIED:
         if finding[2] == 1:
             return IssueRecord(kind=kind, action=action, witness_state=state, case=1)
-        sort_facts = frozenset(base.ground.sort_facts)
+        mask = index.mask(state)
         missing: list[tuple[str, tuple[Literal, ...]]] = []
         for rule in index.actions[finding[1]][3]:
-            failing = tuple(
-                lit for lit in rule.condition if not _satisfies(state, lit, sort_facts)
-            )
+            failing = index.failing(rule.condition, mask)
             if failing:
                 missing.append((rule.label, failing))
         labels = tuple(label for label, _ in missing)

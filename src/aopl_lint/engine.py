@@ -4,9 +4,9 @@ Rule conditions never mention deontic atoms, so every body's truth value is
 fixed by the state before any deontic reasoning starts.  That restriction
 shapes the whole procedure:
 
-1. index the base once (``ReifiedBase.index``): states become int bitmasks
-   over the state atoms and bodies become mask pairs (sort membership atoms
-   are true by construction),
+1. index the ground policy once (``ReifiedBase.index``): states become int
+   bitmasks over the state atoms and bodies become mask pairs (sort
+   membership atoms are true by construction),
 2. evaluate every body against the state and derive the defeated-rule
    atoms: a preference defeats its weaker target whenever the stronger
    rule's body holds,

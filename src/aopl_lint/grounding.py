@@ -10,8 +10,9 @@ range independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .diagnostics import has_errors
 from .model import (
@@ -31,6 +32,9 @@ from .model import (
     rule_variable_sorts,
     validate,
 )
+
+if TYPE_CHECKING:
+    from .reify import Index
 
 
 class GroundingError(Exception):
@@ -60,7 +64,8 @@ class GroundPolicy:
     actions in declaration order.  ``head_universe`` holds the six deontic
     literals per ground action.  ``sort_facts`` are the ground sort
     membership atoms referenced by rule or constraint conditions; they are
-    true in every state.
+    true in every state.  ``index`` is the policy in integer form
+    (``reify.Index``), built once on first use.
     """
 
     rules: tuple[GroundRule, ...]
@@ -73,6 +78,12 @@ class GroundPolicy:
 
     def rule_map(self) -> dict[str, GroundRule]:
         return {r.label: r for r in self.rules}
+
+    @cached_property
+    def index(self) -> Index:
+        from .reify import _build_index  # reify imports this module
+
+        return _build_index(self)
 
 
 def _ground_label(base: str, variables: tuple[str, ...], binding: Mapping[str, str]) -> str:

@@ -10,8 +10,8 @@ lets one engine answer questions about every policy instead of compiling
 each policy into its own program.
 
 The facts are the ground rules themselves; the emitters write them out,
-and the engine reads them through the base's integer index, built once on
-first evaluation.
+and the engine reads them through the ground policy's integer index, built
+once on first use.
 """
 
 from __future__ import annotations
@@ -41,7 +41,10 @@ class Index:
     preference.  ``actions`` holds, per ground action, its permitted,
     obl(a) and obl(-a) pair indexes, its authorization rules and the state
     bits their conditions mention; ``exec_conditions`` holds (masks, action
-    index).  ``by_label`` maps each label to its ground rule.
+    index).  ``constraints`` holds (body masks, head masks) per state
+    constraint whose body can hold and whose head can fail; a missing or
+    unsatisfiable head needs a bit past the last state atom, so it never
+    holds.  ``by_label`` maps each label to its ground rule.
     """
 
     bits: dict[Atom, int]
@@ -51,7 +54,9 @@ class Index:
     prefers: tuple[tuple[int, int, str], ...]
     actions: tuple[tuple[int, int, int, tuple[GroundRule, ...], int], ...]
     exec_conditions: tuple[tuple[int, int, int], ...]
+    constraints: tuple[tuple[int, int, int, int], ...]
     by_label: dict[str, GroundRule]
+    sort_facts: frozenset[Atom]
 
     def mask(self, state: WorldState) -> int:
         """The state as an int over ``state_atoms``."""
@@ -67,6 +72,15 @@ class Index:
         }
         return [a for a in range(len(self.actions)) if a not in blocked]
 
+    def failing(self, body: Iterable[Literal], state: int) -> tuple[Literal, ...]:
+        """The literals of ``body`` that do not hold in ``state``."""
+        out = []
+        for lit in body:
+            masks = _body_masks((lit,), self.bits, self.sort_facts)
+            if masks is None or state & masks[0] != masks[0] or state & masks[1]:
+                out.append(lit)
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class ReifiedBase:
@@ -75,7 +89,7 @@ class ReifiedBase:
     Treat instances as immutable: the analysis layer shares one base across
     states and may partition sweeps over it.  ``ground`` holds the rules,
     ``display`` every rule's text as reports quote it, and ``index`` the
-    integer form the engine evaluates, built on first use.
+    integer form the engine evaluates, which the ground policy builds once.
     """
 
     display: dict[str, str]
@@ -88,7 +102,7 @@ class ReifiedBase:
     @cached_property
     def index(self) -> Index:
         """The integer form of the policy; see ``Index``."""
-        return _build_index(self.ground)
+        return self.ground.index
 
 
 def _display_text(rule: GroundRule) -> str:
@@ -180,6 +194,13 @@ def _build_index(gp: GroundPolicy) -> Index:
         for constraint in gp.exec_constraints
         if (masks := _body_masks(constraint.condition, bits, sort_facts)) is not None
     )
+    never = 1 << len(bits)
+    constraints = []
+    for constraint in gp.state_constraints:
+        body = _body_masks(constraint.body, bits, sort_facts)
+        head = constraint.head and _body_masks((constraint.head,), bits, sort_facts)
+        if body is not None and head != (0, 0):
+            constraints.append((*body, *(head or (never, 0))))
     return Index(
         bits=bits,
         bodies=bodies,
@@ -188,5 +209,7 @@ def _build_index(gp: GroundPolicy) -> Index:
         prefers=prefers,
         actions=tuple(actions),
         exec_conditions=exec_conditions,
+        constraints=tuple(constraints),
         by_label={rule.label: rule for rule in gp.rules},
+        sort_facts=sort_facts,
     )

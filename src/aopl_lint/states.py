@@ -3,12 +3,14 @@
 States are complete truth assignments over the ground static and fluent
 atoms, filtered by the domain's state constraints.  Exhaustive enumeration is
 exponential, so callers can pin atoms to carve out a slice and must size the
-remainder with ``state_space_size`` before iterating blindly.
+remainder with ``state_space_size`` before iterating blindly.  Assignments,
+constraints and executability conditions are int masks from the ground
+policy's index (``reify.Index``).
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .diagnostics import Diagnostic, Severity
@@ -20,23 +22,19 @@ from .parser import parse_ground_literal
 DEFAULT_MAX_STATES = 1 << 20
 
 
-def _satisfies(state: WorldState, literal: Literal, sort_facts: frozenset[Atom]) -> bool:
-    if literal.atom in sort_facts:
-        return literal.positive
-    return state.satisfies(literal)
+def satisfies_constraints(gp: GroundPolicy, state: WorldState | int) -> bool:
+    """True when the state violates no state constraint.
 
-
-def satisfies_constraints(gp: GroundPolicy, state: WorldState) -> bool:
-    """True when the state violates no state constraint."""
-    sort_facts = frozenset(gp.sort_facts)
-    for constraint in gp.state_constraints:
-        body_holds = all(_satisfies(state, lit, sort_facts) for lit in constraint.body)
-        if not body_holds:
-            continue
-        if constraint.head is None:
-            return False
-        if not _satisfies(state, constraint.head, sort_facts):
-            return False
+    ``state`` is a WorldState over ``gp.state_atoms`` or its int mask, with
+    bit ``i`` set when ``gp.state_atoms[i]`` is true; see ``reify.Index``.
+    """
+    index = gp.index
+    if not isinstance(state, int):
+        state = index.mask(state)
+    for need, forbid, head_need, head_forbid in index.constraints:
+        if state & need == need and not state & forbid:
+            if state & head_need != head_need or state & head_forbid:
+                return False
     return True
 
 
@@ -87,6 +85,10 @@ def check_state_space(
         )
 
 
+# Unpinned atoms whose partial masks enumeration builds in advance.
+_TABLE_ATOMS = 10
+
+
 def enumerate_states(
     gp: GroundPolicy, pins: Iterable[Literal] = ()
 ) -> Iterator[WorldState]:
@@ -94,30 +96,35 @@ def enumerate_states(
 
     Deterministic order: the all-false assignment of unpinned atoms first,
     then counting up with the last declared atom varying fastest.
-    Contradictory or unknown pins yield an empty stream; call check_pins to
-    get the diagnostics.
+    Assignments are int masks checked by ``satisfies_constraints``; only an
+    accepted one becomes a WorldState.  Contradictory or unknown pins yield
+    an empty stream; call check_pins to get the diagnostics.
     """
     pins = list(pins)
     if check_pins(gp, pins):
         return
+    bits = gp.index.bits
     signs = {pin.atom: pin.positive for pin in pins}
-    unpinned = [a for a in gp.state_atoms if a not in signs]
-    pinned_true = frozenset(a for a, positive in signs.items() if positive)
-    for values in product((False, True), repeat=len(unpinned)):
-        true_atoms = pinned_true | {a for a, v in zip(unpinned, values) if v}
-        state = WorldState(gp.state_atoms, frozenset(true_atoms))
-        if satisfies_constraints(gp, state):
-            yield state
+    unpinned = [bits[a] for a in gp.state_atoms if a not in signs]
+    pinned = sum(bits[a] for a, positive in signs.items() if positive)
+    split = max(len(unpinned) - _TABLE_ATOMS, 0)
+    high, low = unpinned[:split], unpinned[split:]
+    table = [0]
+    for bit in low:
+        table = [mask | b for mask in table for b in (0, bit)]
+    for count in range(1 << split):
+        prefix = pinned | sum(bit for i, bit in enumerate(reversed(high)) if count >> i & 1)
+        for mask in table:
+            mask |= prefix
+            if satisfies_constraints(gp, mask):
+                true_atoms = frozenset(a for a, bit in bits.items() if mask & bit)
+                yield WorldState(gp.state_atoms, true_atoms)
 
 
 def executable_actions(gp: GroundPolicy, state: WorldState) -> tuple[Atom, ...]:
     """Ground actions not ruled out by an executability constraint."""
-    sort_facts = frozenset(gp.sort_facts)
-    blocked: set[Atom] = set()
-    for constraint in gp.exec_constraints:
-        if all(_satisfies(state, lit, sort_facts) for lit in constraint.condition):
-            blocked.add(constraint.action)
-    return tuple(a for a in gp.action_atoms if a not in blocked)
+    index = gp.index
+    return tuple(gp.action_atoms[a] for a in index.executable(index.mask(state)))
 
 
 def enumerate_events(
@@ -145,7 +152,7 @@ def load_state(gp: GroundPolicy, text: str) -> tuple[WorldState | None, list[Dia
     documentation and checked for consistency with the positives.
     """
     out: list[Diagnostic] = []
-    state_atoms = set(gp.state_atoms)
+    bits = gp.index.bits
     positives: set[Atom] = set()
     explicit_negatives: set[Atom] = set()
     for number, raw in enumerate(text.splitlines(), start=1):
@@ -157,7 +164,7 @@ def load_state(gp: GroundPolicy, text: str) -> tuple[WorldState | None, list[Dia
         except ValueError as exc:
             out.append(Diagnostic(Severity.ERROR, f"line {number}: {exc}"))
             continue
-        if literal.atom not in state_atoms:
+        if literal.atom not in bits:
             out.append(
                 Diagnostic(
                     Severity.ERROR,
@@ -176,8 +183,7 @@ def load_state(gp: GroundPolicy, text: str) -> tuple[WorldState | None, list[Dia
     if any(d.severity is Severity.ERROR for d in out):
         return None, out
 
-    state = WorldState(gp.state_atoms, frozenset(positives))
-    if not satisfies_constraints(gp, state):
+    if not satisfies_constraints(gp, sum(bits[atom] for atom in positives)):
         out.append(Diagnostic(Severity.ERROR, "state violates a domain constraint"))
         return None, out
-    return state, out
+    return WorldState(gp.state_atoms, frozenset(positives)), out

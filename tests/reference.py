@@ -2,18 +2,21 @@
 
 These are the per-state detectors and compliance classifiers that loop over
 materialised answer sets, their model counter ``ambiguity_stats``, the
-sweep that ran them state by state with its record-keyed accumulator, and
-the family collapse that grouped the sweep's instances.  The package's
-``sweep``, its ``detect_*`` views and its ``classify_*`` functions work on
-factored answer sets instead, and the package keys one accumulator by
-compact finding, record key or family key; the tests require both to give
-the same findings, witnesses, state sets, families and verdicts.  Nothing
-here reads a private name of the package.
+state enumeration, constraint check and executability filter that test
+``Literal`` objects against a ``WorldState``, the sweep that ran them state
+by state with its record-keyed accumulator, and the family collapse that
+grouped the sweep's instances.  The package's ``sweep``, its ``detect_*``
+views and its ``classify_*`` functions work on factored answer sets
+instead, its enumeration and filters on int masks, and the package keys one
+accumulator by compact finding, record key or family key; the tests require
+both to give the same states, findings, witnesses, state sets, families and
+verdicts.  Nothing here reads a private name of the package.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import product
+from typing import Iterable, Iterator
 
 from aopl_lint.analysis import (
     KIND_ORDER,
@@ -33,10 +36,63 @@ from aopl_lint.engine import (
     answer_sets,
     entails,
 )
-from aopl_lint.grounding import GroundRule
+from aopl_lint.grounding import GroundPolicy, GroundRule
 from aopl_lint.model import Atom, Happening, HeadLiteral, Literal, Modality, RuleKind
 from aopl_lint.reify import ReifiedBase
-from aopl_lint.states import check_state_space, enumerate_states, executable_actions
+from aopl_lint.states import check_pins, check_state_space
+
+
+def _satisfies(state: WorldState, literal: Literal, sort_facts: frozenset[Atom]) -> bool:
+    if literal.atom in sort_facts:
+        return literal.positive
+    return state.satisfies(literal)
+
+
+def satisfies_constraints(gp: GroundPolicy, state: WorldState) -> bool:
+    """True when the state violates no state constraint."""
+    sort_facts = frozenset(gp.sort_facts)
+    for constraint in gp.state_constraints:
+        body_holds = all(_satisfies(state, lit, sort_facts) for lit in constraint.body)
+        if not body_holds:
+            continue
+        if constraint.head is None:
+            return False
+        if not _satisfies(state, constraint.head, sort_facts):
+            return False
+    return True
+
+
+def enumerate_states(
+    gp: GroundPolicy, pins: Iterable[Literal] = ()
+) -> Iterator[WorldState]:
+    """All constraint-satisfying states, respecting pinned literals.
+
+    Deterministic order: the all-false assignment of unpinned atoms first,
+    then counting up with the last declared atom varying fastest.
+    Contradictory or unknown pins yield an empty stream; call check_pins to
+    get the diagnostics.
+    """
+    pins = list(pins)
+    if check_pins(gp, pins):
+        return
+    signs = {pin.atom: pin.positive for pin in pins}
+    unpinned = [a for a in gp.state_atoms if a not in signs]
+    pinned_true = frozenset(a for a, positive in signs.items() if positive)
+    for values in product((False, True), repeat=len(unpinned)):
+        true_atoms = pinned_true | {a for a, v in zip(unpinned, values) if v}
+        state = WorldState(gp.state_atoms, frozenset(true_atoms))
+        if satisfies_constraints(gp, state):
+            yield state
+
+
+def executable_actions(gp: GroundPolicy, state: WorldState) -> tuple[Atom, ...]:
+    """Ground actions not ruled out by an executability constraint."""
+    sort_facts = frozenset(gp.sort_facts)
+    blocked: set[Atom] = set()
+    for constraint in gp.exec_constraints:
+        if all(_satisfies(state, lit, sort_facts) for lit in constraint.condition):
+            blocked.add(constraint.action)
+    return tuple(a for a in gp.action_atoms if a not in blocked)
 
 
 def _texts(base: ReifiedBase, labels: Iterable[str]) -> tuple[str, ...]:

@@ -13,6 +13,8 @@ DOM = str(DATA / "mission.dom")
 STRICT = str(DATA / "mission_strict.aopl")
 DEFEASIBLE = str(DATA / "mission_defeasible.aopl")
 STATE = str(DATA / "colonel_authorized.state")
+SHIFTS_DOM = str(DATA / "shifts.dom")
+SHIFTS = str(DATA / "shifts.aopl")
 
 
 @pytest.fixture
@@ -287,6 +289,17 @@ class TestStates:
     def test_max_states_guard(self, capsys):
         assert main(["states", "--max-states", "4", DOM, STRICT]) == 2
         assert "pin atoms or raise the limit" in capsys.readouterr().err
+
+    def test_shifts_match_golden(self, capsys):
+        assert main(["states", SHIFTS_DOM, SHIFTS]) == 0
+        golden = DATA / "golden" / "shifts.states.golden"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    def test_pinned_shifts_match_golden(self, capsys):
+        pins = ["--pin", "trained(ann)", "--pin", "!on_duty(bob,day)"]
+        assert main(["states", *pins, SHIFTS_DOM, SHIFTS]) == 0
+        golden = DATA / "golden" / "shifts_pinned.states.golden"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
     def test_contradictory_pins(self, capsys):
         code = main(["states", "--pin", "colonel(c)", "--pin", "!colonel(c)", DOM, STRICT])

@@ -1,6 +1,8 @@
-"""The factored sweep, its families, detectors and classifiers against the reference."""
+"""The factored sweep, its families, detectors, classifiers and mask enumeration
+against the reference."""
 
 import importlib
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +10,7 @@ from hypothesis import assume, given, settings
 from aopl_lint import (
     Atom,
     SweepOptions,
+    WorldState,
     answer_sets,
     classify_action,
     classify_compliance,
@@ -20,16 +23,18 @@ from aopl_lint import (
     entails,
     enumerate_events,
     enumerate_states,
+    executable_actions,
     ground,
     reify,
+    satisfies_constraints,
     sweep,
 )
 from aopl_lint.states import parse_pins
 
 import reference
 from corpus import corpus
-from helpers import load_base
-from strategies import domain_and_policy
+from helpers import DATA, base_from, load_base
+from strategies import domain_and_policy, pinned_ground_policy
 
 FIXTURES = [
     "mission_strict",
@@ -161,3 +166,48 @@ def test_a_base_is_indexed_once(monkeypatch):
         answer_sets(base, state)
         entails(base, state, gp.head_universe[0])
     assert built == [gp]
+
+
+def assert_same_states(gp, pins=()):
+    assert list(enumerate_states(gp, pins)) == list(reference.enumerate_states(gp, pins))
+
+
+def assert_same_filters(gp):
+    """Both forms of the constraint check and the exec filter, on every assignment."""
+    atoms = gp.state_atoms
+    for values in product((False, True), repeat=len(atoms)):
+        state = WorldState(atoms, frozenset(a for a, v in zip(atoms, values) if v))
+        mask = sum(1 << i for i, v in enumerate(values) if v)
+        verdict = reference.satisfies_constraints(gp, state)
+        assert satisfies_constraints(gp, state) is verdict, str(state)
+        assert satisfies_constraints(gp, mask) is verdict, str(state)
+        assert executable_actions(gp, state) == reference.executable_actions(gp, state)
+
+
+@given(pinned_ground_policy())
+@settings(max_examples=200, deadline=None)
+def test_enumeration_and_filters_match_the_reference_on_generated_policies(case):
+    gp, pins = case
+    assert_same_states(gp, pins)
+    assert_same_filters(gp)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_enumeration_and_filters_match_the_reference_on_fixtures(fixture, request):
+    gp = request.getfixturevalue(fixture).ground
+    assert_same_states(gp)
+    first, last = gp.state_atoms[0], gp.state_atoms[-1]
+    assert_same_states(gp, parse_pins([str(first), f"!{last}"]))
+    assert_same_filters(gp)
+
+
+def test_enumeration_past_the_prebuilt_masks_matches_the_reference():
+    # Three workers give 12 unpinned atoms, two more than enumeration builds
+    # partial masks for in advance, so the leading atoms count separately.
+    base = base_from(
+        (DATA / "shifts.dom").read_text(encoding="utf-8").replace("ann, bob", "ann, bob, cy")
+    )
+    gp = base.ground
+    assert len(gp.state_atoms) == 12
+    assert_same_states(gp)
+    assert_same_states(gp, parse_pins(["on_duty(cy,eve)"]))

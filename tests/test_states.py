@@ -1,6 +1,9 @@
 """State enumeration, pinning, constraints, events, and state files."""
 
+import tracemalloc
+
 from aopl_lint import (
+    WorldState,
     enumerate_events,
     enumerate_states,
     executable_actions,
@@ -45,6 +48,33 @@ class TestEnumeration:
         states = list(enumerate_states(gp, pins("!colonel(c)", "!observer(c)")))
         assert len(states) == 4
         assert all(not s.satisfies(parse_ground_literal("colonel(c)")) for s in states)
+
+    def test_only_accepted_assignments_become_states(self, shifts, monkeypatch):
+        built = []
+        original = WorldState.__post_init__
+
+        def counting(state):
+            built.append(state)
+            original(state)
+
+        monkeypatch.setattr(WorldState, "__post_init__", counting)
+        states = list(enumerate_states(shifts.ground))
+        assert state_space_size(shifts.ground) == 256
+        assert len(built) == len(states) == 49
+
+    def test_first_state_of_a_huge_space_needs_little_memory(self):
+        constants = ", ".join(f"t{i}" for i in range(40))
+        base = base_from(f"sorts thing: {constants}.\nfluent f(thing).\naction go.\n")
+        gp = base.ground
+        assert state_space_size(gp) == 1 << 40
+        tracemalloc.start()
+        try:
+            first = next(enumerate_states(gp))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(first) == "{}"
+        assert peak < 1 << 20
 
     def test_state_space_size_counts_unpinned_atoms(self, mission_strict):
         gp = mission_strict.ground
@@ -118,6 +148,19 @@ class TestConstraints:
             "rule r1: permitted(go).\n"
         )
         assert len(list(enumerate_states(base.ground))) == 1
+
+    def test_negative_sort_atoms_never_hold(self):
+        base = base_from(
+            "sorts agent: a1.\nfluent f(agent).\nfluent g(agent).\naction go.\n"
+            "impossible f(A), !agent(A).\n"
+            "constraint !agent(A) if g(A).\n"
+            "impossible_exec go if !agent(a1).\n"
+        )
+        gp = base.ground
+        # The first constraint never fires; the second rejects g(a1).
+        assert [str(s) for s in enumerate_states(gp)] == ["{}", "{f(a1)}"]
+        assert not satisfies_constraints(gp, make_state(gp, "g(a1)"))
+        assert [str(a) for a in executable_actions(gp, make_state(gp))] == ["go"]
 
 
 class TestExecutability:
