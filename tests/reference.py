@@ -10,13 +10,16 @@ views and its ``classify_*`` functions work on factored answer sets
 instead, its enumeration and filters on int masks, and the package keys one
 accumulator by compact finding, record key or family key; the tests require
 both to give the same states, findings, witnesses, state sets, families and
-verdicts.  Nothing here reads a private name of the package.
+verdicts.  The grounder at the end instantiates rules, preferences and
+constraints in separate loops with their own sort inference; the package's
+``ground`` must give an equal ground policy.  Nothing here reads a private
+name of the package.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from aopl_lint.analysis import (
     KIND_ORDER,
@@ -36,8 +39,24 @@ from aopl_lint.engine import (
     answer_sets,
     entails,
 )
-from aopl_lint.grounding import GroundPolicy, GroundRule
-from aopl_lint.model import Atom, Happening, HeadLiteral, Literal, Modality, RuleKind
+from aopl_lint.diagnostics import has_errors
+from aopl_lint.grounding import GroundingError, GroundPolicy, GroundRule
+from aopl_lint.model import (
+    Atom,
+    DomainSpec,
+    ExecConstraint,
+    Happening,
+    HeadLiteral,
+    Literal,
+    Modality,
+    Policy,
+    PolicyRule,
+    PredicateKind,
+    RuleKind,
+    StateConstraint,
+    is_variable,
+    validate,
+)
 from aopl_lint.reify import ReifiedBase
 from aopl_lint.states import check_pins, check_state_space
 
@@ -599,3 +618,253 @@ def collapse_families(result: SweepResult) -> tuple[FamilyRecord, ...]:
         )
     )
     return tuple(families)
+
+
+def _positional_sorts(atom: Atom, domain: DomainSpec) -> tuple[str, ...] | None:
+    """Expected argument sorts for an atom, or None if undeclared.
+
+    Sort names double as unary membership predicates.
+    """
+    decl = domain.predicate_map().get(atom.predicate)
+    if decl is not None:
+        return decl.arg_sorts
+    if atom.predicate in domain.sort_map():
+        return (atom.predicate,)
+    return None
+
+
+class _Scope:
+    """Tracks variable sorts within one rule or constraint."""
+
+    def __init__(self, domain: DomainSpec) -> None:
+        self.domain = domain
+        self.sorts: dict[str, str] = {}
+        self.problems: list[str] = []
+
+    def bind(self, var: str, sort: str) -> None:
+        known = self.sorts.get(var)
+        if known is None:
+            self.sorts[var] = sort
+        elif known != sort:
+            self.problems.append(
+                f"variable {var} has conflicting sorts {known} and {sort}"
+            )
+
+    def check_atom(self, atom: Atom) -> None:
+        expected = _positional_sorts(atom, self.domain)
+        if expected is None:
+            self.problems.append(f"undeclared predicate: {atom.predicate}")
+            return
+        if len(expected) != len(atom.args):
+            self.problems.append(
+                f"{atom.predicate} expects {len(expected)} argument(s), got {len(atom.args)}"
+            )
+            return
+        sort_map = self.domain.sort_map()
+        for arg, sort in zip(atom.args, expected):
+            if sort not in sort_map:
+                # The predicate declaration itself is reported elsewhere.
+                continue
+            if is_variable(arg):
+                self.bind(arg, sort)
+            elif arg not in sort_map[sort].members:
+                self.problems.append(f"constant {arg} is not in sort {sort}")
+
+
+def rule_variable_sorts(
+    rule: PolicyRule, policy: Policy, domain: DomainSpec
+) -> dict[str, str]:
+    """Resolved sort of every variable in a validated rule."""
+    scope = _Scope(domain)
+    if rule.head is not None:
+        scope.check_atom(rule.head.happening.action)
+    for lit in rule.condition:
+        scope.check_atom(lit.atom)
+    for var, sort in rule.where:
+        scope.sorts.setdefault(var, sort)
+    return dict(scope.sorts)
+
+
+def _ground_label(base: str, variables: tuple[str, ...], binding: Mapping[str, str]) -> str:
+    if not variables:
+        return base
+    return f"{base}[{','.join(binding[v] for v in variables)}]"
+
+
+def _bindings(
+    variables: tuple[str, ...],
+    var_sorts: Mapping[str, str],
+    domain: DomainSpec,
+) -> Iterable[dict[str, str]]:
+    sort_map = domain.sort_map()
+    pools: list[tuple[str, ...]] = []
+    for var in variables:
+        sort = var_sorts.get(var)
+        if sort is None or sort not in sort_map:
+            raise GroundingError(f"variable {var} has no resolvable sort")
+        members = sort_map[sort].members
+        if not members:
+            raise GroundingError(f"sort {sort} has no members")
+        pools.append(members)
+    for values in product(*pools):
+        yield dict(zip(variables, values))
+
+
+def _ground_atoms(domain: DomainSpec, kinds: tuple[PredicateKind, ...]) -> tuple[Atom, ...]:
+    sort_map = domain.sort_map()
+    atoms: list[Atom] = []
+    for pred in domain.predicates:
+        if pred.kind not in kinds:
+            continue
+        pools = [sort_map[s].members for s in pred.arg_sorts]
+        for values in product(*pools):
+            atoms.append(Atom(pred.name, tuple(values)))
+    return tuple(atoms)
+
+
+def _head_universe(action_atoms: tuple[Atom, ...]) -> tuple[HeadLiteral, ...]:
+    heads: list[HeadLiteral] = []
+    for action in action_atoms:
+        does = Happening(action, True)
+        does_not = Happening(action, False)
+        heads.extend(
+            [
+                HeadLiteral(Modality.PERMITTED, does, True),
+                HeadLiteral(Modality.PERMITTED, does, False),
+                HeadLiteral(Modality.OBL, does, True),
+                HeadLiteral(Modality.OBL, does, False),
+                HeadLiteral(Modality.OBL, does_not, True),
+                HeadLiteral(Modality.OBL, does_not, False),
+            ]
+        )
+    return tuple(heads)
+
+
+def _constraint_scope_sorts(
+    literals: Iterable[Literal], domain: DomainSpec
+) -> dict[str, str]:
+    sorts: dict[str, str] = {}
+    for lit in literals:
+        expected = _positional_sorts(lit.atom, domain)
+        if expected is None or len(expected) != len(lit.atom.args):
+            raise GroundingError(f"cannot ground ill-formed literal {lit}")
+        for arg, sort in zip(lit.atom.args, expected):
+            if is_variable(arg):
+                sorts.setdefault(arg, sort)
+    return sorts
+
+
+def _scope_variables(literals: Iterable[Literal]) -> tuple[str, ...]:
+    seen: list[str] = []
+    for lit in literals:
+        for var in lit.atom.variables():
+            if var not in seen:
+                seen.append(var)
+    return tuple(seen)
+
+
+def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
+    """Instantiate a validated policy over its domain.
+
+    Raises GroundingError when validation reports errors; run validate()
+    first for the full diagnostic list.
+    """
+    diagnostics = validate(policy, domain)
+    if has_errors(diagnostics):
+        first = next(d for d in diagnostics if d.severity.value == "error")
+        raise GroundingError(f"policy does not validate: {first.message}")
+
+    state_atoms = _ground_atoms(domain, (PredicateKind.STATIC, PredicateKind.FLUENT))
+    action_atoms = _ground_atoms(domain, (PredicateKind.ACTION,))
+
+    ground_rules: list[GroundRule] = []
+    rule_by_label = policy.rule_map()
+
+    for rule in policy.rules:
+        if rule.kind is RuleKind.PREFERENCE:
+            preferred = rule_by_label[rule.preferred]
+            dispreferred = rule_by_label[rule.dispreferred]
+            pref_vars = preferred.variables()
+            disp_vars = dispreferred.variables()
+            variables = pref_vars + tuple(v for v in disp_vars if v not in pref_vars)
+            var_sorts = rule_variable_sorts(preferred, policy, domain)
+            for var, sort in rule_variable_sorts(dispreferred, policy, domain).items():
+                var_sorts.setdefault(var, sort)
+            for binding in _bindings(variables, var_sorts, domain):
+                ground_rules.append(
+                    GroundRule(
+                        label=_ground_label(rule.label, variables, binding),
+                        base_label=rule.label,
+                        kind=RuleKind.PREFERENCE,
+                        preferred=_ground_label(rule.preferred, pref_vars, binding),
+                        dispreferred=_ground_label(rule.dispreferred, disp_vars, binding),
+                        text=rule.text,
+                    )
+                )
+            continue
+
+        variables = rule.variables()
+        var_sorts = rule_variable_sorts(rule, policy, domain)
+        for binding in _bindings(variables, var_sorts, domain):
+            ground_rules.append(
+                GroundRule(
+                    label=_ground_label(rule.label, variables, binding),
+                    base_label=rule.label,
+                    kind=rule.kind,
+                    head=rule.head.substitute(binding),
+                    condition=tuple(lit.substitute(binding) for lit in rule.condition),
+                    text=rule.text,
+                )
+            )
+
+    sort_names = set(domain.sort_map())
+    sort_fact_set: set[Atom] = set()
+
+    ground_state_constraints: list[StateConstraint] = []
+    for constraint in domain.state_constraints:
+        literals = list(constraint.body) + ([constraint.head] if constraint.head else [])
+        variables = _scope_variables(literals)
+        var_sorts = _constraint_scope_sorts(literals, domain)
+        for binding in _bindings(variables, var_sorts, domain):
+            ground_state_constraints.append(
+                StateConstraint(
+                    body=tuple(lit.substitute(binding) for lit in constraint.body),
+                    head=constraint.head.substitute(binding) if constraint.head else None,
+                )
+            )
+
+    ground_exec_constraints: list[ExecConstraint] = []
+    for constraint in domain.exec_constraints:
+        literals = list(constraint.condition) + [Literal(constraint.action)]
+        variables = _scope_variables(literals)
+        var_sorts = _constraint_scope_sorts(literals, domain)
+        for binding in _bindings(variables, var_sorts, domain):
+            ground_exec_constraints.append(
+                ExecConstraint(
+                    action=constraint.action.substitute(binding),
+                    condition=tuple(lit.substitute(binding) for lit in constraint.condition),
+                )
+            )
+
+    for rule in ground_rules:
+        for lit in rule.condition:
+            if lit.atom.predicate in sort_names:
+                sort_fact_set.add(lit.atom)
+    for constraint in ground_state_constraints:
+        for lit in list(constraint.body) + ([constraint.head] if constraint.head else []):
+            if lit.atom.predicate in sort_names:
+                sort_fact_set.add(lit.atom)
+    for constraint in ground_exec_constraints:
+        for lit in constraint.condition:
+            if lit.atom.predicate in sort_names:
+                sort_fact_set.add(lit.atom)
+
+    return GroundPolicy(
+        rules=tuple(ground_rules),
+        state_atoms=state_atoms,
+        action_atoms=action_atoms,
+        head_universe=_head_universe(action_atoms),
+        state_constraints=tuple(ground_state_constraints),
+        exec_constraints=tuple(ground_exec_constraints),
+        sort_facts=tuple(sorted(sort_fact_set, key=str)),
+    )

@@ -125,13 +125,18 @@ def domain_and_policy(draw) -> tuple[Policy, DomainSpec]:
 
         kind = draw(st.sampled_from([RuleKind.STRICT, RuleKind.DEFEASIBLE]))
         label = f"r{i}"
+        body = condition()
+        # A where-clause restates the sorts of some of the rule's variables.
+        typed = [(var, sort) for sort, pool in vars_of.items() for var in pool]
+        where = draw(st.lists(st.sampled_from(typed), max_size=2, unique=True)) if typed else []
         rules.append(
             PolicyRule(
                 label,
                 kind,
                 head=head,
-                condition=condition(),
+                condition=body,
                 text=draw(st.none() | _texts),
+                where=tuple(where),
             )
         )
         if kind is RuleKind.DEFEASIBLE:

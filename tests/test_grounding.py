@@ -1,8 +1,13 @@
 """Rule instantiation over sorts: labels, universes, preferences, constraints."""
 
 import pytest
+from hypothesis import given, settings
 
-from aopl_lint import GroundingError, Modality, RuleKind, ground, parse
+import reference
+from aopl_lint import GroundingError, Modality, RuleKind, SourceFile, ground, parse, parse_files
+from corpus import corpus
+from helpers import DATA
+from strategies import domain_and_policy
 
 
 def ground_from(text):
@@ -191,3 +196,26 @@ class TestGroundingErrors:
         domain = DomainSpec(predicates=(PredicateDecl("go", PredicateKind.ACTION),))
         with pytest.raises(GroundingError, match="undeclared predicate: ghost"):
             ground(policy, domain)
+
+
+class TestAgainstReference:
+    """The grounder equals the reference's per-statement loops, in content and order."""
+
+    @given(domain_and_policy())
+    @settings(max_examples=150, deadline=None)
+    def test_generated_policies(self, pair):
+        assert ground(*pair) == reference.ground(*pair)
+
+    def test_corpus_and_fixtures(self):
+        pairs = list(corpus())
+        for names in (
+            ("mission.dom", "mission_strict.aopl"),
+            ("mission.dom", "mission_defeasible.aopl"),
+            ("mission.dom", "mission_ambiguous.aopl"),
+            ("shifts.dom", "shifts.aopl"),
+        ):
+            result = parse_files([SourceFile.load(str(DATA / name)) for name in names])
+            assert result.ok
+            pairs.append((result.policy, result.domain))
+        for policy, domain in pairs:
+            assert ground(policy, domain) == reference.ground(policy, domain)

@@ -1,10 +1,13 @@
 """AST helpers and semantic validation."""
 
+from dataclasses import replace
+
 import pytest
 
 from aopl_lint import (
     Atom,
     DomainSpec,
+    ExecConstraint,
     Happening,
     HeadLiteral,
     Literal,
@@ -16,6 +19,7 @@ from aopl_lint import (
     RuleKind,
     Severity,
     SortDecl,
+    StateConstraint,
     validate,
 )
 from aopl_lint.model import rule_variable_sorts
@@ -191,6 +195,28 @@ class TestValidateRejects:
     )
     def test_rule_errors(self, bad, needle):
         assert needle in errors_of(Policy((bad,)))
+
+    @pytest.mark.parametrize(
+        "constraints,needle",
+        [
+            (
+                {"state_constraints": (StateConstraint(body=(Literal(Atom("go", ("A",))),)),)},
+                "state constraint literal go(A) must be a static, fluent, or sort atom",
+            ),
+            (
+                {
+                    "exec_constraints": (
+                        ExecConstraint(Atom("fire", ("A",)), (Literal(Atom("go", ("A",))),)),
+                    )
+                },
+                "executability condition literal go(A) must be a static, fluent, or sort atom",
+            ),
+        ],
+    )
+    def test_action_literal_in_constraint(self, constraints, needle):
+        go = PredicateDecl("go", PredicateKind.ACTION, ("agent",))
+        domain = replace(DOM, predicates=DOM.predicates + (go,), **constraints)
+        assert errors_of(Policy(), domain) == [needle]
 
     def test_duplicate_labels(self):
         assert "duplicate rule label: r1" in errors_of(Policy((rule("r1"), rule("r1"))))
