@@ -398,7 +398,7 @@ class InstanceRecord:
     """A deduplicated ground finding with the states it was seen in.
 
     The representative record keeps the witness state with the fewest true
-    atoms, breaking ties by enumeration order.
+    atoms, breaking ties by the state's text (``str(state)``).
     """
 
     record: IssueRecord

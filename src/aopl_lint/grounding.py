@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from typing import TYPE_CHECKING, Iterable, Mapping
+from itertools import chain, product
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .diagnostics import has_errors
 from .model import (
@@ -27,10 +27,9 @@ from .model import (
     PredicateKind,
     RuleKind,
     StateConstraint,
-    _positional_sorts,
-    is_variable,
-    rule_variable_sorts,
     validate,
+    variable_sorts,
+    variables_of,
 )
 
 if TYPE_CHECKING:
@@ -93,10 +92,15 @@ def _ground_label(base: str, variables: tuple[str, ...], binding: Mapping[str, s
 
 
 def _bindings(
-    variables: tuple[str, ...],
-    var_sorts: Mapping[str, str],
-    domain: DomainSpec,
-) -> Iterable[dict[str, str]]:
+    atoms: tuple[Atom, ...], domain: DomainSpec, where: Iterable[tuple[str, str]]
+) -> tuple[tuple[str, ...], Iterator[dict[str, str]]]:
+    """The atoms' variables in first-occurrence order, and every binding of them.
+
+    Bindings count up over the sorts' members with the last variable
+    varying fastest.
+    """
+    variables = variables_of(atoms)
+    var_sorts = variable_sorts(atoms, domain, where)
     sort_map = domain.sort_map()
     pools: list[tuple[str, ...]] = []
     for var in variables:
@@ -107,8 +111,7 @@ def _bindings(
         if not members:
             raise GroundingError(f"sort {sort} has no members")
         pools.append(members)
-    for values in product(*pools):
-        yield dict(zip(variables, values))
+    return variables, (dict(zip(variables, values)) for values in product(*pools))
 
 
 def _ground_atoms(domain: DomainSpec, kinds: tuple[PredicateKind, ...]) -> tuple[Atom, ...]:
@@ -141,29 +144,6 @@ def _head_universe(action_atoms: tuple[Atom, ...]) -> tuple[HeadLiteral, ...]:
     return tuple(heads)
 
 
-def _constraint_scope_sorts(
-    literals: Iterable[Literal], domain: DomainSpec
-) -> dict[str, str]:
-    sorts: dict[str, str] = {}
-    for lit in literals:
-        expected = _positional_sorts(lit.atom, domain)
-        if expected is None or len(expected) != len(lit.atom.args):
-            raise GroundingError(f"cannot ground ill-formed literal {lit}")
-        for arg, sort in zip(lit.atom.args, expected):
-            if is_variable(arg):
-                sorts.setdefault(arg, sort)
-    return sorts
-
-
-def _scope_variables(literals: Iterable[Literal]) -> tuple[str, ...]:
-    seen: list[str] = []
-    for lit in literals:
-        for var in lit.atom.variables():
-            if var not in seen:
-                seen.append(var)
-    return tuple(seen)
-
-
 def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
     """Instantiate a validated policy over its domain.
 
@@ -183,15 +163,16 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
 
     for rule in policy.rules:
         if rule.kind is RuleKind.PREFERENCE:
+            # Same-named variables across the two targets ground together.
             preferred = rule_by_label[rule.preferred]
             dispreferred = rule_by_label[rule.dispreferred]
-            pref_vars = preferred.variables()
-            disp_vars = dispreferred.variables()
-            variables = pref_vars + tuple(v for v in disp_vars if v not in pref_vars)
-            var_sorts = rule_variable_sorts(preferred, policy, domain)
-            for var, sort in rule_variable_sorts(dispreferred, policy, domain).items():
-                var_sorts.setdefault(var, sort)
-            for binding in _bindings(variables, var_sorts, domain):
+            pref_vars, disp_vars = preferred.variables(), dispreferred.variables()
+            variables, bindings = _bindings(
+                preferred.atoms() + dispreferred.atoms(),
+                domain,
+                preferred.where + dispreferred.where,
+            )
+            for binding in bindings:
                 ground_rules.append(
                     GroundRule(
                         label=_ground_label(rule.label, variables, binding),
@@ -204,9 +185,8 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
                 )
             continue
 
-        variables = rule.variables()
-        var_sorts = rule_variable_sorts(rule, policy, domain)
-        for binding in _bindings(variables, var_sorts, domain):
+        variables, bindings = _bindings(rule.atoms(), domain, rule.where)
+        for binding in bindings:
             ground_rules.append(
                 GroundRule(
                     label=_ground_label(rule.label, variables, binding),
@@ -218,54 +198,45 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
                 )
             )
 
-    sort_names = set(domain.sort_map())
-    sort_fact_set: set[Atom] = set()
-
-    ground_state_constraints: list[StateConstraint] = []
+    state_constraints: list[StateConstraint] = []
     for constraint in domain.state_constraints:
-        literals = list(constraint.body) + ([constraint.head] if constraint.head else [])
-        variables = _scope_variables(literals)
-        var_sorts = _constraint_scope_sorts(literals, domain)
-        for binding in _bindings(variables, var_sorts, domain):
-            ground_state_constraints.append(
+        _, bindings = _bindings(tuple(lit.atom for lit in constraint.literals()), domain, ())
+        for binding in bindings:
+            state_constraints.append(
                 StateConstraint(
                     body=tuple(lit.substitute(binding) for lit in constraint.body),
                     head=constraint.head.substitute(binding) if constraint.head else None,
                 )
             )
 
-    ground_exec_constraints: list[ExecConstraint] = []
+    exec_constraints: list[ExecConstraint] = []
     for constraint in domain.exec_constraints:
-        literals = list(constraint.condition) + [Literal(constraint.action)]
-        variables = _scope_variables(literals)
-        var_sorts = _constraint_scope_sorts(literals, domain)
-        for binding in _bindings(variables, var_sorts, domain):
-            ground_exec_constraints.append(
+        atoms = tuple(lit.atom for lit in constraint.condition) + (constraint.action,)
+        _, bindings = _bindings(atoms, domain, ())
+        for binding in bindings:
+            exec_constraints.append(
                 ExecConstraint(
                     action=constraint.action.substitute(binding),
                     condition=tuple(lit.substitute(binding) for lit in constraint.condition),
                 )
             )
 
-    for rule in ground_rules:
-        for lit in rule.condition:
-            if lit.atom.predicate in sort_names:
-                sort_fact_set.add(lit.atom)
-    for constraint in ground_state_constraints:
-        for lit in list(constraint.body) + ([constraint.head] if constraint.head else []):
-            if lit.atom.predicate in sort_names:
-                sort_fact_set.add(lit.atom)
-    for constraint in ground_exec_constraints:
-        for lit in constraint.condition:
-            if lit.atom.predicate in sort_names:
-                sort_fact_set.add(lit.atom)
+    sort_names = domain.sort_map()
+    conditions = chain(
+        (rule.condition for rule in ground_rules),
+        (constraint.literals() for constraint in state_constraints),
+        (constraint.condition for constraint in exec_constraints),
+    )
+    sort_facts = {
+        lit.atom for lits in conditions for lit in lits if lit.atom.predicate in sort_names
+    }
 
     return GroundPolicy(
         rules=tuple(ground_rules),
         state_atoms=state_atoms,
         action_atoms=action_atoms,
         head_universe=_head_universe(action_atoms),
-        state_constraints=tuple(ground_state_constraints),
-        exec_constraints=tuple(ground_exec_constraints),
-        sort_facts=tuple(sorted(sort_fact_set, key=str)),
+        state_constraints=tuple(state_constraints),
+        exec_constraints=tuple(exec_constraints),
+        sort_facts=tuple(sorted(sort_facts, key=str)),
     )

@@ -9,9 +9,9 @@ test against the state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .diagnostics import Diagnostic, Severity, sort_diagnostics
 
@@ -84,11 +84,7 @@ class Atom:
 
     def variables(self) -> tuple[str, ...]:
         """Variables in argument order, first occurrence only."""
-        seen: list[str] = []
-        for arg in self.args:
-            if is_variable(arg) and arg not in seen:
-                seen.append(arg)
-        return tuple(seen)
+        return variables_of((self,))
 
     def substitute(self, binding: Mapping[str, str]) -> "Atom":
         return Atom(self.predicate, tuple(binding.get(a, a) for a in self.args))
@@ -178,18 +174,14 @@ class PolicyRule:
     text: str | None = None
     where: tuple[tuple[str, str], ...] = ()
 
+    def atoms(self) -> tuple[Atom, ...]:
+        """The head's action, then the condition atoms."""
+        head = (self.head.happening.action,) if self.head is not None else ()
+        return head + tuple(lit.atom for lit in self.condition)
+
     def variables(self) -> tuple[str, ...]:
         """Variables in first-occurrence order over head then condition."""
-        seen: list[str] = []
-        atoms: list[Atom] = []
-        if self.head is not None:
-            atoms.append(self.head.happening.action)
-        atoms.extend(lit.atom for lit in self.condition)
-        for atom in atoms:
-            for var in atom.variables():
-                if var not in seen:
-                    seen.append(var)
-        return tuple(seen)
+        return variables_of(self.atoms())
 
 
 @dataclass(frozen=True)
@@ -223,6 +215,10 @@ class StateConstraint:
     body: tuple[Literal, ...]
     head: Literal | None = None
 
+    def literals(self) -> tuple[Literal, ...]:
+        """The body, then the head if there is one."""
+        return self.body + ((self.head,) if self.head is not None else ())
+
 
 @dataclass(frozen=True)
 class ExecConstraint:
@@ -246,24 +242,17 @@ class DomainSpec:
         return {p.name: p for p in self.predicates}
 
 
-def _positional_sorts(atom: Atom, domain: DomainSpec) -> tuple[str, ...] | None:
-    """Expected argument sorts for an atom, or None if undeclared.
-
-    Sort names double as unary membership predicates.
-    """
-    decl = domain.predicate_map().get(atom.predicate)
-    if decl is not None:
-        return decl.arg_sorts
-    if atom.predicate in domain.sort_map():
-        return (atom.predicate,)
-    return None
+def variables_of(atoms: Iterable[Atom]) -> tuple[str, ...]:
+    """Variables of the atoms in first-occurrence order."""
+    return tuple(dict.fromkeys(a for atom in atoms for a in atom.args if is_variable(a)))
 
 
 class _Scope:
     """Tracks variable sorts within one rule or constraint."""
 
     def __init__(self, domain: DomainSpec) -> None:
-        self.domain = domain
+        self.pred_map = domain.predicate_map()
+        self.sort_map = domain.sort_map()
         self.sorts: dict[str, str] = {}
         self.problems: list[str] = []
 
@@ -277,8 +266,13 @@ class _Scope:
             )
 
     def check_atom(self, atom: Atom) -> None:
-        expected = _positional_sorts(atom, self.domain)
-        if expected is None:
+        decl = self.pred_map.get(atom.predicate)
+        if decl is not None:
+            expected = decl.arg_sorts
+        elif atom.predicate in self.sort_map:
+            # Sort names double as unary membership predicates.
+            expected = (atom.predicate,)
+        else:
             self.problems.append(f"undeclared predicate: {atom.predicate}")
             return
         if len(expected) != len(atom.args):
@@ -286,23 +280,21 @@ class _Scope:
                 f"{atom.predicate} expects {len(expected)} argument(s), got {len(atom.args)}"
             )
             return
-        sort_map = self.domain.sort_map()
         for arg, sort in zip(atom.args, expected):
-            if sort not in sort_map:
+            if sort not in self.sort_map:
                 # The predicate declaration itself is reported elsewhere.
                 continue
             if is_variable(arg):
                 self.bind(arg, sort)
-            elif arg not in sort_map[sort].members:
+            elif arg not in self.sort_map[sort].members:
                 self.problems.append(f"constant {arg} is not in sort {sort}")
 
-
-def _condition_kind_ok(lit: Literal, domain: DomainSpec) -> bool:
-    """Condition literals range over statics, fluents, and sort atoms only."""
-    decl = domain.predicate_map().get(lit.atom.predicate)
-    if decl is not None:
-        return decl.kind is not PredicateKind.ACTION
-    return lit.atom.predicate in domain.sort_map()
+    def check_condition(self, lit: Literal, role: str) -> None:
+        """Condition literals range over statics, fluents, and sort atoms only."""
+        self.check_atom(lit.atom)
+        decl = self.pred_map.get(lit.atom.predicate)
+        if decl is not None and decl.kind is PredicateKind.ACTION:
+            self.problems.append(f"{role} literal {lit} must be a static, fluent, or sort atom")
 
 
 def validate(policy: Policy, domain: DomainSpec) -> list[Diagnostic]:
@@ -356,14 +348,8 @@ def validate(policy: Policy, domain: DomainSpec) -> list[Diagnostic]:
 
     for constraint in domain.state_constraints:
         scope = _Scope(domain)
-        for lit in list(constraint.body) + ([constraint.head] if constraint.head else []):
-            scope.check_atom(lit.atom)
-            if _positional_sorts(lit.atom, domain) is not None and not _condition_kind_ok(
-                lit, domain
-            ):
-                scope.problems.append(
-                    f"state constraint literal {lit} must be a static, fluent, or sort atom"
-                )
+        for lit in constraint.literals():
+            scope.check_condition(lit, "state constraint")
         check_scope(scope, None)
 
     for constraint in domain.exec_constraints:
@@ -375,13 +361,7 @@ def validate(policy: Policy, domain: DomainSpec) -> list[Diagnostic]:
                 f"executability constraint target {constraint.action.predicate} is not an action"
             )
         for lit in constraint.condition:
-            scope.check_atom(lit.atom)
-            if _positional_sorts(lit.atom, domain) is not None and not _condition_kind_ok(
-                lit, domain
-            ):
-                scope.problems.append(
-                    f"executability condition literal {lit} must be a static, fluent, or sort atom"
-                )
+            scope.check_condition(lit, "executability condition")
         check_scope(scope, None)
 
     rule_map: dict[str, PolicyRule] = {}
@@ -452,13 +432,7 @@ def validate(policy: Policy, domain: DomainSpec) -> list[Diagnostic]:
             scope.check_atom(head.happening.action)
 
         for lit in rule.condition:
-            scope.check_atom(lit.atom)
-            if _positional_sorts(lit.atom, domain) is not None and not _condition_kind_ok(
-                lit, domain
-            ):
-                scope.problems.append(
-                    f"condition literal {lit} must be a static, fluent, or sort atom"
-                )
+            scope.check_condition(lit, "condition")
 
         for var, sort in rule.where:
             if sort not in sort_map:
@@ -491,15 +465,24 @@ def validate(policy: Policy, domain: DomainSpec) -> list[Diagnostic]:
     return sort_diagnostics(out)
 
 
+def variable_sorts(
+    atoms: Iterable[Atom], domain: DomainSpec, where: Iterable[tuple[str, str]]
+) -> dict[str, str]:
+    """Sort of every variable of validated atoms and their where-clause.
+
+    The first argument position a variable fills decides its sort; the
+    where-clause adds sorts for variables no position types.
+    """
+    scope = _Scope(domain)
+    for atom in atoms:
+        scope.check_atom(atom)
+    for var, sort in where:
+        scope.sorts.setdefault(var, sort)
+    return scope.sorts
+
+
 def rule_variable_sorts(
     rule: PolicyRule, policy: Policy, domain: DomainSpec
 ) -> dict[str, str]:
     """Resolved sort of every variable in a validated rule."""
-    scope = _Scope(domain)
-    if rule.head is not None:
-        scope.check_atom(rule.head.happening.action)
-    for lit in rule.condition:
-        scope.check_atom(lit.atom)
-    for var, sort in rule.where:
-        scope.sorts.setdefault(var, sort)
-    return dict(scope.sorts)
+    return variable_sorts(rule.atoms(), domain, rule.where)

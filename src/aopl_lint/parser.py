@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import Callable, TypeVar
 
 from .diagnostics import Diagnostic, Position, Severity, SourceFile, has_errors, sort_diagnostics
 from .model import (
@@ -55,6 +56,8 @@ from .model import (
 )
 
 _PUNCT = ".,:()>!-"
+
+_T = TypeVar("_T")
 
 _PREDICATE_KEYWORDS = {
     "static": PredicateKind.STATIC,
@@ -208,6 +211,22 @@ class _Parser:
         token = self.peek()
         return token.kind is _TokKind.PUNCT and token.value == value
 
+    def accept(self, keyword: str) -> bool:
+        """Consume the next token if it is the given keyword."""
+        token = self.peek()
+        if token.kind is _TokKind.IDENT and token.value == keyword:
+            self.next()
+            return True
+        return False
+
+    def comma_list(self, item: Callable[[], _T]) -> tuple[_T, ...]:
+        """One or more items separated by commas."""
+        items = [item()]
+        while self.at_punct(","):
+            self.next()
+            items.append(item())
+        return tuple(items)
+
     def expect_punct(self, value: str) -> _Token:
         token = self.peek()
         if token.kind is _TokKind.PUNCT and token.value == value:
@@ -237,15 +256,12 @@ class _Parser:
 
     def parse_atom(self) -> Atom:
         name = self.expect_ident("a predicate name").value
-        args: list[str] = []
+        args: tuple[str, ...] = ()
         if self.at_punct("("):
             self.next()
-            args.append(self.parse_term())
-            while self.at_punct(","):
-                self.next()
-                args.append(self.parse_term())
+            args = self.comma_list(self.parse_term)
             self.expect_punct(")")
-        return Atom(name, tuple(args))
+        return Atom(name, args)
 
     def parse_literal(self) -> Literal:
         positive = True
@@ -253,13 +269,6 @@ class _Parser:
             self.next()
             positive = False
         return Literal(self.parse_atom(), positive)
-
-    def parse_literal_list(self) -> tuple[Literal, ...]:
-        literals = [self.parse_literal()]
-        while self.at_punct(","):
-            self.next()
-            literals.append(self.parse_literal())
-        return tuple(literals)
 
     def parse_head(self) -> HeadLiteral:
         positive = True
@@ -284,20 +293,13 @@ class _Parser:
         self.expect_punct(")")
         return HeadLiteral(modality, Happening(action, happening_positive), positive)
 
-    def parse_where(self) -> tuple[tuple[str, str], ...]:
-        entries: list[tuple[str, str]] = []
-        while True:
-            token = self.peek()
-            if token.kind is not _TokKind.VARIABLE:
-                raise _ParseError("expected a variable in where-clause", token.position)
-            var = self.next().value
-            self.expect_punct(":")
-            sort = self.expect_ident("a sort name").value
-            entries.append((var, sort))
-            if self.at_punct(","):
-                self.next()
-                continue
-            return tuple(entries)
+    def parse_where_entry(self) -> tuple[str, str]:
+        token = self.peek()
+        if token.kind is not _TokKind.VARIABLE:
+            raise _ParseError("expected a variable in where-clause", token.position)
+        var = self.next().value
+        self.expect_punct(":")
+        return var, self.expect_ident("a sort name").value
 
 
 @dataclass
@@ -333,48 +335,38 @@ def _parse_statements(
                 parser.next()
                 name = parser.expect_ident("a sort name").value
                 parser.expect_punct(":")
-                members = [parser.expect_ident("a constant").value]
-                while parser.at_punct(","):
-                    parser.next()
-                    members.append(parser.expect_ident("a constant").value)
+                members = parser.comma_list(lambda: parser.expect_ident("a constant").value)
                 parser.expect_punct(".")
-                sorts.append(SortDecl(name, tuple(members)))
+                sorts.append(SortDecl(name, members))
             elif keyword in _PREDICATE_KEYWORDS:
                 parser.next()
                 name = parser.expect_ident("a predicate name").value
-                arg_sorts: list[str] = []
+                arg_sorts: tuple[str, ...] = ()
                 if parser.at_punct("("):
                     parser.next()
-                    arg_sorts.append(parser.expect_ident("a sort name").value)
-                    while parser.at_punct(","):
-                        parser.next()
-                        arg_sorts.append(parser.expect_ident("a sort name").value)
+                    arg_sorts = parser.comma_list(lambda: parser.expect_ident("a sort name").value)
                     parser.expect_punct(")")
                 parser.expect_punct(".")
-                predicates.append(
-                    PredicateDecl(name, _PREDICATE_KEYWORDS[keyword], tuple(arg_sorts))
-                )
+                predicates.append(PredicateDecl(name, _PREDICATE_KEYWORDS[keyword], arg_sorts))
             elif keyword == "constraint":
                 parser.next()
                 head = parser.parse_literal()
                 body: tuple[Literal, ...] = ()
-                if parser.peek().kind is _TokKind.IDENT and parser.peek().value == "if":
-                    parser.next()
-                    body = parser.parse_literal_list()
+                if parser.accept("if"):
+                    body = parser.comma_list(parser.parse_literal)
                 parser.expect_punct(".")
                 state_constraints.append(StateConstraint(body=body, head=head))
             elif keyword == "impossible":
                 parser.next()
-                body = parser.parse_literal_list()
+                body = parser.comma_list(parser.parse_literal)
                 parser.expect_punct(".")
                 state_constraints.append(StateConstraint(body=body, head=None))
             elif keyword == "impossible_exec":
                 parser.next()
                 action = parser.parse_atom()
                 condition: tuple[Literal, ...] = ()
-                if parser.peek().kind is _TokKind.IDENT and parser.peek().value == "if":
-                    parser.next()
-                    condition = parser.parse_literal_list()
+                if parser.accept("if"):
+                    condition = parser.comma_list(parser.parse_literal)
                 parser.expect_punct(".")
                 exec_constraints.append(ExecConstraint(action, condition))
             elif keyword == "rule":
@@ -382,19 +374,14 @@ def _parse_statements(
                 parser.next()
                 label = parser.expect_ident("a rule label").value
                 parser.expect_punct(":")
-                kind = RuleKind.STRICT
-                if parser.peek().kind is _TokKind.IDENT and parser.peek().value == "normally":
-                    parser.next()
-                    kind = RuleKind.DEFEASIBLE
+                kind = RuleKind.DEFEASIBLE if parser.accept("normally") else RuleKind.STRICT
                 head = parser.parse_head()
                 condition = ()
                 where: tuple[tuple[str, str], ...] = ()
-                if parser.peek().kind is _TokKind.IDENT and parser.peek().value == "if":
-                    parser.next()
-                    condition = parser.parse_literal_list()
-                if parser.peek().kind is _TokKind.IDENT and parser.peek().value == "where":
-                    parser.next()
-                    where = parser.parse_where()
+                if parser.accept("if"):
+                    condition = parser.comma_list(parser.parse_literal)
+                if parser.accept("where"):
+                    where = parser.comma_list(parser.parse_where_entry)
                 parser.expect_punct(".")
                 rules.append(
                     _RuleStmt(
