@@ -523,6 +523,23 @@ class TestSweep:
         assert len(verdicts) == state_space_size(shifts.ground, pins) == assignments
         assert sum(verdicts) == result.states_examined == examined
 
+    @pytest.mark.parametrize(
+        "pins, examined",
+        [((), 49), (("trained(ann)",), 4 * 7), (("!trained(bob)", "on_duty(ann,day)"), 2 * 3)],
+    )
+    def test_sweep_draws_one_state_per_state_examined(self, shifts, pins, examined, monkeypatch):
+        drawn = []
+        original = aopl_lint.analysis.enumerate_states
+
+        def counting(gp, pins=()):
+            for state in original(gp, pins):
+                drawn.append(state)
+                yield state
+
+        monkeypatch.setattr(aopl_lint.analysis, "enumerate_states", counting)
+        result = sweep(shifts, SweepOptions(pins=tuple(parse_pins(pins))))
+        assert len(drawn) == result.states_examined == examined
+
     def test_state_limit(self, mission_strict):
         with pytest.raises(SweepLimitError, match="16 assignments"):
             sweep(mission_strict, SweepOptions(max_states=8))

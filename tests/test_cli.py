@@ -123,6 +123,23 @@ class TestAnalyze:
             main(["analyze", DOM, STRICT])
 
 
+REPORT_GOLDENS = [
+    ("mission.dom", "mission_strict.aopl", "mission_strict"),
+    ("mission.dom", "mission_ambiguous.aopl", "mission_ambiguous"),
+    ("shifts.dom", "shifts.aopl", "shifts"),
+]
+
+
+@pytest.mark.parametrize("fmt, suffix", [("text", ""), ("json", ".json")])
+@pytest.mark.parametrize("domain, policy, name", REPORT_GOLDENS)
+def test_report_matches_golden(domain, policy, name, fmt, suffix, capsys, monkeypatch):
+    # Relative paths keep the report header independent of the checkout.
+    monkeypatch.chdir(DATA)
+    assert main(["analyze", "--format", fmt, domain, policy]) == 1
+    golden = DATA / "golden" / f"{name}.analyze{suffix}.golden"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
 class TestParseErrors:
     def test_syntax_error_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.aopl"

@@ -17,6 +17,7 @@ from aopl_lint import (
     parse_ground_atom,
     parse_ground_literal,
 )
+import aopl_lint.parser as parser_module
 
 from helpers import DATA
 
@@ -207,6 +208,25 @@ class TestMultiFile:
         second = SourceFile("b.aopl", "rule r1 broken.\n")
         result = parse_files([first, second])
         assert any(d.message.startswith("b.aopl: ") for d in errors(result))
+
+    def test_statements_come_back_as_six_per_kind_lists(self, monkeypatch):
+        # The traced benchmark sums these lists to count statements.
+        calls = []
+        original = parser_module._parse_statements
+
+        def recording(parser, diagnostics):
+            calls.append(original(parser, diagnostics))
+            return calls[-1]
+
+        monkeypatch.setattr(parser_module, "_parse_statements", recording)
+        sources = [SourceFile.load(str(DATA / name)) for name in ("shifts.dom", "shifts.aopl")]
+        assert parse_files(sources).ok
+        # sorts, predicates, state constraints, exec constraints, rules, texts
+        assert [tuple(map(len, kinds)) for kinds in calls] == [
+            (2, 3, 4, 1, 0, 0),
+            (0, 0, 0, 0, 3, 3),
+        ]
+        assert sum(len(kind) for kinds in calls for kind in kinds) == 16
 
     def test_single_file_keeps_plain_messages(self):
         result = parse("rule r1 broken.\n")

@@ -8,6 +8,7 @@ from aopl_lint import build_report, parse_json, render, render_json, render_text
 from aopl_lint.report import SCHEMA_VERSION, digest_text, explanation_lines
 
 from helpers import base_from
+from test_factored import FIXTURES
 
 
 def family_of(report, kind, **match):
@@ -172,6 +173,11 @@ class TestJsonRoundTrip:
         recovered = parse_json(render_json(report))
         assert recovered == report
         assert recovered.domain_path is None
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_parse_inverts_render_on_fixtures(self, fixture, request):
+        report = build_report(sweep(request.getfixturevalue(fixture)))
+        assert parse_json(render_json(report)) == report
 
     def test_render_dispatch(self, strict_report):
         assert render(strict_report, "text") == render_text(strict_report)
