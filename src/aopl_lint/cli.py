@@ -126,13 +126,15 @@ def _max_states(args) -> int:
         raise _InputError(f"AOPL_LINT_MAX_STATES: {exc}") from None
 
 
+def _read(path: str) -> SourceFile:
+    try:
+        return SourceFile.load(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _InputError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_base(paths: list[str]):
-    sources = []
-    for path in paths:
-        try:
-            sources.append(SourceFile.load(path))
-        except (OSError, UnicodeDecodeError) as exc:
-            raise _InputError(f"cannot read {path}: {exc}") from exc
+    sources = [_read(path) for path in paths]
     result = parse_files(sources)
     if not result.ok:
         raise _InputError(
@@ -144,12 +146,7 @@ def _load_base(paths: list[str]):
 
 
 def _load_state_file(base, path: str):
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
-    state, diagnostics = load_state(base.ground, text)
+    state, diagnostics = load_state(base.ground, _read(path).text)
     if state is None:
         raise _InputError("\n".join(f"{path}: {d.message}" for d in diagnostics))
     return state

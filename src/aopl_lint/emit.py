@@ -18,7 +18,7 @@ for byte: rules sort by ground label and states print in universe order.
 
 from __future__ import annotations
 
-from .engine import WorldState
+from .engine import WorldState, state_literals
 from .model import Happening, HeadLiteral, Literal, RuleKind
 from .reify import ReifiedBase
 
@@ -137,9 +137,7 @@ def emit_asp(
     if state is not None:
         lines.append("")
         lines.append("% state")
-        literals = list(state.literals())
-        literals.extend(Literal(atom, True) for atom in base.ground.sort_facts)
-        for lit in literals:
+        for lit in state_literals(base, state):
             if variant == "lp":
                 lines.append(f"{_literal_classical(lit)}.")
             else:

@@ -99,10 +99,9 @@ class AnswerSet:
 Query = Union[HeadLiteral, Literal]
 
 
-def _state_literals(base: ReifiedBase, state: WorldState) -> frozenset[Literal]:
-    literals = set(state.literals())
-    literals.update(Literal(atom, True) for atom in base.ground.sort_facts)
-    return frozenset(literals)
+def state_literals(base: ReifiedBase, state: WorldState) -> tuple[Literal, ...]:
+    """The state joined to the program: its literals, then the sort facts."""
+    return state.literals() + tuple(Literal(atom, True) for atom in base.ground.sort_facts)
 
 
 # One outcome of a complementary head pair: the labels firing its positive
@@ -170,7 +169,7 @@ def answer_sets(base: ReifiedBase, state: WorldState) -> list[AnswerSet]:
         for label, (need, forbid) in index.bodies.items()
         if mask & need == need and not mask & forbid
     )
-    state_literals = _state_literals(base, state)
+    literals = frozenset(state_literals(base, state))
     choices = [
         [(index.pairs[pair], outcome) for outcome in outcomes]
         for pair, outcomes in groups.items()
@@ -187,7 +186,7 @@ def answer_sets(base: ReifiedBase, state: WorldState) -> list[AnswerSet]:
                 heads.add(head.opposite())
         models.append(
             AnswerSet(
-                state_literals=state_literals,
+                state_literals=literals,
                 satisfied_bodies=satisfied,
                 fired_rules=frozenset(fired),
                 heads=frozenset(heads),

@@ -402,8 +402,9 @@ def validate(policy: Policy, domain: DomainSpec) -> list[Diagnostic]:
             # Same-named variables across the two targets ground together,
             # so their sorts must agree.
             if len(targets) == 2:
-                first = rule_variable_sorts(targets[0], policy, domain)
-                second = rule_variable_sorts(targets[1], policy, domain)
+                first, second = (
+                    variable_sorts(t.atoms(), domain, t.where) for t in targets
+                )
                 for var in sorted(set(first) & set(second)):
                     if first[var] != second[var]:
                         err(
@@ -434,7 +435,16 @@ def validate(policy: Policy, domain: DomainSpec) -> list[Diagnostic]:
         for lit in rule.condition:
             scope.check_condition(lit, "condition")
 
-        for var, sort in rule.where:
+        variables = rule.variables()
+        for i, (var, sort) in enumerate(rule.where):
+            # Grounding binds only the rule's own variables, once each.
+            if var not in variables:
+                warn(
+                    f"where-clause entry {var}: {sort} names a variable the rule does not use",
+                    label,
+                )
+            if (var, sort) in rule.where[:i]:
+                warn(f"where-clause repeats entry {var}: {sort}", label)
             if sort not in sort_map:
                 scope.problems.append(f"where-clause names undeclared sort {sort}")
                 continue
@@ -446,7 +456,7 @@ def validate(policy: Policy, domain: DomainSpec) -> list[Diagnostic]:
             else:
                 scope.sorts[var] = sort
 
-        for var in rule.variables():
+        for var in variables:
             if var not in scope.sorts:
                 scope.problems.append(f"variable {var} has no inferable sort")
         check_scope(scope, label)
@@ -479,10 +489,3 @@ def variable_sorts(
     for var, sort in where:
         scope.sorts.setdefault(var, sort)
     return scope.sorts
-
-
-def rule_variable_sorts(
-    rule: PolicyRule, policy: Policy, domain: DomainSpec
-) -> dict[str, str]:
-    """Resolved sort of every variable in a validated rule."""
-    return variable_sorts(rule.atoms(), domain, rule.where)

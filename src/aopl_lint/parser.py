@@ -450,26 +450,15 @@ def parse_files(sources: list[SourceFile]) -> ParseResult:
     With more than one file, parse diagnostics name their file.
     """
     diagnostics: list[Diagnostic] = []
-    sorts: list[SortDecl] = []
-    predicates: list[PredicateDecl] = []
-    state_cs: list[StateConstraint] = []
-    exec_cs: list[ExecConstraint] = []
-    rule_stmts: list[_RuleStmt] = []
-    text_stmts: list[_TextStmt] = []
-
+    merged: tuple[list, ...] = ([], [], [], [], [], [])
     for source in sources:
         tokens, local = _tokenize(source.text)
-        parser = _Parser(tokens)
-        s, p, sc, ec, rs, ts = _parse_statements(parser, local)
+        for into, part in zip(merged, _parse_statements(_Parser(tokens), local)):
+            into.extend(part)
         if len(sources) > 1:
             local = [replace(d, message=f"{source.path}: {d.message}") for d in local]
         diagnostics.extend(local)
-        sorts.extend(s)
-        predicates.extend(p)
-        state_cs.extend(sc)
-        exec_cs.extend(ec)
-        rule_stmts.extend(rs)
-        text_stmts.extend(ts)
+    sorts, predicates, state_cs, exec_cs, rule_stmts, text_stmts = merged
 
     positions: dict[str, Position] = {}
     rules: list[PolicyRule] = []

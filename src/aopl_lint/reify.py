@@ -31,7 +31,9 @@ if TYPE_CHECKING:
 class Index:
     """A ground policy in integer form, shared across states.
 
-    A state is an int with bit ``i`` set when ``state_atoms[i]`` is true.  A
+    A state is an int read as a binary numeral over ``state_atoms`` in
+    declaration order: the first declared atom is the most significant bit
+    and the last the least, so ``state_atoms[i]`` is bit ``n - 1 - i``.  A
     body is a (must-be-true, must-be-false) mask pair with sort facts folded
     in; a body that can never hold is left out of ``bodies``.  ``pairs``
     holds the positive member of every complementary head pair, ordered by
@@ -145,7 +147,7 @@ def _body_masks(
 
 
 def _build_index(gp: GroundPolicy) -> Index:
-    bits = {atom: 1 << i for i, atom in enumerate(gp.state_atoms)}
+    bits = {atom: 1 << i for i, atom in enumerate(reversed(gp.state_atoms))}
     sort_facts = frozenset(gp.sort_facts)
     bodies = {
         rule.label: masks

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .analysis import FamilyRecord, IssueKind, KIND_ORDER, SweepResult, collapse_families
 
@@ -166,44 +166,20 @@ def render_text(report: AnalysisReport) -> str:
 
 
 def _family_to_json(family: FamilyRecord) -> dict:
-    return {
-        "kind": family.kind.value,
-        "action": family.action,
-        "base_labels": list(family.base_labels),
-        "instance_labels": list(family.instance_labels),
-        "rule_texts": list(family.rule_texts),
-        "pos_support": list(family.pos_support),
-        "neg_support": list(family.neg_support),
-        "missing": [[label, list(lits)] for label, lits in family.missing],
-        "pairs": [list(pair) for pair in family.pairs],
-        "urgency": family.urgency,
-        "stats": list(family.stats) if family.stats is not None else None,
-        "case": family.case,
-        "witness_true_atoms": list(family.witness_true_atoms),
-        "state_count": family.state_count,
-        "instance_count": family.instance_count,
-        "explanations": explanation_lines(family),
-    }
+    data = asdict(family)
+    data["kind"] = family.kind.value
+    data["explanations"] = explanation_lines(family)
+    return data
+
+
+def _tuples(value):
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def _family_from_json(data: dict) -> FamilyRecord:
-    return FamilyRecord(
-        kind=IssueKind(data["kind"]),
-        action=data["action"],
-        base_labels=tuple(data["base_labels"]),
-        instance_labels=tuple(data["instance_labels"]),
-        rule_texts=tuple(data["rule_texts"]),
-        pos_support=tuple(data["pos_support"]),
-        neg_support=tuple(data["neg_support"]),
-        missing=tuple((label, tuple(lits)) for label, lits in data["missing"]),
-        pairs=tuple((a, b) for a, b in data["pairs"]),
-        urgency=data["urgency"],
-        stats=tuple(data["stats"]) if data["stats"] is not None else None,
-        case=data["case"],
-        witness_true_atoms=tuple(data["witness_true_atoms"]),
-        state_count=data["state_count"],
-        instance_count=data["instance_count"],
-    )
+    values = {f.name: _tuples(data[f.name]) for f in fields(FamilyRecord)}
+    values["kind"] = IssueKind(data["kind"])
+    return FamilyRecord(**values)
 
 
 def render_json(report: AnalysisReport) -> str:

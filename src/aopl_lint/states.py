@@ -25,8 +25,11 @@ DEFAULT_MAX_STATES = 1 << 20
 def satisfies_constraints(gp: GroundPolicy, state: WorldState | int) -> bool:
     """True when the state violates no state constraint.
 
-    ``state`` is a WorldState over ``gp.state_atoms`` or its int mask, with
-    bit ``i`` set when ``gp.state_atoms[i]`` is true; see ``reify.Index``.
+    ``state`` is a WorldState over ``gp.state_atoms`` or its int mask, which
+    reads the assignment as a binary numeral in declaration order:
+    ``gp.state_atoms[i]`` is bit ``n - 1 - i``, so the first declared atom is
+    the most significant.  ``gp.index.mask(state)`` builds it; see
+    ``reify.Index``.
     """
     index = gp.index
     if not isinstance(state, int):
@@ -85,40 +88,35 @@ def check_state_space(
         )
 
 
-# Unpinned atoms whose partial masks enumeration builds in advance.
-_TABLE_ATOMS = 10
-
-
 def enumerate_states(
     gp: GroundPolicy, pins: Iterable[Literal] = ()
 ) -> Iterator[WorldState]:
     """All constraint-satisfying states, respecting pinned literals.
 
-    Deterministic order: the all-false assignment of unpinned atoms first,
-    then counting up with the last declared atom varying fastest.
-    Assignments are int masks checked by ``satisfies_constraints``; only an
-    accepted one becomes a WorldState.  Contradictory or unknown pins yield
-    an empty stream; call check_pins to get the diagnostics.
+    Deterministic order: increasing int mask.  The first declared atom is
+    the most significant bit, so the all-false assignment of unpinned atoms
+    comes first and the last declared atom varies fastest.  Assignments are
+    int masks checked by ``satisfies_constraints``; only an accepted one
+    becomes a WorldState.  Contradictory or unknown pins yield an empty
+    stream; call check_pins to get the diagnostics.
     """
     pins = list(pins)
     if check_pins(gp, pins):
         return
     bits = gp.index.bits
     signs = {pin.atom: pin.positive for pin in pins}
-    unpinned = [bits[a] for a in gp.state_atoms if a not in signs]
+    free = sum(bits[a] for a in gp.state_atoms if a not in signs)
     pinned = sum(bits[a] for a, positive in signs.items() if positive)
-    split = max(len(unpinned) - _TABLE_ATOMS, 0)
-    high, low = unpinned[:split], unpinned[split:]
-    table = [0]
-    for bit in low:
-        table = [mask | b for mask in table for b in (0, bit)]
-    for count in range(1 << split):
-        prefix = pinned | sum(bit for i, bit in enumerate(reversed(high)) if count >> i & 1)
-        for mask in table:
-            mask |= prefix
-            if satisfies_constraints(gp, mask):
-                true_atoms = frozenset(a for a, bit in bits.items() if mask & bit)
-                yield WorldState(gp.state_atoms, true_atoms)
+    count = 0
+    while True:
+        mask = pinned | count
+        if satisfies_constraints(gp, mask):
+            true_atoms = frozenset(a for a, bit in bits.items() if mask & bit)
+            yield WorldState(gp.state_atoms, true_atoms)
+        if count == free:
+            return
+        # The next submask of ``free``: add one with the pinned bits skipped.
+        count = (count - free) & free
 
 
 def executable_actions(gp: GroundPolicy, state: WorldState) -> tuple[Atom, ...]:

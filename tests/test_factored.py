@@ -177,7 +177,7 @@ def assert_same_filters(gp):
     atoms = gp.state_atoms
     for values in product((False, True), repeat=len(atoms)):
         state = WorldState(atoms, frozenset(a for a, v in zip(atoms, values) if v))
-        mask = sum(1 << i for i, v in enumerate(values) if v)
+        mask = sum(1 << i for i, v in enumerate(reversed(values)) if v)
         verdict = reference.satisfies_constraints(gp, state)
         assert satisfies_constraints(gp, state) is verdict, str(state)
         assert satisfies_constraints(gp, mask) is verdict, str(state)
@@ -201,9 +201,28 @@ def test_enumeration_and_filters_match_the_reference_on_fixtures(fixture, reques
     assert_same_filters(gp)
 
 
+def assert_mask_order(gp, pins=()):
+    """The first declared atom is the highest bit, and states count up."""
+    n = len(gp.state_atoms)
+    assert [gp.index.bits[a] for a in gp.state_atoms] == [1 << n - 1 - i for i in range(n)]
+    masks = [gp.index.mask(state) for state in enumerate_states(gp, pins)]
+    assert all(a < b for a, b in zip(masks, masks[1:]))
+
+
+@given(pinned_ground_policy())
+@settings(max_examples=100, deadline=None)
+def test_states_come_in_mask_order_on_generated_policies(case):
+    assert_mask_order(*case)
+
+
+@pytest.mark.parametrize("pins", [(), ("trained(ann)", "!on_duty(bob,day)")])
+def test_states_come_in_mask_order_on_shifts(shifts, pins):
+    assert_mask_order(shifts.ground, parse_pins(pins))
+
+
 def test_enumeration_past_the_prebuilt_masks_matches_the_reference():
-    # Three workers give 12 unpinned atoms, two more than enumeration builds
-    # partial masks for in advance, so the leading atoms count separately.
+    # Three workers give 12 state atoms, a wider differential input than any
+    # fixture; the pin holds one of the low bits that count fastest.
     base = base_from(
         (DATA / "shifts.dom").read_text(encoding="utf-8").replace("ann, bob", "ann, bob, cy")
     )

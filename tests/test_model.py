@@ -20,9 +20,11 @@ from aopl_lint import (
     Severity,
     SortDecl,
     StateConstraint,
+    ground,
+    parse,
     validate,
 )
-from aopl_lint.model import rule_variable_sorts
+from aopl_lint.model import variable_sorts
 
 DOM = DomainSpec(
     sorts=(SortDecl("agent", ("a1", "a2")),),
@@ -246,6 +248,35 @@ class TestValidateRejects:
         )
 
 
+class TestWhereClauseWarnings:
+    def warnings_of(self, r):
+        diags = validate(Policy((r,)), DOM)
+        assert all(d.severity is Severity.WARNING and d.rule_label == "r1" for d in diags)
+        return [d.message for d in diags]
+
+    def test_unused_variable(self):
+        assert self.warnings_of(rule(where=(("Y", "agent"),))) == [
+            "where-clause entry Y: agent names a variable the rule does not use"
+        ]
+
+    def test_repeated_entry(self):
+        assert self.warnings_of(rule(where=(("A", "agent"), ("A", "agent")))) == [
+            "where-clause repeats entry A: agent"
+        ]
+
+    def test_flagged_rule_grounds_as_before(self):
+        source = "sorts a: x. action go(a). rule r1: permitted(go(X)){}."
+        result = parse(source.format(" where Y: a, X: a, X: a"))
+        assert [str(d) for d in result.diagnostics] == [
+            "warning: 1:27: rule r1: where-clause entry Y: a names a variable the rule does not use",
+            "warning: 1:27: rule r1: where-clause repeats entry X: a",
+        ]
+        plain = parse(source.format(""))
+        assert ground(result.policy, result.domain).rules == ground(
+            plain.policy, plain.domain
+        ).rules
+
+
 def pref(label, a, b):
     return PolicyRule(label, RuleKind.PREFERENCE, preferred=a, dispreferred=b)
 
@@ -325,4 +356,4 @@ class TestDiagnosticsOrder:
 class TestRuleVariableSorts:
     def test_resolved_sorts(self):
         r = rule(cond=(Literal(Atom("trained", ("B",))),))
-        assert rule_variable_sorts(r, Policy((r,)), DOM) == {"A": "agent", "B": "agent"}
+        assert variable_sorts(r.atoms(), DOM, r.where) == {"A": "agent", "B": "agent"}
