@@ -18,6 +18,7 @@ policy's integer index, built once per ground policy.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -395,101 +396,131 @@ class SweepOptions:
 
 @dataclass(frozen=True)
 class InstanceRecord:
-    """A deduplicated ground finding with the states it was seen in.
+    """A deduplicated ground finding and the number of states it was seen in.
 
     The representative record keeps the witness state with the fewest true
     atoms, breaking ties by the state's text (``str(state)``).
     """
 
     record: IssueRecord
-    states: frozenset[WorldState]
-
-    @property
-    def state_count(self) -> int:
-        return len(self.states)
+    state_count: int
 
 
 @dataclass(frozen=True)
 class SweepResult:
+    """``family_counts`` pairs each family key with the number of states it fired in."""
+
     instances: tuple[InstanceRecord, ...]
     states_examined: int
+    family_counts: tuple[tuple[tuple, int], ...]
 
 
-def _witness_rank(state: WorldState) -> tuple[int, str]:
-    return (state.positive_count(), str(state))
-
-
-# Accumulator entry per key: [witness, states seen, witness rank, additions].
+# Accumulator entry per key: [witness, its state, states seen, additions].
 _Accumulator = dict[tuple, list]
 
 
 def _accumulate(
-    accum: _Accumulator,
-    key: tuple,
-    witness: object,
-    states: Iterable[WorldState],
-    rank: tuple[int, str],
+    accum: _Accumulator, key: tuple, witness: object, state: WorldState, states: int
 ) -> None:
-    """Add ``witness`` seen in ``states`` under ``key``; the lowest rank wins."""
+    """Add ``witness`` seen in ``states`` states under ``key``; see ``InstanceRecord``."""
     entry = accum.get(key)
     if entry is None:
-        accum[key] = [witness, set(states), rank, 1]
+        accum[key] = [witness, state, states, 1]
         return
-    entry[1].update(states)
+    entry[2] += states
     entry[3] += 1
-    if rank < entry[2]:
+    # Fewer true atoms win; only a tie builds the states' text.
+    ours, theirs = state.positive_count(), entry[1].positive_count()
+    if ours < theirs or (ours == theirs and str(state) < str(entry[1])):
         entry[0] = witness
-        entry[2] = rank
+        entry[1] = state
 
 
 def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepResult:
     """Run ``detect_state`` over the (pinned) state space and deduplicate.
 
+    An action's findings read only its ``Index.relevant`` bits, so they are
+    memoised on those bits unless the bits cover every unpinned one.
     Sweeping a partition of the state space and merging the results equals
-    sweeping the whole space, so callers may split the work freely.  Pinning
-    every state atom sweeps exactly one state.
+    sweeping the whole space, so callers may split the work freely.
+    Pinning every state atom sweeps exactly one state.
     """
     check_state_space(base.ground, options.pins, options.max_states)
     index = base.index
+    pinned = {pin.atom for pin in options.pins}
+    free = sum(bit for atom, bit in index.bits.items() if atom not in pinned)
+    memoised = [relevant & free != free for relevant in index.relevant]
 
-    # Keyed by compact finding; each stands for exactly one record key.
-    accum: _Accumulator = {}
+    memo: dict[tuple[int, int], tuple[list[tuple], set[int]]] = {}
+    hits: _Accumulator = {}  # keyed like ``memo``
+    accum: _Accumulator = {}  # keyed by compact finding; each is one record key
+    family_ids: dict[tuple, int] = {}
+    family_of: dict[tuple, int] = {}  # compact finding -> family id
+    family_counts: Counter[int] = Counter()
+
+    def families(findings: list[tuple], state: WorldState) -> set[int]:
+        """The findings' family ids; a finding's key is computed once."""
+        for finding in findings:
+            if finding not in family_of:
+                key = _family_key(_record(base, finding, state))
+                family_of[finding] = family_ids.setdefault(key, len(family_ids))
+        return {family_of[finding] for finding in findings}
+
     states_examined = 0
     for state in enumerate_states(base.ground, options.pins):
         states_examined += 1
         mask = index.mask(state)
-        findings = detect_state(base, mask, index.executable(mask))
-        if not findings:
-            continue
-        seen_in = (state,)
-        rank = _witness_rank(state)
-        for finding in findings:
-            _accumulate(accum, finding, state, seen_in, rank)
+        seen: set[int] = set()
+        direct = []
+        for action in index.executable(mask):
+            if not memoised[action]:
+                direct.append(action)
+                continue
+            key = (action, mask & index.relevant[action])
+            entry = memo.get(key)
+            if entry is None:
+                findings = detect_state(base, mask, (action,))
+                entry = memo[key] = (findings, families(findings, state))
+            _accumulate(hits, key, state, state, 1)
+            seen |= entry[1]
+        if direct:
+            findings = detect_state(base, mask, direct)
+            for finding in findings:
+                _accumulate(accum, finding, state, state, 1)
+            seen |= families(findings, state)
+        family_counts.update(seen)
+    for key, (witness, _, states, _) in hits.items():
+        for finding in memo[key][0]:
+            _accumulate(accum, finding, witness, witness, states)
 
     instances = sorted(
         (
-            InstanceRecord(record=_record(base, finding, witness), states=frozenset(states))
-            for finding, (witness, states, _, _) in accum.items()
+            InstanceRecord(record=_record(base, finding, witness), state_count=states)
+            for finding, (witness, _, states, _) in accum.items()
         ),
         key=lambda instance: instance.record.key(),
     )
-    return SweepResult(instances=tuple(instances), states_examined=states_examined)
+    return SweepResult(
+        instances=tuple(instances),
+        states_examined=states_examined,
+        family_counts=tuple(sorted((key, family_counts[i]) for key, i in family_ids.items())),
+    )
 
 
 def merge_sweeps(first: SweepResult, second: SweepResult) -> SweepResult:
-    """Combine sweeps of disjoint state-space slices."""
+    """Combine sweeps of disjoint state-space slices; their counts add up."""
     accum: _Accumulator = {}
     for instance in first.instances + second.instances:
         record = instance.record
-        rank = _witness_rank(record.witness_state)
-        _accumulate(accum, record.key(), record, instance.states, rank)
+        _accumulate(accum, record.key(), record, record.witness_state, instance.state_count)
     instances = tuple(
-        InstanceRecord(record=accum[key][0], states=frozenset(accum[key][1]))
-        for key in sorted(accum)
+        InstanceRecord(record=accum[key][0], state_count=accum[key][2]) for key in sorted(accum)
     )
+    family_counts = Counter(dict(first.family_counts)) + Counter(dict(second.family_counts))
     return SweepResult(
         instances=instances,
         states_examined=first.states_examined + second.states_examined,
+        family_counts=tuple(sorted(family_counts.items())),
     )
 
 
@@ -548,11 +579,12 @@ def _family_key(record: IssueRecord) -> tuple:
 
 def collapse_families(result: SweepResult) -> tuple[FamilyRecord, ...]:
     """Group instance records into families and pick representatives."""
+    state_counts = dict(result.family_counts)
     accum: _Accumulator = {}
     for instance in result.instances:
         record = instance.record
-        rank = _witness_rank(record.witness_state)
-        _accumulate(accum, _family_key(record), record, instance.states, rank)
+        # A family's states may overlap across members; the sweep counted them.
+        _accumulate(accum, _family_key(record), record, record.witness_state, 0)
 
     families = [
         FamilyRecord(
@@ -575,10 +607,10 @@ def collapse_families(result: SweepResult) -> tuple[FamilyRecord, ...]:
                 for a in record.witness_state.universe
                 if a in record.witness_state.true_atoms
             ),
-            state_count=len(states),
+            state_count=state_counts[key],
             instance_count=count,
         )
-        for record, states, _, count in accum.values()
+        for key, (record, _, _, count) in accum.items()
     ]
     families.sort(
         key=lambda f: (

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from itertools import islice
 
 from .analysis import SweepOptions, SweepResult, classify_compliance, sweep
@@ -215,11 +216,10 @@ def _cmd_check(args) -> int:
 
     result = sweep(base, SweepOptions(pins=state.literals()))
     if only is not None:
-        result = SweepResult(
-            instances=tuple(
-                i for i in result.instances if i.record.action.action == only
-            ),
-            states_examined=result.states_examined,
+        # One state: every family left keeps its count of 1.
+        result = replace(
+            result,
+            instances=tuple(i for i in result.instances if i.record.action.action == only),
         )
     return _write_report(sources, result, args.format, None)
 

@@ -26,6 +26,7 @@ flat view is wanted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Union
 
@@ -45,14 +46,6 @@ class WorldState:
         if extra:
             raise ValueError(f"state atoms outside the universe: {sorted(map(str, extra))}")
 
-    def __hash__(self) -> int:
-        # A sweep hashes each state once per finding it holds; hash it once.
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.universe, self.true_atoms)))
-            return self._hash
-
     def literals(self) -> tuple[Literal, ...]:
         return tuple(Literal(a, a in self.true_atoms) for a in self.universe)
 
@@ -63,6 +56,11 @@ class WorldState:
         return len(self.true_atoms)
 
     def __str__(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        # Witnesses tied on true atoms are ranked by text; build it once.
         inside = ", ".join(str(a) for a in self.universe if a in self.true_atoms)
         return "{" + inside + "}"
 

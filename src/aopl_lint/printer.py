@@ -11,7 +11,6 @@ from .model import (
     DomainSpec,
     HeadLiteral,
     Literal,
-    Modality,
     Policy,
     PolicyRule,
     PredicateDecl,

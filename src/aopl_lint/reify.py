@@ -42,7 +42,10 @@ class Index:
     ``prefers`` (the stronger body's masks, the weaker label) per
     preference.  ``actions`` holds, per ground action, its permitted,
     obl(a) and obl(-a) pair indexes, its authorization rules and the state
-    bits their conditions mention; ``exec_conditions`` holds (masks, action
+    bits their conditions mention; ``relevant`` holds, per ground action,
+    every state bit its findings read: the bodies of the rules on its three
+    pairs, the stronger bodies of preferences defeating one of those rules,
+    and its authorization bits.  ``exec_conditions`` holds (masks, action
     index).  ``constraints`` holds (body masks, head masks) per state
     constraint whose body can hold and whose head can fail; a missing or
     unsatisfiable head needs a bit past the last state atom, so it never
@@ -55,6 +58,7 @@ class Index:
     rules: tuple[tuple[int, int, str, int, bool, bool], ...]
     prefers: tuple[tuple[int, int, str], ...]
     actions: tuple[tuple[int, int, int, tuple[GroundRule, ...], int], ...]
+    relevant: tuple[int, ...]
     exec_conditions: tuple[tuple[int, int, int], ...]
     constraints: tuple[tuple[int, int, int, int], ...]
     by_label: dict[str, GroundRule]
@@ -190,6 +194,14 @@ def _build_index(gp: GroundPolicy) -> Index:
                 sum(mentioned),
             )
         )
+    reads = [0] * len(pairs)
+    pair_by_label = {}
+    for need, forbid, label, pair, _, _ in rules:
+        reads[pair] |= need | forbid
+        pair_by_label[label] = pair
+    for need, forbid, weaker in prefers:
+        if weaker in pair_by_label:
+            reads[pair_by_label[weaker]] |= need | forbid
     action_index = {action: i for i, action in enumerate(gp.action_atoms)}
     exec_conditions = tuple(
         (*masks, action_index[constraint.action])
@@ -210,6 +222,7 @@ def _build_index(gp: GroundPolicy) -> Index:
         rules=rules,
         prefers=prefers,
         actions=tuple(actions),
+        relevant=tuple(reads[p] | reads[o] | reads[n] | auth for p, o, n, _, auth in actions),
         exec_conditions=exec_conditions,
         constraints=tuple(constraints),
         by_label={rule.label: rule for rule in gp.rules},

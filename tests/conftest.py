@@ -37,3 +37,30 @@ def shared_ambiguities():
         "rule o1: normally obl(x(W)) if f(W).\n"
         "rule o2: normally !obl(x(W)) if f(W).\n"
     )
+
+
+@pytest.fixture(scope="session")
+def preferred_elsewhere():
+    # p1 defeats d2, a rule on go's permission, whenever h holds, though no
+    # rule about go reads h.
+    return base_from(
+        "fluent f. fluent g. fluent h. fluent k.\naction go. action stay.\n"
+        "rule d1: normally permitted(go) if f.\n"
+        "rule d2: normally !permitted(go) if g.\n"
+        "rule d3: normally obl(stay) if h.\n"
+        "rule s1: permitted(stay) if k.\n"
+        "prefer p1: d3 > d2.\n"
+    )
+
+
+@pytest.fixture(scope="session")
+def blocked_elsewhere():
+    # go cannot be done when k holds, though no rule about go reads k; r1's
+    # body never holds, yet f decides which of its literals fail.
+    return base_from(
+        "sorts thing: t.\nfluent f. fluent g. fluent k.\naction go. action stay.\n"
+        "impossible_exec go if k.\n"
+        "rule r1: permitted(go) if f, !thing(t).\n"
+        "rule r2: !permitted(go) if g.\n"
+        "rule s1: permitted(stay) if g.\n"
+    )

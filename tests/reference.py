@@ -8,9 +8,10 @@ by state with its record-keyed accumulator, and the family collapse that
 grouped the sweep's instances.  The package's ``sweep``, its ``detect_*``
 views and its ``classify_*`` functions work on factored answer sets
 instead, its enumeration and filters on int masks, and the package keys one
-accumulator by compact finding, record key or family key; the tests require
-both to give the same states, findings, witnesses, state sets, families and
-verdicts.  The grounder at the end instantiates rules, preferences and
+accumulator by compact finding, record key or family key and counts states
+where this sweep keeps their sets; the tests require both to give the same
+states, findings, witnesses, families and verdicts, and each package count
+to equal the size of the matching set here.  The grounder at the end instantiates rules, preferences and
 constraints in separate loops with their own sort inference; the package's
 ``ground`` must give an equal ground policy.  Nothing here reads a private
 name of the package.
@@ -18,6 +19,7 @@ name of the package.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
@@ -26,11 +28,9 @@ from aopl_lint.analysis import (
     AuthorizationClass,
     Compliance,
     FamilyRecord,
-    InstanceRecord,
     IssueKind,
     IssueRecord,
     SweepOptions,
-    SweepResult,
 )
 from aopl_lint.engine import (
     AmbiguityStats,
@@ -456,6 +456,22 @@ def classify_compliance(
     )
 
 
+@dataclass(frozen=True)
+class SetInstance:
+    """A deduplicated ground finding with the set of states it was seen in."""
+
+    record: IssueRecord
+    states: frozenset[WorldState]
+
+
+@dataclass(frozen=True)
+class SetSweep:
+    """The reference sweep's result: instances sorted by record key."""
+
+    instances: tuple[SetInstance, ...]
+    states_examined: int
+
+
 def _witness_rank(state: WorldState) -> tuple[int, str]:
     return (state.positive_count(), str(state))
 
@@ -482,15 +498,15 @@ def _accumulate(
         entry[2] = rank
 
 
-def _result(accum: _Accumulator, states_examined: int) -> SweepResult:
+def _result(accum: _Accumulator, states_examined: int) -> SetSweep:
     instances = tuple(
-        InstanceRecord(record=accum[key][0], states=frozenset(accum[key][1]))
+        SetInstance(record=accum[key][0], states=frozenset(accum[key][1]))
         for key in sorted(accum)
     )
-    return SweepResult(instances=instances, states_examined=states_examined)
+    return SetSweep(instances=instances, states_examined=states_examined)
 
 
-def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepResult:
+def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SetSweep:
     """Run every detector over the (pinned) state space and deduplicate.
 
     Sweeping a partition of the state space and merging the results equals
@@ -564,9 +580,9 @@ def _family_key(record: IssueRecord) -> tuple:
     )
 
 
-def collapse_families(result: SweepResult) -> tuple[FamilyRecord, ...]:
+def collapse_families(result: SetSweep) -> tuple[FamilyRecord, ...]:
     """Group instance records into families and pick representatives."""
-    groups: dict[tuple, list[InstanceRecord]] = {}
+    groups: dict[tuple, list[SetInstance]] = {}
     for instance in result.instances:
         groups.setdefault(_family_key(instance.record), []).append(instance)
 

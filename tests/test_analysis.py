@@ -1,5 +1,7 @@
 """Issue detectors, compliance classes, sweeps, and family collapsing."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import assume, given, settings
 
@@ -13,7 +15,6 @@ from aopl_lint import (
     Literal,
     SweepLimitError,
     SweepOptions,
-    answer_sets,
     classify_action,
     classify_compliance,
     collapse_families,
@@ -31,6 +32,7 @@ from aopl_lint import (
 )
 from aopl_lint.states import parse_pins
 
+import reference
 from helpers import action_atom, base_from, make_state
 from strategies import domain_and_policy
 
@@ -473,6 +475,7 @@ class TestSweep:
         merged = merge_sweeps(left, right)
         assert merged.states_examined == full.states_examined == 16
         assert merged.instances == full.instances
+        assert merged.family_counts == full.family_counts
 
     @pytest.mark.parametrize(
         "fixture", ["mission_strict", "mission_defeasible", "mission_ambiguous"]
@@ -480,12 +483,36 @@ class TestSweep:
     def test_one_state_sweep_matches_the_full_sweep(self, fixture, request):
         base = request.getfixturevalue(fixture)
         full = sweep(base)
+        want = reference.sweep(base)
+        assert [i.state_count for i in full.instances] == [len(i.states) for i in want.instances]
         for state in enumerate_states(base.ground):
             alone = sweep(base, SweepOptions(pins=state.literals()))
             assert alone.states_examined == 1
             assert {i.record.key() for i in alone.instances} == {
-                i.record.key() for i in full.instances if state in i.states
+                i.record.key() for i in want.instances if state in i.states
             }, str(state)
+
+    def test_sweep_memory_does_not_grow_with_the_state_count(self):
+        # Both findings hold in every state; only free fluents no rule reads
+        # multiply the states, 2^10 against 2^14.
+        def peak(free: int) -> int:
+            fluents = "".join(f"fluent free{i}.\n" for i in range(free))
+            base = base_from(
+                "action go. action stay.\nrule r1: permitted(go).\nrule r2: !permitted(go).\n"
+                + fluents
+            )
+            base.index
+            tracemalloc.start()
+            try:
+                result = sweep(base)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert [i.state_count for i in result.instances] == [1 << free] * 2
+            return peak
+
+        small, large = peak(10), peak(14)
+        assert large < 2 * small, (small, large)
 
     def test_independent_ambiguities_are_counted_without_models(self, monkeypatch):
         base = base_from(FANOUT)
@@ -570,6 +597,7 @@ def test_merged_halves_equal_the_full_sweep(pair):
     full = sweep(base)
     assert merged.instances == full.instances
     assert merged.states_examined == full.states_examined
+    assert merged.family_counts == full.family_counts
 
 
 TWO_COMMANDERS = """\

@@ -33,7 +33,7 @@ from aopl_lint.states import parse_pins
 
 import reference
 from corpus import corpus
-from helpers import DATA, base_from, load_base
+from helpers import DATA, action_atom, base_from, load_base
 from strategies import domain_and_policy, pinned_ground_policy
 
 FIXTURES = [
@@ -42,14 +42,21 @@ FIXTURES = [
     "mission_ambiguous",
     "shifts",
     "shared_ambiguities",
+    "preferred_elsewhere",
+    "blocked_elsewhere",
 ]
 
 
 def assert_same_sweep(base, options=SweepOptions()):
     got = sweep(base, options)
     want = reference.sweep(base, options)
-    assert got.instances == want.instances
+    assert [i.record for i in got.instances] == [i.record for i in want.instances]
+    assert [i.state_count for i in got.instances] == [len(i.states) for i in want.instances]
     assert got.states_examined == want.states_examined
+    families: dict[tuple, set] = {}
+    for instance in want.instances:
+        families.setdefault(reference._family_key(instance.record), set()).update(instance.states)
+    assert got.family_counts == tuple(sorted((k, len(v)) for k, v in families.items()))
     assert collapse_families(got) == reference.collapse_families(want)
 
 
@@ -112,6 +119,20 @@ def test_sweep_matches_the_reference_on_fixtures(fixture, request):
     assert_same_sweep(base)
     first = base.ground.state_atoms[0]
     assert_same_sweep(base, SweepOptions(pins=tuple(parse_pins([f"!{first}"]))))
+
+
+@pytest.mark.parametrize(
+    "fixture, reached", [("preferred_elsewhere", "h"), ("blocked_elsewhere", "f")]
+)
+def test_an_action_memo_reads_bits_outside_its_own_rules(fixture, reached, request):
+    # The memo key holds the defeating preference's and the impossible
+    # authorization's bits, but not the executability bit k, which the sweep
+    # checks state by state.
+    base = request.getfixturevalue(fixture)
+    index = base.index
+    bits = {str(atom): bit for atom, bit in index.bits.items()}
+    go = index.relevant[base.ground.action_atoms.index(action_atom(base.ground, "go"))]
+    assert go & bits[reached] and not go & bits["k"]
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
@@ -220,7 +241,7 @@ def test_states_come_in_mask_order_on_shifts(shifts, pins):
     assert_mask_order(shifts.ground, parse_pins(pins))
 
 
-def test_enumeration_past_the_prebuilt_masks_matches_the_reference():
+def test_enumeration_over_twelve_unpinned_atoms_matches_the_reference():
     # Three workers give 12 state atoms, a wider differential input than any
     # fixture; the pin holds one of the low bits that count fastest.
     base = base_from(

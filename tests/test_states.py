@@ -14,7 +14,7 @@ from aopl_lint import (
 )
 from aopl_lint.states import check_pins, parse_pins
 
-from helpers import DATA, base_from, load_base, make_state
+from helpers import DATA, base_from, make_state
 
 
 def pins(*texts):
