@@ -27,13 +27,7 @@ from .analysis import (
 )
 from .diagnostics import Diagnostic, Position, Severity, SourceFile
 from .emit import emit_asp
-from .engine import (
-    AmbiguityStats,
-    AnswerSet,
-    WorldState,
-    answer_sets,
-    entails,
-)
+from .engine import AmbiguityStats, WorldState
 from .grounding import GroundPolicy, GroundRule, GroundingError, ground
 from .model import (
     Atom,
@@ -58,9 +52,7 @@ from .reify import ReifiedBase, reify
 from .report import AnalysisReport, build_report, parse_json, render, render_json, render_text
 from .states import (
     SweepLimitError,
-    enumerate_events,
     enumerate_states,
-    executable_actions,
     load_state,
     satisfies_constraints,
     state_space_size,
@@ -71,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguityStats",
     "AnalysisReport",
-    "AnswerSet",
     "Atom",
     "AuthorizationClass",
     "Compliance",
@@ -104,7 +95,6 @@ __all__ = [
     "SweepOptions",
     "SweepResult",
     "WorldState",
-    "answer_sets",
     "build_report",
     "classify_action",
     "classify_compliance",
@@ -115,10 +105,7 @@ __all__ = [
     "detect_obligation_conflict",
     "detect_underspecification",
     "emit_asp",
-    "entails",
-    "enumerate_events",
     "enumerate_states",
-    "executable_actions",
     "ground",
     "load_state",
     "merge_sweeps",

@@ -146,11 +146,14 @@ def detect_state(base: ReifiedBase, state: int, actions: Iterable[int]) -> list[
     return findings
 
 
-def _stats(base: ReifiedBase, state: WorldState, action: int) -> AmbiguityStats:
-    """Answer sets in ``state``: in total, with permitted(a), with its negation."""
+def _stats(base: ReifiedBase, state: WorldState, permitted: int | None) -> AmbiguityStats:
+    """Answer sets in ``state``: in total, with permitted(a), with its negation.
+
+    ``permitted`` indexes a's permitted(a) pair; None when a is not a ground action.
+    """
     index = base.index
     groups = factor(base, index.mask(state))[1]
-    outcomes = groups.get(index.actions[action][0], _UNDECIDED)
+    outcomes = groups.get(permitted, _UNDECIDED)
     n = 1
     for group in groups.values():
         n *= len(group)
@@ -182,7 +185,7 @@ def _record(base: ReifiedBase, finding: tuple, state: WorldState) -> IssueRecord
             rule_labels=labels,
             rule_texts=_texts(base, labels),
             pairs=tuple((p, f) for p in permitting for f in forbidding),
-            stats=_stats(base, state, finding[1]),
+            stats=_stats(base, state, index.actions[finding[1]][0]),
         )
     if tag == _UNDERSPECIFIED:
         if finding[2] == 1:
@@ -227,7 +230,15 @@ def _view(
 ) -> list[IssueRecord]:
     """One kind of ``detect_state`` finding, as records sorted by key."""
     actions = base.ground.action_atoms
-    chosen = range(len(actions)) if action is None else (actions.index(action),)
+    if action is None:
+        chosen: Iterable[int] = range(len(actions))
+    elif action in actions:
+        chosen = (actions.index(action),)
+    elif kind == _UNDERSPECIFIED:  # no rule mentions an action outside the ground actions
+        does = Happening(action, True)
+        return [IssueRecord(kind=IssueKind.UNDERSPECIFIED, action=does, witness_state=state, case=1)]
+    else:
+        return []
     records = [
         _record(base, finding, state)
         for finding in detect_state(base, base.index.mask(state), chosen)
@@ -273,7 +284,9 @@ def detect_ambiguity(
     found = _view(base, state, _AMBIGUITY, action)
     if found:
         return found[0], found[0].stats
-    return None, _stats(base, state, base.ground.action_atoms.index(action))
+    actions = base.ground.action_atoms
+    permitted = base.index.actions[actions.index(action)][0] if action in actions else None
+    return None, _stats(base, state, permitted)
 
 
 def detect_obligation_conflict(

@@ -7,9 +7,8 @@ shapes the whole procedure:
 1. index the ground policy once (``ReifiedBase.index``): states become int
    bitmasks over the state atoms and bodies become mask pairs (sort
    membership atoms are true by construction),
-2. evaluate every body against the state and derive the defeated-rule
-   atoms: a preference defeats its weaker target whenever the stronger
-   rule's body holds,
+2. derive the defeated-rule atoms: a preference defeats its weaker target
+   whenever the stronger rule's body holds in the state,
 3. fire every strict rule whose body holds,
 4. split the surviving applicable defeasible rules into groups by
    complementary head pair and list each group's stable outcomes: a rule
@@ -17,20 +16,18 @@ shapes the whole procedure:
 
 Groups interact with strict conclusions but not with each other, so the
 answer sets are the cross product of per-group outcomes.  ``factor`` keeps
-them in that factored form, which is what the detectors and the
-classifiers read; ``answer_sets`` expands the product into structured
-views, and ``AnswerSet.atoms()`` recovers the canonical holds-atoms when a
-flat view is wanted.
+them in that factored form and never expands the product: the detectors,
+the classifiers and the sweep read each question off the outcomes of the
+few pairs it concerns, and the number of answer sets is the product of the
+group sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from typing import Union
 
-from .model import Atom, HeadLiteral, Literal
+from .model import Atom, Literal
 from .reify import ReifiedBase
 
 
@@ -63,38 +60,6 @@ class WorldState:
         # Witnesses tied on true atoms are ranked by text; build it once.
         inside = ", ".join(str(a) for a in self.universe if a in self.true_atoms)
         return "{" + inside + "}"
-
-
-@dataclass(frozen=True)
-class AnswerSet:
-    """One answer set, split into its natural layers.
-
-    ``state_literals`` echoes the state plus the always-true sort facts;
-    ``satisfied_bodies``, ``fired_rules``, and ``ab_rules`` hold rule labels;
-    ``heads`` holds the deontic conclusions.
-    """
-
-    state_literals: frozenset[Literal]
-    satisfied_bodies: frozenset[str]
-    fired_rules: frozenset[str]
-    heads: frozenset[HeadLiteral]
-    ab_rules: frozenset[str]
-
-    def atoms(self) -> frozenset[str]:
-        """Canonical holds-atom strings, one per member of the answer set."""
-        out: set[str] = set()
-        out.update(f"holds({lit})" for lit in self.state_literals)
-        out.update(f"holds(b({label}))" for label in self.satisfied_bodies)
-        out.update(f"holds({label})" for label in self.fired_rules)
-        out.update(f"holds({head})" for head in self.heads)
-        out.update(f"holds(ab({label}))" for label in self.ab_rules)
-        return frozenset(out)
-
-    def sort_key(self) -> tuple[str, ...]:
-        return tuple(sorted(self.atoms()))
-
-
-Query = Union[HeadLiteral, Literal]
 
 
 def state_literals(base: ReifiedBase, state: WorldState) -> tuple[Literal, ...]:
@@ -150,72 +115,6 @@ def factor(
         else:
             groups[pair] = ((tuple(pos), tuple(neg)),)
     return ab, groups
-
-
-def answer_sets(base: ReifiedBase, state: WorldState) -> list[AnswerSet]:
-    """All answer sets of the reified policy joined with the state.
-
-    Expands the factored form into models.  At least one exists for every
-    policy in the supported class; the list is sorted by canonical atom
-    strings, so equal inputs give identical output.
-    """
-    index = base.index
-    mask = index.mask(state)
-    ab_rules, groups = factor(base, mask)
-    satisfied = frozenset(
-        label
-        for label, (need, forbid) in index.bodies.items()
-        if mask & need == need and not mask & forbid
-    )
-    literals = frozenset(state_literals(base, state))
-    choices = [
-        [(index.pairs[pair], outcome) for outcome in outcomes]
-        for pair, outcomes in groups.items()
-    ]
-    models: list[AnswerSet] = []
-    for combo in product(*choices):
-        fired: set[str] = set()
-        heads: set[HeadLiteral] = set()
-        for head, (pos, neg) in combo:
-            fired.update(pos, neg)
-            if pos:
-                heads.add(head)
-            if neg:
-                heads.add(head.opposite())
-        models.append(
-            AnswerSet(
-                state_literals=literals,
-                satisfied_bodies=satisfied,
-                fired_rules=frozenset(fired),
-                heads=frozenset(heads),
-                ab_rules=ab_rules,
-            )
-        )
-    models.sort(key=AnswerSet.sort_key)
-    return models
-
-
-def model_contains(model: AnswerSet, query: Query) -> bool:
-    if isinstance(query, HeadLiteral):
-        return query in model.heads
-    if isinstance(query, Literal):
-        return query in model.state_literals
-    raise TypeError(f"unsupported query type: {type(query).__name__}")
-
-
-def entails(
-    base: ReifiedBase,
-    state: WorldState,
-    query: Query,
-    models: list[AnswerSet] | None = None,
-) -> bool:
-    """Cautious entailment: the query holds in every answer set.
-
-    Pass precomputed ``models`` to avoid re-evaluating the same state.
-    """
-    if models is None:
-        models = answer_sets(base, state)
-    return all(model_contains(m, query) for m in models)
 
 
 @dataclass(frozen=True)

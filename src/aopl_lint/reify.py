@@ -35,7 +35,7 @@ class Index:
     declaration order: the first declared atom is the most significant bit
     and the last the least, so ``state_atoms[i]`` is bit ``n - 1 - i``.  A
     body is a (must-be-true, must-be-false) mask pair with sort facts folded
-    in; a body that can never hold is left out of ``bodies``.  ``pairs``
+    in; a rule or preference whose body can never hold is left out.  ``pairs``
     holds the positive member of every complementary head pair, ordered by
     ``str``.  ``rules`` holds (true mask, false mask, label, pair, positive
     head, strict) per strict or defeasible rule in base order, and
@@ -53,7 +53,6 @@ class Index:
     """
 
     bits: dict[Atom, int]
-    bodies: dict[str, tuple[int, int]]
     pairs: tuple[HeadLiteral, ...]
     rules: tuple[tuple[int, int, str, int, bool, bool], ...]
     prefers: tuple[tuple[int, int, str], ...]
@@ -217,7 +216,6 @@ def _build_index(gp: GroundPolicy) -> Index:
             constraints.append((*body, *(head or (never, 0))))
     return Index(
         bits=bits,
-        bodies=bodies,
         pairs=pairs,
         rules=rules,
         prefers=prefers,

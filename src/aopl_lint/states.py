@@ -1,16 +1,16 @@
-"""State-space enumeration and event generation for a ground domain.
+"""State-space enumeration, pins and state files for a ground domain.
 
 States are complete truth assignments over the ground static and fluent
 atoms, filtered by the domain's state constraints.  Exhaustive enumeration is
 exponential, so callers can pin atoms to carve out a slice and must size the
-remainder with ``state_space_size`` before iterating blindly.  Assignments,
-constraints and executability conditions are int masks from the ground
-policy's index (``reify.Index``).
+remainder with ``state_space_size`` before iterating blindly.  Assignments
+and constraints are int masks from the ground policy's index
+(``reify.Index``), which also filters a state's executable actions
+(``Index.executable``).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .diagnostics import Diagnostic, Severity
@@ -117,25 +117,6 @@ def enumerate_states(
             return
         # The next submask of ``free``: add one with the pinned bits skipped.
         count = (count - free) & free
-
-
-def executable_actions(gp: GroundPolicy, state: WorldState) -> tuple[Atom, ...]:
-    """Ground actions not ruled out by an executability constraint."""
-    index = gp.index
-    return tuple(gp.action_atoms[a] for a in index.executable(index.mask(state)))
-
-
-def enumerate_events(
-    gp: GroundPolicy, state: WorldState, max_compound_size: int = 1
-) -> Iterator[tuple[Atom, ...]]:
-    """Candidate events: sets of executable actions up to the given size.
-
-    The empty event (doing nothing) comes first; it matters for obligation
-    checks even though no authorization applies to it.
-    """
-    actions = executable_actions(gp, state)
-    for size in range(0, max_compound_size + 1):
-        yield from combinations(actions, size)
 
 
 def parse_pins(texts: Iterable[str]) -> list[Literal]:

@@ -29,6 +29,11 @@ def make_state(gp, *true_atoms: str) -> WorldState:
     return WorldState(gp.state_atoms, frozenset(atom_map[s] for s in true_atoms))
 
 
+def executable_actions(gp, state: WorldState) -> tuple:
+    """The ground actions ``Index.executable`` leaves in ``state``."""
+    return tuple(gp.action_atoms[a] for a in gp.index.executable(gp.index.mask(state)))
+
+
 def action_atom(gp, text: str):
     for atom in gp.action_atoms:
         if str(atom) == text:

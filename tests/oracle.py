@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from aopl_lint.engine import AnswerSet, WorldState
+from aopl_lint.engine import WorldState
 from aopl_lint.grounding import GroundPolicy
 from aopl_lint.model import HeadLiteral, Literal, RuleKind
 from aopl_lint.reify import ReifiedBase
+
+from reference import AnswerSet
 
 # An atom is any hashable tuple; a rule is (head, positive body, negative body).
 Atom_ = tuple

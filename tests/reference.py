@@ -1,7 +1,10 @@
 """The model-list detectors and sweep loop, kept as a differential reference.
 
-These are the per-state detectors and compliance classifiers that loop over
-materialised answer sets, their model counter ``ambiguity_stats``, the
+``answer_sets`` expands the package's factored answer sets (``factor``)
+into one ``AnswerSet`` per model, which ``entails`` and ``model_contains``
+query; the package itself never materialises that cross product.  The
+per-state detectors and compliance classifiers here loop over those
+models.  With them come their model counter ``ambiguity_stats``, the
 state enumeration, constraint check and executability filter that test
 ``Literal`` objects against a ``WorldState``, the sweep that ran them state
 by state with its record-keyed accumulator, and the family collapse that
@@ -32,13 +35,7 @@ from aopl_lint.analysis import (
     IssueRecord,
     SweepOptions,
 )
-from aopl_lint.engine import (
-    AmbiguityStats,
-    AnswerSet,
-    WorldState,
-    answer_sets,
-    entails,
-)
+from aopl_lint.engine import AmbiguityStats, WorldState, factor, state_literals
 from aopl_lint.diagnostics import has_errors
 from aopl_lint.grounding import GroundingError, GroundPolicy, GroundRule
 from aopl_lint.model import (
@@ -112,6 +109,97 @@ def executable_actions(gp: GroundPolicy, state: WorldState) -> tuple[Atom, ...]:
         if all(_satisfies(state, lit, sort_facts) for lit in constraint.condition):
             blocked.add(constraint.action)
     return tuple(a for a in gp.action_atoms if a not in blocked)
+
+
+@dataclass(frozen=True)
+class AnswerSet:
+    """One answer set, split into its natural layers.
+
+    ``state_literals`` echoes the state plus the always-true sort facts;
+    ``satisfied_bodies``, ``fired_rules``, and ``ab_rules`` hold rule labels;
+    ``heads`` holds the deontic conclusions.
+    """
+
+    state_literals: frozenset[Literal]
+    satisfied_bodies: frozenset[str]
+    fired_rules: frozenset[str]
+    heads: frozenset[HeadLiteral]
+    ab_rules: frozenset[str]
+
+    def atoms(self) -> frozenset[str]:
+        """Canonical holds-atom strings, one per member of the answer set."""
+        out: set[str] = set()
+        out.update(f"holds({lit})" for lit in self.state_literals)
+        out.update(f"holds(b({label}))" for label in self.satisfied_bodies)
+        out.update(f"holds({label})" for label in self.fired_rules)
+        out.update(f"holds({head})" for head in self.heads)
+        out.update(f"holds(ab({label}))" for label in self.ab_rules)
+        return frozenset(out)
+
+    def sort_key(self) -> tuple[str, ...]:
+        return tuple(sorted(self.atoms()))
+
+
+def answer_sets(base: ReifiedBase, state: WorldState) -> list[AnswerSet]:
+    """All answer sets of the reified policy joined with the state.
+
+    Expands the package's factored form, the cross product of every pair's
+    outcomes, into models sorted by canonical atom strings.
+    """
+    ab_rules, groups = factor(base, base.index.mask(state))
+    sort_facts = frozenset(base.ground.sort_facts)
+    satisfied = frozenset(
+        rule.label
+        for rule in base.ground.rules
+        if all(_satisfies(state, lit, sort_facts) for lit in rule.condition)
+    )
+    literals = frozenset(state_literals(base, state))
+    pairs = base.index.pairs
+    choices = [
+        [(pairs[pair], outcome) for outcome in outcomes] for pair, outcomes in groups.items()
+    ]
+    models: list[AnswerSet] = []
+    for combo in product(*choices):
+        fired: set[str] = set()
+        heads: set[HeadLiteral] = set()
+        for head, (pos, neg) in combo:
+            fired.update(pos, neg)
+            if pos:
+                heads.add(head)
+            if neg:
+                heads.add(head.opposite())
+        models.append(
+            AnswerSet(
+                state_literals=literals,
+                satisfied_bodies=satisfied,
+                fired_rules=frozenset(fired),
+                heads=frozenset(heads),
+                ab_rules=ab_rules,
+            )
+        )
+    models.sort(key=AnswerSet.sort_key)
+    return models
+
+
+def model_contains(model: AnswerSet, query: HeadLiteral | Literal) -> bool:
+    if isinstance(query, HeadLiteral):
+        return query in model.heads
+    if isinstance(query, Literal):
+        return query in model.state_literals
+    raise TypeError(f"unsupported query type: {type(query).__name__}")
+
+
+def entails(
+    base: ReifiedBase,
+    state: WorldState,
+    query: HeadLiteral | Literal,
+    models: list[AnswerSet] | None = None,
+) -> bool:
+    """Cautious entailment: the query holds in every answer set.
+
+    Pass precomputed ``models`` to avoid re-evaluating the same state.
+    """
+    return all(model_contains(m, query) for m in _models(base, state, models))
 
 
 def _texts(base: ReifiedBase, labels: Iterable[str]) -> tuple[str, ...]:

@@ -21,7 +21,6 @@ from aopl_lint import (
     IssueKind,
     Modality,
     SweepOptions,
-    answer_sets,
     classify_action,
     collapse_families,
     detect_ambiguity,
@@ -39,6 +38,7 @@ from aopl_lint.states import parse_pins
 import reference
 from corpus import corpus
 from oracle import oracle_answer_sets
+from reference import answer_sets
 from helpers import DATA, action_atom, base_from, load_base, make_state
 
 ASSUME = "assume_comm(c,m)"

@@ -1,22 +1,22 @@
-"""Answer-set evaluation: fixture behaviors, cross-checks against the oracle."""
+"""Answer-set evaluation: fixture behaviors, cross-checks against the oracle.
+
+The models are ``factor``'s outcomes expanded by ``reference.answer_sets``.
+"""
 
 import pytest
 from hypothesis import assume, given, reject, settings
 
 from aopl_lint import (
     WorldState,
-    answer_sets,
-    entails,
     enumerate_states,
     ground,
     parse_ground_literal,
     reify,
 )
-from aopl_lint.engine import model_contains
 
 from helpers import base_from, make_state
 from oracle import OracleSizeError, direct_program_models, oracle_answer_sets
-from reference import ambiguity_stats
+from reference import ambiguity_stats, answer_sets, entails, model_contains
 from strategies import domain_and_policy
 
 

@@ -1,4 +1,5 @@
-"""Source hygiene: no module under src/ or tests/ imports a name it never reads."""
+"""Source hygiene: no module under src/ or tests/ imports a name it never reads,
+and every module-level function or class under src/ is read or exported."""
 
 from __future__ import annotations
 
@@ -50,6 +51,21 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     return sorted((line, name) for line, name in imported if name not in read)
 
 
+def dead_definitions(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) for every module-level function or class that no
+    other top-level statement of the modules reads; ``__all__`` counts."""
+    statements = [
+        (module, stmt) for module, source in sources.items() for stmt in ast.parse(source).body
+    ]
+    reads = [(stmt, _read_names(stmt)) for _, stmt in statements]
+    return sorted(
+        (module, stmt.lineno, stmt.name)
+        for module, stmt in statements
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not any(stmt.name in read for other, read in reads if other is not stmt)
+    )
+
+
 def test_the_scan_counts_exports_and_string_annotations_as_reads():
     source = (
         "import os.path\nfrom typing import Any, List\nfrom x import Quoted, Unused\n"
@@ -67,3 +83,20 @@ def test_no_module_imports_a_name_it_never_reads():
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def test_the_definition_scan_ignores_reads_inside_the_definition_itself():
+    sources = {
+        "a": "__all__ = ['Public']\nclass Public:\n    pass\ndef loop(n):\n    return loop(n)\n",
+        "b": "def _helper():\n    pass\ndef caller() -> '_Quoted':\n    return _helper()\n",
+        "c": "class _Quoted:\n    pass\n",
+    }
+    assert dead_definitions(sources) == [("a", 4, "loop"), ("b", 3, "caller")]
+
+
+def test_every_definition_under_src_is_read_or_exported():
+    package = ROOT / "src" / "aopl_lint"
+    sources = {
+        path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))
+    }
+    assert dead_definitions(sources) == []

@@ -10,9 +10,10 @@ import pytest
 
 clingo = pytest.importorskip("clingo")
 
-from aopl_lint import HeadLiteral, answer_sets, emit_asp, enumerate_states
+from aopl_lint import HeadLiteral, emit_asp, enumerate_states
 
 from helpers import load_base
+from reference import answer_sets
 
 FIXTURES = [
     ("mission.dom", "mission_strict.aopl"),

@@ -1,12 +1,10 @@
-"""State enumeration, pinning, constraints, events, and state files."""
+"""State enumeration, pinning, constraints, executability, and state files."""
 
 import tracemalloc
 
 from aopl_lint import (
     WorldState,
-    enumerate_events,
     enumerate_states,
-    executable_actions,
     load_state,
     parse_ground_literal,
     satisfies_constraints,
@@ -14,7 +12,7 @@ from aopl_lint import (
 )
 from aopl_lint.states import check_pins, parse_pins
 
-from helpers import DATA, base_from, make_state
+from helpers import DATA, base_from, executable_actions, make_state
 
 
 def pins(*texts):
@@ -185,29 +183,6 @@ class TestExecutability:
         )
         gp = base.ground
         assert [str(a) for a in executable_actions(gp, make_state(gp))] == ["wait"]
-
-
-class TestEvents:
-    def test_empty_event_first_then_singletons(self, mission_strict):
-        gp = mission_strict.ground
-        events = list(enumerate_events(gp, make_state(gp)))
-        assert events[0] == ()
-        assert [tuple(map(str, e)) for e in events[1:]] == [
-            ("assume_comm(c,m)",),
-            ("authorize_comm(c,m)",),
-        ]
-
-    def test_compound_events(self, mission_strict):
-        gp = mission_strict.ground
-        events = list(enumerate_events(gp, make_state(gp), max_compound_size=2))
-        assert len(events) == 4
-        assert tuple(map(str, events[-1])) == ("assume_comm(c,m)", "authorize_comm(c,m)")
-
-    def test_blocked_actions_never_appear(self):
-        base = base_from(TestExecutability.EXEC)
-        gp = base.ground
-        events = list(enumerate_events(gp, make_state(gp, "suspended(c1)"), max_compound_size=2))
-        assert all("go" not in str(a) for e in events for a in e)
 
 
 class TestLoadState:
