@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .engine import AmbiguityStats, Outcome, WorldState, factor
+from .engine import AmbiguityStats, Outcome, WorldState, factor, factor_rules
 from .model import Atom, Happening, Literal
 from .reify import ReifiedBase
 from .states import DEFAULT_MAX_STATES, check_state_space, enumerate_states
@@ -106,14 +106,15 @@ def detect_state(base: ReifiedBase, state: int, actions: Iterable[int]) -> list[
 
     Every combination of pair outcomes is an answer set, so each question
     reads off the outcomes of the action's three pairs: permitted(a),
-    obl(a) and obl(-a).  A label list is read across all outcomes of a pair
-    when a finding combines it with another pair.
+    obl(a) and obl(-a), which factoring the action's slice of the index
+    gives without the other actions' rules.  A label list is read across all
+    outcomes of a pair when a finding combines it with another pair.
     """
-    groups = factor(base, state)[1]
-    index_actions = base.index.actions
+    index = base.index
     findings: list[tuple] = []
     for action in actions:
-        permitted, obl_do, obl_not, auth_rules, auth_mask = index_actions[action]
+        groups = factor_rules(*index.slices[action], state)[1]
+        permitted, obl_do, obl_not, auth_rules, auth_mask = index.actions[action]
         for pair in (permitted, obl_do, obl_not):
             for pos, neg in groups.get(pair, ()):
                 findings.extend((_INCONSISTENCY, pair, r1, r2) for r1 in pos for r2 in neg)
@@ -165,8 +166,8 @@ def _stats(base: ReifiedBase, state: WorldState, permitted: int | None) -> Ambig
     )
 
 
-def _record(base: ReifiedBase, finding: tuple, state: WorldState) -> IssueRecord:
-    """The IssueRecord a compact finding stands for, witnessed by ``state``."""
+def _record(base: ReifiedBase, finding: tuple, state: WorldState | None) -> IssueRecord:
+    """The IssueRecord a finding stands for; without a witness ``state``, only its identity."""
     index = base.index
     tag = finding[0]
     kind = _KINDS[tag]
@@ -185,15 +186,15 @@ def _record(base: ReifiedBase, finding: tuple, state: WorldState) -> IssueRecord
             rule_labels=labels,
             rule_texts=_texts(base, labels),
             pairs=tuple((p, f) for p in permitting for f in forbidding),
-            stats=_stats(base, state, index.actions[finding[1]][0]),
+            stats=None if state is None else _stats(base, state, index.actions[finding[1]][0]),
         )
     if tag == _UNDERSPECIFIED:
         if finding[2] == 1:
             return IssueRecord(kind=kind, action=action, witness_state=state, case=1)
-        mask = index.mask(state)
         missing: list[tuple[str, tuple[Literal, ...]]] = []
         for rule in index.actions[finding[1]][3]:
-            failing = index.failing(rule.condition, mask)
+            # The finding holds the state's authorization bits, all these rules read.
+            failing = index.failing(rule.condition, finding[3])
             if failing:
                 missing.append((rule.label, failing))
         labels = tuple(label for label, _ in missing)
@@ -453,7 +454,8 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
     """Run ``detect_state`` over the (pinned) state space and deduplicate.
 
     An action's findings read only its ``Index.relevant`` bits, so they are
-    memoised on those bits unless the bits cover every unpinned one.
+    memoised on those bits unless the bits cover every unpinned one; a memo
+    hit only counts the state and ranks it as the key's witness.
     Sweeping a partition of the state space and merging the results equals
     sweeping the whole space, so callers may split the work freely.
     Pinning every state atom sweeps exactly one state.
@@ -463,19 +465,22 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
     pinned = {pin.atom for pin in options.pins}
     free = sum(bit for atom, bit in index.bits.items() if atom not in pinned)
     memoised = [relevant & free != free for relevant in index.relevant]
+    exec_bits = 0
+    for need, forbid, _ in index.exec_conditions:
+        exec_bits |= need | forbid
+    executable: dict[int, list[int]] = {}  # keyed by the state's exec_bits
 
-    memo: dict[tuple[int, int], tuple[list[tuple], set[int]]] = {}
-    hits: _Accumulator = {}  # keyed like ``memo``
+    memo: dict[tuple[int, int], list] = {}  # [findings, family ids, rank, witness, states]
     accum: _Accumulator = {}  # keyed by compact finding; each is one record key
     family_ids: dict[tuple, int] = {}
     family_of: dict[tuple, int] = {}  # compact finding -> family id
     family_counts: Counter[int] = Counter()
 
-    def families(findings: list[tuple], state: WorldState) -> set[int]:
+    def families(findings: list[tuple]) -> set[int]:
         """The findings' family ids; a finding's key is computed once."""
         for finding in findings:
             if finding not in family_of:
-                key = _family_key(_record(base, finding, state))
+                key = _family_key(_record(base, finding, None))
                 family_of[finding] = family_ids.setdefault(key, len(family_ids))
         return {family_of[finding] for finding in findings}
 
@@ -483,9 +488,13 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
     for state in enumerate_states(base.ground, options.pins):
         states_examined += 1
         mask = index.mask(state)
+        rank = mask.bit_count()
+        actions = executable.get(mask & exec_bits)
+        if actions is None:
+            actions = executable[mask & exec_bits] = index.executable(mask)
         seen: set[int] = set()
         direct = []
-        for action in index.executable(mask):
+        for action in actions:
             if not memoised[action]:
                 direct.append(action)
                 continue
@@ -493,17 +502,19 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
             entry = memo.get(key)
             if entry is None:
                 findings = detect_state(base, mask, (action,))
-                entry = memo[key] = (findings, families(findings, state))
-            _accumulate(hits, key, state, state, 1)
+                entry = memo[key] = [findings, families(findings), rank, state, 0]
+            elif rank < entry[2] or (rank == entry[2] and str(state) < str(entry[3])):
+                entry[2:4] = rank, state
+            entry[4] += 1
             seen |= entry[1]
         if direct:
             findings = detect_state(base, mask, direct)
             for finding in findings:
                 _accumulate(accum, finding, state, state, 1)
-            seen |= families(findings, state)
+            seen |= families(findings)
         family_counts.update(seen)
-    for key, (witness, _, states, _) in hits.items():
-        for finding in memo[key][0]:
+    for findings, _, _, witness, states in memo.values():
+        for finding in findings:
             _accumulate(accum, finding, witness, witness, states)
 
     instances = sorted(

@@ -20,6 +20,9 @@ them in that factored form and never expands the product: the detectors,
 the classifiers and the sweep read each question off the outcomes of the
 few pairs it concerns, and the number of answer sets is the product of the
 group sizes.
+An action's three pairs, their rules and the preferences defeating those
+rules form a splitting set (Lifschitz & Turner, 1994), so ``factor_rules``
+on the action's ``Index.slices`` entry gives those pairs' exact outcomes.
 """
 
 from __future__ import annotations
@@ -70,11 +73,10 @@ def state_literals(base: ReifiedBase, state: WorldState) -> tuple[Literal, ...]:
 # One outcome of a complementary head pair: the labels firing its positive
 # head, then the labels firing its negative head, each in base rule order.
 Outcome = tuple[tuple[str, ...], tuple[str, ...]]
+Factored = tuple[frozenset[str], dict[int, tuple[Outcome, ...]]]  # see ``factor``
 
 
-def factor(
-    base: ReifiedBase, state: int
-) -> tuple[frozenset[str], dict[int, tuple[Outcome, ...]]]:
+def factor(base: ReifiedBase, state: int) -> Factored:
     """The defeated rules and the stable outcomes of each complementary pair.
 
     A pair appears when a strict rule fires or a defeasible rule applies on
@@ -85,14 +87,16 @@ def factor(
     answer sets are the cross product of the pairs' outcomes.  ``state`` is
     an int mask over the state atoms; see ``Index``.
     """
-    index = base.index
+    return factor_rules(base.index.rules, base.index.prefers, state)
+
+
+def factor_rules(rules: tuple, prefers: tuple, state: int) -> Factored:
+    """``factor`` on some ``Index.rules`` and ``Index.prefers`` entries, such as a slice."""
     ab = frozenset(
-        weaker
-        for need, forbid, weaker in index.prefers
-        if state & need == need and not state & forbid
+        weaker for need, forbid, weaker in prefers if state & need == need and not state & forbid
     )
     found: dict[int, tuple[list[str], list[str], list[str], list[str]]] = {}
-    for need, forbid, label, pair, positive, strict in index.rules:
+    for need, forbid, label, pair, positive, strict in rules:
         if state & need != need or state & forbid or (not strict and label in ab):
             continue
         lists = found.get(pair)

@@ -42,14 +42,16 @@ class Index:
     ``prefers`` (the stronger body's masks, the weaker label) per
     preference.  ``actions`` holds, per ground action, its permitted,
     obl(a) and obl(-a) pair indexes, its authorization rules and the state
-    bits their conditions mention; ``relevant`` holds, per ground action,
-    every state bit its findings read: the bodies of the rules on its three
-    pairs, the stronger bodies of preferences defeating one of those rules,
-    and its authorization bits.  ``exec_conditions`` holds (masks, action
-    index).  ``constraints`` holds (body masks, head masks) per state
-    constraint whose body can hold and whose head can fail; a missing or
-    unsatisfiable head needs a bit past the last state atom, so it never
-    holds.  ``by_label`` maps each label to its ground rule.
+    bits their conditions mention.  ``slices`` holds, per ground action, the
+    ``rules`` on its three pairs and the ``prefers`` whose weaker rule is one
+    of them; a pair has one action, so the slices partition both.
+    ``relevant`` holds, per ground action, every state bit its findings
+    read: the bodies in its slice and its authorization bits.
+    ``exec_conditions`` holds (masks, action index).  ``constraints`` holds
+    (body masks, head masks) per state constraint whose body can hold and
+    whose head can fail; a missing or unsatisfiable head needs a bit past
+    the last state atom, so it never holds.  ``by_label`` maps each label to
+    its ground rule.
     """
 
     bits: dict[Atom, int]
@@ -57,6 +59,7 @@ class Index:
     rules: tuple[tuple[int, int, str, int, bool, bool], ...]
     prefers: tuple[tuple[int, int, str], ...]
     actions: tuple[tuple[int, int, int, tuple[GroundRule, ...], int], ...]
+    slices: tuple[tuple[tuple, tuple], ...]
     relevant: tuple[int, ...]
     exec_conditions: tuple[tuple[int, int, int], ...]
     constraints: tuple[tuple[int, int, int, int], ...]
@@ -193,14 +196,18 @@ def _build_index(gp: GroundPolicy) -> Index:
                 sum(mentioned),
             )
         )
-    reads = [0] * len(pairs)
-    pair_by_label = {}
-    for need, forbid, label, pair, _, _ in rules:
-        reads[pair] |= need | forbid
-        pair_by_label[label] = pair
-    for need, forbid, weaker in prefers:
-        if weaker in pair_by_label:
-            reads[pair_by_label[weaker]] |= need | forbid
+    owner = {pair: a for a, entry in enumerate(actions) for pair in entry[:3]}
+    slices: list[tuple[list, list]] = [([], []) for _ in actions]
+    relevant = [auth for *_, auth in actions]
+    action_of = {}
+    for rule in rules:
+        a = action_of[rule[2]] = owner[rule[3]]
+        slices[a][0].append(rule)
+        relevant[a] |= rule[0] | rule[1]
+    for prefer in prefers:
+        if (a := action_of.get(prefer[2])) is not None:
+            slices[a][1].append(prefer)
+            relevant[a] |= prefer[0] | prefer[1]
     action_index = {action: i for i, action in enumerate(gp.action_atoms)}
     exec_conditions = tuple(
         (*masks, action_index[constraint.action])
@@ -220,7 +227,8 @@ def _build_index(gp: GroundPolicy) -> Index:
         rules=rules,
         prefers=prefers,
         actions=tuple(actions),
-        relevant=tuple(reads[p] | reads[o] | reads[n] | auth for p, o, n, _, auth in actions),
+        slices=tuple((tuple(own), tuple(defeats)) for own, defeats in slices),
+        relevant=tuple(relevant),
         exec_conditions=exec_conditions,
         constraints=tuple(constraints),
         by_label={rule.label: rule for rule in gp.rules},

@@ -64,3 +64,30 @@ def blocked_elsewhere():
         "rule r2: !permitted(go) if g.\n"
         "rule s1: permitted(stay) if g.\n"
     )
+
+
+@pytest.fixture(scope="session")
+def tied_by_exec():
+    # go cannot be done when p and q are both false, so its gap when r is
+    # false is seen first in {q}; {p} ties it on true atoms and wins on text.
+    return base_from(
+        "fluent p. fluent q. fluent r.\naction go.\n"
+        "impossible_exec go if !p, !q.\n"
+        "rule r1: permitted(go) if r.\n"
+    )
+
+
+@pytest.fixture(scope="session")
+def tied_by_constraint():
+    # The constraint rules out p and q both false, so go's gap ties {q} and
+    # {p} as above; x1 lets a rule on go defeat one on stay, which cannot be
+    # done when p and r hold.
+    return base_from(
+        "fluent p. fluent q. fluent r. fluent s.\naction go. action stay.\n"
+        "constraint q if !p.\n"
+        "impossible_exec stay if p, r.\n"
+        "rule r1: normally permitted(go) if r.\n"
+        "rule r2: normally permitted(stay) if s.\n"
+        "rule r3: normally !permitted(stay) if q.\n"
+        "prefer x1: r1 > r3.\n"
+    )

@@ -3,8 +3,10 @@
 The models are ``factor``'s outcomes expanded by ``reference.answer_sets``.
 """
 
+from collections import Counter
+
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from aopl_lint import (
     WorldState,
@@ -13,11 +15,12 @@ from aopl_lint import (
     parse_ground_literal,
     reify,
 )
+from aopl_lint.engine import factor, factor_rules
 
 from helpers import base_from, make_state
 from oracle import OracleSizeError, direct_program_models, oracle_answer_sets
 from reference import ambiguity_stats, answer_sets, entails, model_contains
-from strategies import domain_and_policy
+from strategies import domain_and_policy, pinned_ground_policy
 
 
 def heads_of(model):
@@ -241,3 +244,32 @@ def test_engine_matches_oracle_on_generated_policies(pair):
             reject()
         engine = answer_sets(base, state)
         assert [m.atoms() for m in engine] == [m.atoms() for m in oracle], str(state)
+
+
+def assert_slices_factor_exactly(base):
+    """Each action's slice partitions the index and gives its pairs' outcomes."""
+    index = base.index
+    labels = {rule[2] for rule in index.rules}
+    assert Counter(rule for own, _ in index.slices for rule in own) == Counter(index.rules)
+    assert Counter(prefer for _, defeats in index.slices for prefer in defeats) == Counter(
+        prefer for prefer in index.prefers if prefer[2] in labels
+    )
+    for state in range(1 << len(index.bits)):
+        whole = factor(base, state)[1]
+        for action, (own, defeats) in enumerate(index.slices):
+            pairs = set(index.actions[action][:3])
+            part = factor_rules(own, defeats, state)[1]
+            assert set(part) == pairs & set(whole), (action, state)
+            assert all(part[pair] == whole[pair] for pair in part), (action, state)
+
+
+@given(
+    st.one_of(
+        domain_and_policy().map(lambda pair: ground(*pair)),
+        pinned_ground_policy().map(lambda case: case[0]),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_action_slices_factor_like_the_whole_policy(gp):
+    assume(len(gp.state_atoms) <= 6)
+    assert_slices_factor_exactly(reify(gp))

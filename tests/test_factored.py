@@ -29,7 +29,7 @@ from aopl_lint.states import parse_pins
 
 import reference
 from corpus import corpus
-from helpers import DATA, action_atom, base_from, executable_actions, load_base
+from helpers import DATA, action_atom, base_from, executable_actions, load_base, make_state
 from strategies import domain_and_policy, pinned_ground_policy
 
 FIXTURES = [
@@ -40,6 +40,8 @@ FIXTURES = [
     "shared_ambiguities",
     "preferred_elsewhere",
     "blocked_elsewhere",
+    "tied_by_exec",
+    "tied_by_constraint",
 ]
 
 
@@ -135,6 +137,19 @@ def test_an_action_memo_reads_bits_outside_its_own_rules(fixture, reached, reque
     bits = {str(atom): bit for atom, bit in index.bits.items()}
     go = index.relevant[base.ground.action_atoms.index(action_atom(base.ground, "go"))]
     assert go & bits[reached] and not go & bits["k"]
+
+
+@pytest.mark.parametrize("fixture", ["tied_by_exec", "tied_by_constraint"])
+def test_a_memo_key_witness_tie_is_broken_by_text(fixture, request):
+    # go's findings are memoised on r alone.  Its gap is first seen in {q},
+    # which {p} follows in mask order and precedes in text order.
+    base = request.getfixturevalue(fixture)
+    gp = base.ground
+    go = gp.action_atoms.index(action_atom(gp, "go"))
+    assert base.index.relevant[go] == base.index.bits[Atom("r")]
+    assert base.index.mask(make_state(gp, "q")) < base.index.mask(make_state(gp, "p"))
+    [gap] = [i.record for i in sweep(base).instances if str(i.record.action) == "go"]
+    assert str(gap.witness_state) == "{p}"
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
