@@ -464,58 +464,64 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
     index = base.index
     pinned = {pin.atom for pin in options.pins}
     free = sum(bit for atom, bit in index.bits.items() if atom not in pinned)
-    memoised = [relevant & free != free for relevant in index.relevant]
     exec_bits = 0
     for need, forbid, _ in index.exec_conditions:
         exec_bits |= need | forbid
-    executable: dict[int, list[int]] = {}  # keyed by the state's exec_bits
-
-    memo: dict[tuple[int, int], list] = {}  # [findings, family ids, rank, witness, states]
+    # Per action, unless its bits cover every free one: [findings, family bitmask,
+    # rank, witness, states] per value of its relevant bits.
+    memos = [{} if relevant & free != free else None for relevant in index.relevant]
+    executable: dict[int, tuple[list, list[int]]] = {}  # memoised and direct, by exec_bits
     accum: _Accumulator = {}  # keyed by compact finding; each is one record key
     family_ids: dict[tuple, int] = {}
     family_of: dict[tuple, int] = {}  # compact finding -> family id
-    family_counts: Counter[int] = Counter()
+    seen_counts: dict[int, int] = {}  # states per set of families fired, as a bitmask
 
-    def families(findings: list[tuple]) -> set[int]:
-        """The findings' family ids; a finding's key is computed once."""
+    def families(findings: list[tuple]) -> int:
+        """The findings' family ids as a bitmask; a finding's key is computed once."""
+        fired = 0
         for finding in findings:
             if finding not in family_of:
                 key = _family_key(_record(base, finding, None))
                 family_of[finding] = family_ids.setdefault(key, len(family_ids))
-        return {family_of[finding] for finding in findings}
+            fired |= 1 << family_of[finding]
+        return fired
 
     states_examined = 0
     for state in enumerate_states(base.ground, options.pins):
         states_examined += 1
-        mask = index.mask(state)
+        mask = state.mask
         rank = mask.bit_count()
-        actions = executable.get(mask & exec_bits)
-        if actions is None:
-            actions = executable[mask & exec_bits] = index.executable(mask)
-        seen: set[int] = set()
-        direct = []
-        for action in actions:
-            if not memoised[action]:
-                direct.append(action)
-                continue
-            key = (action, mask & index.relevant[action])
-            entry = memo.get(key)
+        split = executable.get(mask & exec_bits)
+        if split is None:
+            actions = index.executable(mask)
+            split = executable[mask & exec_bits] = (
+                [(a, memos[a], index.relevant[a]) for a in actions if memos[a] is not None],
+                [a for a in actions if memos[a] is None],
+            )
+        seen = 0
+        for action, memo, relevant in split[0]:
+            entry = memo.get(mask & relevant)
             if entry is None:
                 findings = detect_state(base, mask, (action,))
-                entry = memo[key] = [findings, families(findings), rank, state, 0]
+                entry = memo[mask & relevant] = [findings, families(findings), rank, state, 0]
             elif rank < entry[2] or (rank == entry[2] and str(state) < str(entry[3])):
                 entry[2:4] = rank, state
             entry[4] += 1
             seen |= entry[1]
-        if direct:
-            findings = detect_state(base, mask, direct)
+        if split[1]:
+            findings = detect_state(base, mask, split[1])
             for finding in findings:
                 _accumulate(accum, finding, state, state, 1)
             seen |= families(findings)
-        family_counts.update(seen)
-    for findings, _, _, witness, states in memo.values():
-        for finding in findings:
-            _accumulate(accum, finding, witness, witness, states)
+        seen_counts[seen] = seen_counts.get(seen, 0) + 1
+    for memo in filter(None, memos):
+        for findings, _, _, witness, states in memo.values():
+            for finding in findings:
+                _accumulate(accum, finding, witness, witness, states)
+    family_counts = [0] * len(family_ids)
+    for seen, states in seen_counts.items():
+        for i in range(seen.bit_length()):
+            family_counts[i] += states * (seen >> i & 1)
 
     instances = sorted(
         (

@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 when no findings are reported, 1 when the requested analysis
-reports findings, 2 on usage, parse, or input errors.
+reports findings, 2 on usage, parse, or input errors, 3 on an internal error.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from dataclasses import replace
 from itertools import islice
 
@@ -282,5 +283,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """``main`` as a process: an internal error prints its traceback and exits 3."""
+    try:
+        sys.exit(main())
+    except Exception:
+        traceback.print_exc()
+        sys.exit(3)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

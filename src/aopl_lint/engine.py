@@ -31,7 +31,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .model import Atom, Literal
-from .reify import ReifiedBase
+from .reify import ReifiedBase, state_bits
+
+# A memo of the last universe a state was checked against and its set, as one
+# pair so that readers see both together; a state space shares one universe.
+_last_universe: list = [((), frozenset())]
 
 
 @dataclass(frozen=True)
@@ -42,9 +46,19 @@ class WorldState:
     true_atoms: frozenset[Atom]
 
     def __post_init__(self) -> None:
-        extra = self.true_atoms - set(self.universe)
+        universe, members = _last_universe[0]
+        if universe is not self.universe:
+            members = frozenset(self.universe)
+            _last_universe[0] = self.universe, members
+        extra = self.true_atoms - members
         if extra:
             raise ValueError(f"state atoms outside the universe: {sorted(map(str, extra))}")
+
+    @cached_property
+    def mask(self) -> int:
+        """The state as an int over ``universe`` in ``reify.Index``'s bit order."""
+        bits = state_bits(self.universe)
+        return sum(bits[atom] for atom in self.true_atoms)
 
     def literals(self) -> tuple[Literal, ...]:
         return tuple(Literal(a, a in self.true_atoms) for a in self.universe)

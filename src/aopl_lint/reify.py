@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 from .grounding import GroundPolicy, GroundRule
-from .model import Atom, Happening, HeadLiteral, Literal, Modality, RuleKind
+from .model import Atom, HeadLiteral, Literal, Modality, RuleKind
 
 if TYPE_CHECKING:
     from .engine import WorldState
@@ -139,76 +139,71 @@ def _body_masks(
 ) -> tuple[int, int] | None:
     need = forbid = 0
     for lit in body:
-        if lit.atom in sort_facts:
-            if not lit.positive:
+        if (bit := bits.get(lit.atom)) is None:
+            # Any other atom is a sort fact, true in every state, or false in every state.
+            if lit.positive != (lit.atom in sort_facts):
                 return None
-        elif lit.atom in bits:
-            if lit.positive:
-                need |= bits[lit.atom]
-            else:
-                forbid |= bits[lit.atom]
         elif lit.positive:
-            return None
+            need |= bit
+        else:
+            forbid |= bit
     return need, forbid
 
 
+def state_bits(universe: tuple[Atom, ...]) -> dict[Atom, int]:
+    """Each state atom's bit in a state's int mask; see ``Index``."""
+    return {atom: 1 << i for i, atom in enumerate(reversed(universe))}
+
+
 def _build_index(gp: GroundPolicy) -> Index:
-    bits = {atom: 1 << i for i, atom in enumerate(reversed(gp.state_atoms))}
+    bits = state_bits(gp.state_atoms)
     sort_facts = frozenset(gp.sort_facts)
     bodies = {
         rule.label: masks
         for rule in gp.rules
         if (masks := _body_masks(rule.condition, bits, sort_facts)) is not None
     }
-    pairs = tuple(sorted({h if h.positive else h.opposite() for h in gp.head_universe}, key=str))
-    pair_of = {head: i for i, head in enumerate(pairs)}
-    rules = tuple(
-        (
-            *bodies[rule.label],
-            rule.label,
-            pair_of[rule.head if rule.head.positive else rule.head.opposite()],
-            rule.head.positive,
-            rule.kind is RuleKind.STRICT,
-        )
-        for rule in gp.rules
-        if rule.head is not None and rule.label in bodies
-    )
-    prefers = tuple(
-        (*bodies[rule.preferred], rule.dispreferred)
-        for rule in gp.rules
-        if rule.kind is RuleKind.PREFERENCE and rule.preferred in bodies
-    )
-
-    authorizations: dict[Atom, list[GroundRule]] = {action: [] for action in gp.action_atoms}
-    for rule in gp.rules:
-        if rule.head is not None and rule.head.modality is Modality.PERMITTED:
-            authorizations[rule.head.happening.action].append(rule)
-    actions = []
-    for action, auth in authorizations.items():
-        does = Happening(action, True)
-        mentioned = {bits[lit.atom] for rule in auth for lit in rule.condition if lit.atom in bits}
-        actions.append(
-            (
-                pair_of[HeadLiteral(Modality.PERMITTED, does, True)],
-                pair_of[HeadLiteral(Modality.OBL, does, True)],
-                pair_of[HeadLiteral(Modality.OBL, does.negated(), True)],
-                tuple(auth),
-                sum(mentioned),
-            )
-        )
-    owner = {pair: a for a, entry in enumerate(actions) for pair in entry[:3]}
-    slices: list[tuple[list, list]] = [([], []) for _ in actions]
-    relevant = [auth for *_, auth in actions]
-    action_of = {}
-    for rule in rules:
-        a = action_of[rule[2]] = owner[rule[3]]
-        slices[a][0].append(rule)
-        relevant[a] |= rule[0] | rule[1]
-    for prefer in prefers:
-        if (a := action_of.get(prefer[2])) is not None:
-            slices[a][1].append(prefer)
-            relevant[a] |= prefer[0] | prefer[1]
+    # ``head_universe`` holds six heads per action, so its even entries are
+    # each action's permitted(a), obl(a) and obl(-a), the positive pair members.
+    positives = gp.head_universe[::2]
+    order = sorted(range(len(positives)), key=lambda i: str(positives[i]))
+    pairs = tuple(positives[i] for i in order)
+    # The inverse permutation: the pair index of positive head 3 * action + slot.
+    pair_at = sorted(range(len(order)), key=order.__getitem__)
     action_index = {action: i for i, action in enumerate(gp.action_atoms)}
+    authorizations: list[list[GroundRule]] = [[] for _ in gp.action_atoms]
+    slices: list[tuple[list, list]] = [([], []) for _ in gp.action_atoms]
+    relevant = [0] * len(gp.action_atoms)
+    action_of = {}
+    rules = []
+    for rule in gp.rules:
+        if (head := rule.head) is None:
+            continue
+        a = action_index[head.happening.action]
+        if head.modality is Modality.PERMITTED:
+            slot = 0
+            authorizations[a].append(rule)
+        else:
+            slot = 1 if head.happening.positive else 2
+        if (masks := bodies.get(rule.label)) is not None:
+            entry = (*masks, rule.label, pair_at[3 * a + slot], head.positive,
+                     rule.kind is RuleKind.STRICT)
+            rules.append(entry)
+            slices[a][0].append(entry)
+            relevant[a] |= masks[0] | masks[1]
+            action_of[rule.label] = a
+    prefers = []
+    for rule in gp.rules:
+        if rule.kind is RuleKind.PREFERENCE and rule.preferred in bodies:
+            prefers.append(entry := (*bodies[rule.preferred], rule.dispreferred))
+            if (a := action_of.get(rule.dispreferred)) is not None:
+                slices[a][1].append(entry)
+                relevant[a] |= entry[0] | entry[1]
+    actions = []
+    for a, auth in enumerate(authorizations):
+        mentioned = sum({bits.get(lit.atom, 0) for rule in auth for lit in rule.condition})
+        relevant[a] |= mentioned
+        actions.append((*pair_at[3 * a : 3 * a + 3], tuple(auth), mentioned))
     exec_conditions = tuple(
         (*masks, action_index[constraint.action])
         for constraint in gp.exec_constraints
@@ -224,8 +219,8 @@ def _build_index(gp: GroundPolicy) -> Index:
     return Index(
         bits=bits,
         pairs=pairs,
-        rules=rules,
-        prefers=prefers,
+        rules=tuple(rules),
+        prefers=tuple(prefers),
         actions=tuple(actions),
         slices=tuple((tuple(own), tuple(defeats)) for own, defeats in slices),
         relevant=tuple(relevant),

@@ -11,6 +11,7 @@ and constraints are int masks from the ground policy's index
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Iterator
 
 from .diagnostics import Diagnostic, Severity
@@ -44,10 +45,9 @@ def satisfies_constraints(gp: GroundPolicy, state: WorldState | int) -> bool:
 def check_pins(gp: GroundPolicy, pins: Iterable[Literal]) -> list[Diagnostic]:
     """Validate pin literals: known state atoms, no contradictions."""
     out: list[Diagnostic] = []
-    state_atoms = set(gp.state_atoms)
     signs: dict[Atom, bool] = {}
     for pin in pins:
-        if pin.atom not in state_atoms:
+        if pin.atom not in gp.index.bits:
             out.append(
                 Diagnostic(Severity.ERROR, f"pin atom {pin.atom} is not a state atom")
             )
@@ -97,26 +97,37 @@ def enumerate_states(
     the most significant bit, so the all-false assignment of unpinned atoms
     comes first and the last declared atom varies fastest.  Assignments are
     int masks checked by ``satisfies_constraints``; only an accepted one
-    becomes a WorldState.  Contradictory or unknown pins yield an empty
-    stream; call check_pins to get the diagnostics.
+    becomes a WorldState, with its ``mask`` set.  Contradictory or unknown
+    pins yield an empty stream; call check_pins to get the diagnostics.
     """
     pins = list(pins)
     if check_pins(gp, pins):
         return
     bits = gp.index.bits
     signs = {pin.atom: pin.positive for pin in pins}
-    free = sum(bits[a] for a in gp.state_atoms if a not in signs)
-    pinned = sum(bits[a] for a, positive in signs.items() if positive)
-    count = 0
-    while True:
-        mask = pinned | count
-        if satisfies_constraints(gp, mask):
-            true_atoms = frozenset(a for a, bit in bits.items() if mask & bit)
-            yield WorldState(gp.state_atoms, true_atoms)
-        if count == free:
-            return
-        # The next submask of ``free``: add one with the pinned bits skipped.
-        count = (count - free) & free
+    # The policy's own atoms, so that set unions reuse their stored hashes.
+    pinned = frozenset(atom for atom in gp.state_atoms if signs.get(atom))
+    pinned_mask = sum(bits[atom] for atom in pinned)
+    free = [atom for atom in reversed(gp.state_atoms) if atom not in signs]
+    # Per 8 unpinned atoms, least significant first, every sub-assignment as
+    # (mask bits, true atoms) in increasing mask order, built by doubling.
+    tables = []
+    for start in range(0, len(free), 8):
+        table = [(0, frozenset())]
+        for atom in free[start : start + 8]:
+            bit, one = bits[atom], frozenset((atom,))
+            table += [(mask | bit, atoms | one) for mask, atoms in table]
+        tables.append(table)
+    low, *high = tables or [[(0, frozenset())]]
+    for chunks in product(*reversed(high)):
+        high_mask = pinned_mask + sum(mask for mask, _ in chunks)
+        high_atoms = pinned.union(*(atoms for _, atoms in chunks))
+        for mask, atoms in low:
+            mask |= high_mask
+            if satisfies_constraints(gp, mask):
+                state = WorldState(gp.state_atoms, high_atoms | atoms)
+                state.__dict__["mask"] = mask
+                yield state
 
 
 def parse_pins(texts: Iterable[str]) -> list[Literal]:

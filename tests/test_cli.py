@@ -1,9 +1,14 @@
 """End-to-end command line behavior via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aopl_lint
 from aopl_lint import parse_json
 from aopl_lint.cli import main
 
@@ -121,6 +126,51 @@ class TestAnalyze:
         monkeypatch.setattr("aopl_lint.cli.sweep", broken)
         with pytest.raises(ValueError, match="internal"):
             main(["analyze", DOM, STRICT])
+
+
+SRC = Path(aopl_lint.__file__).resolve().parent.parent
+
+
+def run_child(*argv: str) -> subprocess.CompletedProcess:
+    """Python in a fresh process that imports this package."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+class TestProcessExitCodes:
+    def test_findings_exit_one_from_the_module_entry_point(self):
+        done = run_child("-m", "aopl_lint.cli", "analyze", DOM, STRICT)
+        assert done.returncode == 1
+        assert "states examined: 16" in done.stdout
+
+    def test_bad_input_exits_two_from_the_module_entry_point(self):
+        done = run_child("-m", "aopl_lint.cli", "analyze", "--pin", "ghost", DOM, STRICT)
+        assert done.returncode == 2
+        assert "not a state atom" in done.stderr
+
+    def test_internal_error_exits_three_with_its_traceback(self):
+        # Runs the module as ``-m`` does, after breaking the sweep it imports.
+        code = (
+            "import runpy, sys\n"
+            "import aopl_lint.analysis\n"
+            "def broken(*args, **kwargs):\n"
+            "    raise ValueError('internal')\n"
+            "aopl_lint.analysis.sweep = broken\n"
+            "sys.argv = ['aopl-lint', 'analyze', *sys.argv[1:]]\n"
+            "runpy.run_module('aopl_lint.cli', run_name='__main__', alter_sys=True)\n"
+        )
+        done = run_child("-c", code, DOM, STRICT)
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert "Traceback (most recent call last)" in done.stderr
+        assert done.stderr.rstrip().endswith("ValueError: internal")
+
+    def test_the_console_script_runs_the_process_entry_point(self):
+        pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+        assert '\naopl-lint = "aopl_lint.cli:run"\n' in pyproject
 
 
 REPORT_GOLDENS = [

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 
 from aopl_lint import (
     Atom,
+    Literal,
     SweepOptions,
     WorldState,
     classify_action,
@@ -266,3 +267,33 @@ def test_enumeration_over_twelve_unpinned_atoms_matches_the_reference():
     assert len(gp.state_atoms) == 12
     assert_same_states(gp)
     assert_same_states(gp, parse_pins(["on_duty(cy,eve)"]))
+
+
+def test_enumeration_over_three_chunks_with_pins_in_every_byte_matches_the_reference():
+    # Five workers give 20 state atoms.  One pin in each byte of the mask
+    # leaves 17 unpinned atoms, so enumeration crosses two chunk boundaries
+    # of 8 unpinned atoms and every chunk skips a pinned bit.
+    base = base_from(
+        (DATA / "shifts.dom")
+        .read_text(encoding="utf-8")
+        .replace("ann, bob", "ann, bob, cy, dee, eve")
+    )
+    gp = base.ground
+    n = len(gp.state_atoms)
+    assert n == 20
+    at = lambda bit: gp.state_atoms[n - 1 - bit]
+    pins = [Literal(at(2), True), Literal(at(11), False), Literal(at(19), True)]
+    assert_same_states(gp, pins)
+
+
+@given(pinned_ground_policy())
+@settings(max_examples=100, deadline=None)
+def test_enumerated_states_carry_their_mask_and_the_policys_own_atoms(case):
+    gp, pins = case
+    # Equal copies of the pinned atoms: the states still hold the policy's objects.
+    copies = [Literal(Atom(pin.atom.predicate, pin.atom.args), pin.positive) for pin in pins]
+    own = {id(atom) for atom in gp.state_atoms}
+    for state in enumerate_states(gp, copies):
+        assert state.mask == gp.index.mask(state)
+        assert state.mask == WorldState(state.universe, state.true_atoms).mask
+        assert all(id(atom) in own for atom in state.true_atoms)
