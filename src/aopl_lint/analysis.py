@@ -25,7 +25,7 @@ from typing import Iterable
 
 from .engine import AmbiguityStats, Outcome, WorldState, factor, factor_rules
 from .model import Atom, Happening, Literal
-from .reify import ReifiedBase
+from .reify import COMPONENT_BITS, ReifiedBase, components
 from .states import DEFAULT_MAX_STATES, check_state_space, enumerate_states
 
 
@@ -90,8 +90,8 @@ class IssueRecord:
         )
 
 
-def _texts(base: ReifiedBase, labels: Iterable[str]) -> tuple[str, ...]:
-    return tuple(base.text_or_print(label) for label in labels)
+def _texts(base: ReifiedBase, labels: Iterable[str], state: WorldState | None) -> tuple[str, ...]:
+    return () if state is None else tuple(base.text_or_print(label) for label in labels)
 
 
 # A finding is a compact tuple led by its kind's index in _KINDS; with the
@@ -184,7 +184,7 @@ def _record(base: ReifiedBase, finding: tuple, state: WorldState | None) -> Issu
             action=action,
             witness_state=state,
             rule_labels=labels,
-            rule_texts=_texts(base, labels),
+            rule_texts=_texts(base, labels, state),
             pairs=tuple((p, f) for p in permitting for f in forbidding),
             stats=None if state is None else _stats(base, state, index.actions[finding[1]][0]),
         )
@@ -203,7 +203,7 @@ def _record(base: ReifiedBase, finding: tuple, state: WorldState | None) -> Issu
             action=action,
             witness_state=state,
             rule_labels=labels,
-            rule_texts=_texts(base, labels),
+            rule_texts=_texts(base, labels, state),
             missing=tuple(missing),
             case=2,
         )
@@ -219,7 +219,7 @@ def _record(base: ReifiedBase, finding: tuple, state: WorldState | None) -> Issu
         action=action,
         witness_state=state,
         rule_labels=labels,
-        rule_texts=_texts(base, labels),
+        rule_texts=_texts(base, labels, state),
         pos_support=index.by_label[r1].condition,
         neg_support=index.by_label[r2].condition if r2 is not None else (),
         urgency=urgency,
@@ -454,8 +454,10 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
     """Run ``detect_state`` over the (pinned) state space and deduplicate.
 
     An action's findings read only its ``Index.relevant`` bits, so they are
-    memoised on those bits unless the bits cover every unpinned one; a memo
-    hit only counts the state and ranks it as the key's witness.
+    memoised on those bits unless the bits cover every unpinned one.  Actions
+    whose bits or exec conditions overlap share a table on their ``components``
+    (split per action above ``COMPONENT_BITS`` bits); an entry holds their
+    findings and counts and ranks its states.
     Sweeping a partition of the state space and merging the results equals
     sweeping the whole space, so callers may split the work freely.
     Pinning every state atom sweeps exactly one state.
@@ -464,13 +466,24 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
     index = base.index
     pinned = {pin.atom for pin in options.pins}
     free = sum(bit for atom, bit in index.bits.items() if atom not in pinned)
-    exec_bits = 0
-    for need, forbid, _ in index.exec_conditions:
-        exec_bits |= need | forbid
-    # Per action, unless its bits cover every free one: [findings, family bitmask,
-    # rank, witness, states] per value of its relevant bits.
-    memos = [{} if relevant & free != free else None for relevant in index.relevant]
-    executable: dict[int, tuple[list, list[int]]] = {}  # memoised and direct, by exec_bits
+    scopes = [relevant & free for relevant in index.relevant]
+    exec_conditions = index.exec_conditions
+    for need, forbid, action in exec_conditions:
+        scopes[action] |= (need | forbid) & free
+    memoised = [a for a, relevant in enumerate(index.relevant) if relevant & free != free]
+    grouped: dict[int, list[int]] = {}
+    for action, component in zip(memoised, components([scopes[a] for a in memoised])):
+        if component.bit_count() > COMPONENT_BITS:
+            component = scopes[action]
+        grouped.setdefault(component, []).append(action)
+    # Per table, with its actions and their exec conditions: [family bitmask,
+    # rank, witness, states, findings of the executable actions] per value of its bits.
+    tables = [
+        (bits, {}, actions, exec_conditions and [c for c in exec_conditions if c[2] in actions])
+        for bits, actions in grouped.items()
+    ]
+    direct = len(memoised) < len(scopes)  # some action's bits cover every unpinned one
+    found: dict[tuple[int, int], tuple[list, int]] = {}  # findings, families per relevant bits
     accum: _Accumulator = {}  # keyed by compact finding; each is one record key
     family_ids: dict[tuple, int] = {}
     family_of: dict[tuple, int] = {}  # compact finding -> family id
@@ -491,31 +504,39 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
         states_examined += 1
         mask = state.mask
         rank = mask.bit_count()
-        split = executable.get(mask & exec_bits)
-        if split is None:
-            actions = index.executable(mask)
-            split = executable[mask & exec_bits] = (
-                [(a, memos[a], index.relevant[a]) for a in actions if memos[a] is not None],
-                [a for a in actions if memos[a] is None],
-            )
         seen = 0
-        for action, memo, relevant in split[0]:
-            entry = memo.get(mask & relevant)
+        for bits, table, actions, conditions in tables:
+            entry = table.get(mask & bits)
             if entry is None:
-                findings = detect_state(base, mask, (action,))
-                entry = memo[mask & relevant] = [findings, families(findings), rank, state, 0]
-            elif rank < entry[2] or (rank == entry[2] and str(state) < str(entry[3])):
-                entry[2:4] = rank, state
-            entry[4] += 1
-            seen |= entry[1]
-        if split[1]:
-            findings = detect_state(base, mask, split[1])
-            for finding in findings:
-                _accumulate(accum, finding, state, state, 1)
-            seen |= families(findings)
+                entry = table[mask & bits] = [0, rank, state, 0, []]
+                blocked = conditions and [
+                    a for need, forbid, a in conditions if mask & need == need and not mask & forbid
+                ]
+                for action in actions:
+                    if action in blocked:
+                        continue
+                    key = action, mask & index.relevant[action]
+                    if key not in found:
+                        findings = detect_state(base, mask, (action,))
+                        found[key] = findings, families(findings)
+                    findings, fired = found[key]
+                    entry[0] |= fired
+                    entry[4] += findings
+            elif rank < entry[1] or (rank == entry[1] and str(state) < str(entry[2])):
+                entry[1:3] = rank, state
+            entry[3] += 1
+            seen |= entry[0]
+        if direct:
+            actions = [a for a in index.executable(mask) if index.relevant[a] & free == free]
+            if actions:
+                findings = detect_state(base, mask, actions)
+                for finding in findings:
+                    _accumulate(accum, finding, state, state, 1)
+                seen |= families(findings)
         seen_counts[seen] = seen_counts.get(seen, 0) + 1
-    for memo in filter(None, memos):
-        for findings, _, _, witness, states in memo.values():
+    # The smallest witness over a partition of a finding's states is the smallest overall.
+    for _, table, _, _ in tables:
+        for _, _, witness, states, findings in table.values():
             for finding in findings:
                 _accumulate(accum, finding, witness, witness, states)
     family_counts = [0] * len(family_ids)

@@ -48,9 +48,11 @@ class Index:
     ``relevant`` holds, per ground action, every state bit its findings
     read: the bodies in its slice and its authorization bits.
     ``exec_conditions`` holds (masks, action index).  ``constraints`` holds
-    (body masks, head masks) per state constraint whose body can hold and
-    whose head can fail; a missing or unsatisfiable head needs a bit past
-    the last state atom, so it never holds.  ``by_label`` maps each label to
+    the state constraints whose body can hold and whose head can fail, split
+    into ``components`` of the bits they read: per component, its mask and
+    the sub-masks it accepts, as a frozenset for at most ``CHUNK_BITS`` bits
+    and else as ``ConstraintChecks``, where a missing or unsatisfiable head
+    needs a bit past the last state atom.  ``by_label`` maps each label to
     its ground rule.
     """
 
@@ -62,7 +64,7 @@ class Index:
     slices: tuple[tuple[tuple, tuple], ...]
     relevant: tuple[int, ...]
     exec_conditions: tuple[tuple[int, int, int], ...]
-    constraints: tuple[tuple[int, int, int, int], ...]
+    constraints: tuple[tuple[int, frozenset[int] | ConstraintChecks], ...]
     by_label: dict[str, GroundRule]
     sort_facts: frozenset[Atom]
 
@@ -150,6 +152,38 @@ def _body_masks(
     return need, forbid
 
 
+# Enumeration and the constraint tables take this many bits at a time.
+CHUNK_BITS = 8
+# A sweep table holds an entry per value of its bits, so wider components are split.
+COMPONENT_BITS = 10
+
+
+def components(masks: list[int]) -> list[int]:
+    """Each mask's component: the union of the masks linked to it by shared bits, or 0."""
+    owner: dict[int, int] = {}  # each bit's component so far
+    for mask in dict.fromkeys(masks):
+        joined = rest = mask
+        while rest:
+            joined |= owner.get(rest & -rest, 0)
+            rest &= rest - 1
+        rest = joined
+        while rest:
+            owner[rest & -rest] = joined
+            rest &= rest - 1
+    return [owner.get(mask & -mask, 0) for mask in masks]
+
+
+class ConstraintChecks(tuple):
+    """(body masks, head masks) per constraint: holds a state each body fails or head holds in."""
+
+    def __contains__(self, state: object) -> bool:
+        return all(
+            state & need != need or state & forbid
+            or (state & hneed == hneed and not state & hforbid)
+            for need, forbid, hneed, hforbid in self
+        )
+
+
 def state_bits(universe: tuple[Atom, ...]) -> dict[Atom, int]:
     """Each state atom's bit in a state's int mask; see ``Index``."""
     return {atom: 1 << i for i, atom in enumerate(reversed(universe))}
@@ -210,12 +244,23 @@ def _build_index(gp: GroundPolicy) -> Index:
         if (masks := _body_masks(constraint.condition, bits, sort_facts)) is not None
     )
     never = 1 << len(bits)
-    constraints = []
+    checks = []
     for constraint in gp.state_constraints:
         body = _body_masks(constraint.body, bits, sort_facts)
         head = constraint.head and _body_masks((constraint.head,), bits, sort_facts)
         if body is not None and head != (0, 0):
-            constraints.append((*body, *(head or (never, 0))))
+            checks.append((*body, *(head or (never, 0))))
+    # The state bits each constraint reads: its masks without the never bit.
+    component_of = components([(c[0] | c[1] | c[2] | c[3]) % never for c in checks])
+    constraints = []
+    for component in dict.fromkeys(component_of):
+        group = ConstraintChecks(check for check, c in zip(checks, component_of) if c == component)
+        if component.bit_count() <= CHUNK_BITS:
+            subs = [0]  # every sub-mask, in increasing order
+            while subs[-1] != component:
+                subs.append((subs[-1] - component) & component)
+            group = frozenset(sub for sub in subs if sub in group)
+        constraints.append((component, group))
     return Index(
         bits=bits,
         pairs=pairs,

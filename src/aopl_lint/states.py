@@ -4,14 +4,13 @@ States are complete truth assignments over the ground static and fluent
 atoms, filtered by the domain's state constraints.  Exhaustive enumeration is
 exponential, so callers can pin atoms to carve out a slice and must size the
 remainder with ``state_space_size`` before iterating blindly.  Assignments
-and constraints are int masks from the ground policy's index
-(``reify.Index``), which also filters a state's executable actions
-(``Index.executable``).
+are int masks over the ground policy's index (``reify.Index``), which holds
+the constraints as tables of the sub-masks each component of them accepts,
+and also filters a state's executable actions (``Index.executable``).
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterable, Iterator
 
 from .diagnostics import Diagnostic, Severity
@@ -19,6 +18,7 @@ from .engine import WorldState
 from .grounding import GroundPolicy
 from .model import Atom, Literal
 from .parser import parse_ground_literal
+from .reify import CHUNK_BITS
 
 DEFAULT_MAX_STATES = 1 << 20
 
@@ -30,15 +30,14 @@ def satisfies_constraints(gp: GroundPolicy, state: WorldState | int) -> bool:
     reads the assignment as a binary numeral in declaration order:
     ``gp.state_atoms[i]`` is bit ``n - 1 - i``, so the first declared atom is
     the most significant.  ``gp.index.mask(state)`` builds it; see
-    ``reify.Index``.
+    ``reify.Index`` for the constraint tables.
     """
     index = gp.index
     if not isinstance(state, int):
         state = index.mask(state)
-    for need, forbid, head_need, head_forbid in index.constraints:
-        if state & need == need and not state & forbid:
-            if state & head_need != head_need or state & head_forbid:
-                return False
+    for component, accepted in index.constraints:
+        if state & component not in accepted:
+            return False
     return True
 
 
@@ -109,20 +108,19 @@ def enumerate_states(
     pinned = frozenset(atom for atom in gp.state_atoms if signs.get(atom))
     pinned_mask = sum(bits[atom] for atom in pinned)
     free = [atom for atom in reversed(gp.state_atoms) if atom not in signs]
-    # Per 8 unpinned atoms, least significant first, every sub-assignment as
-    # (mask bits, true atoms) in increasing mask order, built by doubling.
-    tables = []
-    for start in range(0, len(free), 8):
-        table = [(0, frozenset())]
-        for atom in free[start : start + 8]:
-            bit, one = bits[atom], frozenset((atom,))
-            table += [(mask | bit, atoms | one) for mask, atoms in table]
-        tables.append(table)
-    low, *high = tables or [[(0, frozenset())]]
-    for chunks in product(*reversed(high)):
-        high_mask = pinned_mask + sum(mask for mask, _ in chunks)
-        high_atoms = pinned.union(*(atoms for _, atoms in chunks))
-        for mask, atoms in low:
+    low, high = free[:CHUNK_BITS], free[CHUNK_BITS:]
+    # Every sub-assignment of the lowest unpinned atoms as (mask bits, true
+    # atoms) in increasing mask order, built by doubling; a counter over the
+    # other unpinned atoms, least significant first, gives the high part.
+    table = [(0, frozenset())]
+    for atom in low:
+        bit, one = bits[atom], frozenset((atom,))
+        table += [(mask | bit, atoms | one) for mask, atoms in table]
+    for count in range(1 << len(high)):
+        chosen = [atom for i, atom in enumerate(high) if count >> i & 1]
+        high_mask = pinned_mask + sum(bits[atom] for atom in chosen)
+        high_atoms = pinned.union(chosen)
+        for mask, atoms in table:
             mask |= high_mask
             if satisfies_constraints(gp, mask):
                 state = WorldState(gp.state_atoms, high_atoms | atoms)

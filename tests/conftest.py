@@ -91,3 +91,55 @@ def tied_by_constraint():
         "rule r3: normally !permitted(stay) if q.\n"
         "prefer x1: r1 > r3.\n"
     )
+
+
+@pytest.fixture(scope="session")
+def tied_across_components():
+    # Each thing's p and q form a component, and at least one of them holds,
+    # so each component's fewest true atoms tie between {p} and {q}.  go(a)'s
+    # gap with p(a) alone is first seen with q(b), and p(b) wins it on text.
+    return base_from(
+        "sorts thing: a, b.\nfluent p(thing). fluent q(thing).\naction go(thing).\n"
+        "constraint q(X) if !p(X).\n"
+        "rule r1: permitted(go(X)) if p(X), q(X).\n"
+    )
+
+
+@pytest.fixture(scope="session")
+def joined_by_exec():
+    # go's rule reads f and stay's reads g; go cannot be done when f and g
+    # hold, which joins them in one component.  No action reads h, but g or
+    # h holds, so go's gap ties {h} and {g} from two entries of the
+    # component, and {g} wins on text though {h} comes first.
+    return base_from(
+        "fluent f. fluent g. fluent h.\naction go. action stay.\n"
+        "constraint h if !g.\n"
+        "impossible_exec go if f, g.\n"
+        "rule r1: permitted(go) if f.\n"
+        "rule r2: permitted(stay) if g.\n"
+    )
+
+
+@pytest.fixture(scope="session")
+def pinned_away():
+    # No rule reads a bit about idle, and pinning k leaves none of go's bits
+    # free: both are components of no bits.
+    return base_from(
+        "fluent k. fluent f. fluent h.\naction go. action stay. action idle.\n"
+        "rule r1: permitted(go) if k.\n"
+        "rule r2: normally permitted(stay) if f.\n"
+        "rule r3: normally !permitted(stay) if f.\n"
+    )
+
+
+@pytest.fixture(scope="session")
+def chained():
+    # x, y and z read overlapping pairs of bits, and z's executability reads
+    # p: one component spans every unpinned bit, even with p pinned.
+    return base_from(
+        "fluent p. fluent q. fluent r. fluent s.\naction x. action y. action z.\n"
+        "impossible_exec z if p.\n"
+        "rule r1: permitted(x) if p, !q.\n"
+        "rule r2: permitted(y) if q, !r.\n"
+        "rule r3: permitted(z) if r, !s.\n"
+    )

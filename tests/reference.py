@@ -16,8 +16,14 @@ where this sweep keeps their sets; the tests require both to give the same
 states, findings, witnesses, families and verdicts, and each package count
 to equal the size of the matching set here.  The grounder at the end instantiates rules, preferences and
 constraints in separate loops with their own sort inference; the package's
-``ground`` must give an equal ground policy.  Nothing here reads a private
-name of the package.
+``ground`` must give an equal ground policy.
+
+Two references work on the package's own integer forms instead: the
+constraint check that tests one constraint's masks at a time, where the
+package looks up per-component tables, and ``per_action_sweep``, the
+package's sweep before it memoised whole bit components, which keeps one
+memo per action and reads the package's private finding helpers.  Nothing
+else here reads a private name of the package.
 """
 
 from __future__ import annotations
@@ -26,14 +32,17 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
+from aopl_lint import analysis
 from aopl_lint.analysis import (
     KIND_ORDER,
     AuthorizationClass,
     Compliance,
     FamilyRecord,
+    InstanceRecord,
     IssueKind,
     IssueRecord,
     SweepOptions,
+    SweepResult,
 )
 from aopl_lint.engine import AmbiguityStats, WorldState, factor, state_literals
 from aopl_lint.diagnostics import has_errors
@@ -75,6 +84,46 @@ def satisfies_constraints(gp: GroundPolicy, state: WorldState) -> bool:
             return False
         if not _satisfies(state, constraint.head, sort_facts):
             return False
+    return True
+
+
+def constraint_checks(gp: GroundPolicy) -> list[tuple[int, int, int, int]]:
+    """(body masks, head masks) over ``gp.index.bits`` per state constraint.
+
+    A body with a sort atom that is false, or a head with one that is true,
+    drops the constraint; a missing or false head needs a bit past the last
+    state atom, so it never holds.
+    """
+    bits, sort_facts = gp.index.bits, frozenset(gp.sort_facts)
+    never = 1 << len(bits)
+
+    def masks(literals: Iterable[Literal]) -> tuple[int, int] | None:
+        need = forbid = 0
+        for lit in literals:
+            if lit.atom not in bits:
+                if lit.positive != (lit.atom in sort_facts):
+                    return None
+            elif lit.positive:
+                need |= bits[lit.atom]
+            else:
+                forbid |= bits[lit.atom]
+        return need, forbid
+
+    checks = []
+    for constraint in gp.state_constraints:
+        body = masks(constraint.body)
+        head = masks((constraint.head,)) if constraint.head else None
+        if body is not None and head != (0, 0):
+            checks.append((*body, *(head or (never, 0))))
+    return checks
+
+
+def satisfies_constraint_checks(gp: GroundPolicy, state: int) -> bool:
+    """The constraint check on an int mask, one constraint at a time."""
+    for need, forbid, head_need, head_forbid in constraint_checks(gp):
+        if state & need == need and not state & forbid:
+            if state & head_need != head_need or state & head_forbid:
+                return False
     return True
 
 
@@ -639,6 +688,90 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SetSweep
                 _accumulate(accum, record, seen_in, rank)
 
     return _result(accum, states_examined)
+
+
+def per_action_sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepResult:
+    """The package's sweep with one memo per action and no components.
+
+    An action's findings are memoised on its ``Index.relevant`` bits unless
+    they cover every unpinned bit; a memo hit counts the state and ranks it
+    as the key's witness, once per state and executable action.  It calls
+    ``analysis.detect_state`` through the module, so a test may count calls.
+    """
+    check_state_space(base.ground, options.pins, options.max_states)
+    index = base.index
+    pinned = {pin.atom for pin in options.pins}
+    free = sum(bit for atom, bit in index.bits.items() if atom not in pinned)
+    exec_bits = 0
+    for need, forbid, _ in index.exec_conditions:
+        exec_bits |= need | forbid
+    # Per action, unless its bits cover every free one: [findings, family bitmask,
+    # rank, witness, states] per value of its relevant bits.
+    memos = [{} if relevant & free != free else None for relevant in index.relevant]
+    executable: dict[int, tuple[list, list[int]]] = {}  # memoised and direct, by exec_bits
+    accum: dict = {}  # keyed by compact finding; each is one record key
+    family_ids: dict[tuple, int] = {}
+    family_of: dict[tuple, int] = {}  # compact finding -> family id
+    seen_counts: dict[int, int] = {}  # states per set of families fired, as a bitmask
+
+    def families(findings: list[tuple]) -> int:
+        fired = 0
+        for finding in findings:
+            if finding not in family_of:
+                key = analysis._family_key(analysis._record(base, finding, None))
+                family_of[finding] = family_ids.setdefault(key, len(family_ids))
+            fired |= 1 << family_of[finding]
+        return fired
+
+    states_examined = 0
+    for state in analysis.enumerate_states(base.ground, options.pins):
+        states_examined += 1
+        mask = state.mask
+        rank = mask.bit_count()
+        split = executable.get(mask & exec_bits)
+        if split is None:
+            actions = index.executable(mask)
+            split = executable[mask & exec_bits] = (
+                [(a, memos[a], index.relevant[a]) for a in actions if memos[a] is not None],
+                [a for a in actions if memos[a] is None],
+            )
+        seen = 0
+        for action, memo, relevant in split[0]:
+            entry = memo.get(mask & relevant)
+            if entry is None:
+                findings = analysis.detect_state(base, mask, (action,))
+                entry = memo[mask & relevant] = [findings, families(findings), rank, state, 0]
+            elif rank < entry[2] or (rank == entry[2] and str(state) < str(entry[3])):
+                entry[2:4] = rank, state
+            entry[4] += 1
+            seen |= entry[1]
+        if split[1]:
+            findings = analysis.detect_state(base, mask, split[1])
+            for finding in findings:
+                analysis._accumulate(accum, finding, state, state, 1)
+            seen |= families(findings)
+        seen_counts[seen] = seen_counts.get(seen, 0) + 1
+    for memo in filter(None, memos):
+        for findings, _, _, witness, states in memo.values():
+            for finding in findings:
+                analysis._accumulate(accum, finding, witness, witness, states)
+    family_counts = [0] * len(family_ids)
+    for seen, states in seen_counts.items():
+        for i in range(seen.bit_length()):
+            family_counts[i] += states * (seen >> i & 1)
+
+    instances = sorted(
+        (
+            InstanceRecord(record=analysis._record(base, finding, witness), state_count=states)
+            for finding, (witness, _, states, _) in accum.items()
+        ),
+        key=lambda instance: instance.record.key(),
+    )
+    return SweepResult(
+        instances=tuple(instances),
+        states_examined=states_examined,
+        family_counts=tuple(sorted((key, family_counts[i]) for key, i in family_ids.items())),
+    )
 
 
 def _strip_binding(label: str) -> str:

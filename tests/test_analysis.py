@@ -29,6 +29,7 @@ from aopl_lint import (
     state_space_size,
     sweep,
 )
+from aopl_lint.analysis import COMPONENT_BITS
 from aopl_lint.states import parse_pins
 
 import reference
@@ -499,6 +500,35 @@ class TestSweep:
             return peak
 
         small, large = peak(10), peak(14)
+        assert large < 2 * small, (small, large)
+
+    @pytest.mark.parametrize("unread", [0, 1])
+    def test_sweep_memory_does_not_grow_with_a_chain_of_actions(self, unread):
+        # x_i reads p_i and p_(i+1), so one component joins every p_i: all
+        # the unpinned bits, or all but the fluents no rule reads.  Above
+        # COMPONENT_BITS bits each action keeps its own table of four
+        # entries.  Every x_i is permitted in every state: no finding.
+        def peak(atoms: int) -> int:
+            text = "".join(f"fluent p{i}.\n" for i in range(atoms))
+            text += "".join(f"fluent unread{i}.\n" for i in range(unread))
+            for i in range(atoms - 1):
+                text += (
+                    f"action x{i}.\nrule a{i}: permitted(x{i}) if p{i}, p{i + 1}.\n"
+                    f"rule b{i}: permitted(x{i}) if !p{i}.\n"
+                    f"rule c{i}: permitted(x{i}) if !p{i + 1}.\n"
+                )
+            base = base_from(text)
+            base.index
+            tracemalloc.start()
+            try:
+                result = sweep(base)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.instances == () and result.states_examined == 1 << atoms + unread
+            return peak
+
+        small, large = peak(COMPONENT_BITS + 1), peak(COMPONENT_BITS + 4)
         assert large < 2 * small, (small, large)
 
     def test_independent_ambiguities_are_counted_without_models(self):

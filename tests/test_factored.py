@@ -2,6 +2,7 @@
 against the reference."""
 
 import importlib
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from aopl_lint import (
     Atom,
     Literal,
+    StateConstraint,
     SweepOptions,
     WorldState,
     classify_action,
@@ -26,7 +28,9 @@ from aopl_lint import (
     satisfies_constraints,
     sweep,
 )
-from aopl_lint.states import parse_pins
+from aopl_lint import analysis
+from aopl_lint.reify import components
+from aopl_lint.states import check_pins, parse_pins
 
 import reference
 from corpus import corpus
@@ -43,6 +47,10 @@ FIXTURES = [
     "blocked_elsewhere",
     "tied_by_exec",
     "tied_by_constraint",
+    "tied_across_components",
+    "joined_by_exec",
+    "pinned_away",
+    "chained",
 ]
 
 
@@ -57,6 +65,7 @@ def assert_same_sweep(base, options=SweepOptions()):
         families.setdefault(reference._family_key(instance.record), set()).update(instance.states)
     assert got.family_counts == tuple(sorted((k, len(v)) for k, v in families.items()))
     assert collapse_families(got) == reference.collapse_families(want)
+    assert got == reference.per_action_sweep(base, options)
 
 
 # An action no ground policy declares; the detectors and classifiers still take it.
@@ -153,6 +162,135 @@ def test_a_memo_key_witness_tie_is_broken_by_text(fixture, request):
     assert str(gap.witness_state) == "{p}"
 
 
+def sweep_components(base, pins=()) -> dict[int, list[str]]:
+    """The memoised actions per component of the bits their findings and executability read."""
+    index = base.index
+    pinned = {pin.atom for pin in pins}
+    free = sum(bit for atom, bit in index.bits.items() if atom not in pinned)
+    scopes = [relevant & free for relevant in index.relevant]
+    for need, forbid, action in index.exec_conditions:
+        scopes[action] |= (need | forbid) & free
+    memoised = [a for a, relevant in enumerate(index.relevant) if relevant & free != free]
+    grouped: dict[int, list[str]] = {}
+    for a, component in zip(memoised, components([scopes[a] for a in memoised])):
+        grouped.setdefault(component, []).append(str(base.ground.action_atoms[a]))
+    return grouped
+
+
+def test_the_component_fixtures_have_the_components_they_claim(
+    tied_across_components, joined_by_exec, pinned_away, chained
+):
+    bit = lambda base, name: base.index.bits[Atom(name)]
+    tied = sweep_components(tied_across_components)
+    assert sorted(tied.values()) == [["go(a)"], ["go(b)"]]
+    assert all(component.bit_count() == 2 for component in tied)
+    joined = sweep_components(joined_by_exec)
+    assert joined == {bit(joined_by_exec, "f") | bit(joined_by_exec, "g"): ["go", "stay"]}
+    assert sweep_components(pinned_away)[0] == ["idle"]
+    pins = tuple(parse_pins(["!k"]))
+    assert sweep_components(pinned_away, pins)[0] == ["go", "idle"]
+    for pins in ((), tuple(parse_pins(["!p"]))):
+        pinned = {pin.atom for pin in pins}
+        free = sum(b for atom, b in chained.index.bits.items() if atom not in pinned)
+        assert sweep_components(chained, pins) == {free: ["x", "y", "z"]}
+
+
+def test_components_join_masks_that_share_bits():
+    assert components([]) == []
+    assert components([0b1, 0b10, 0, 0b11000, 0b1000]) == [0b1, 0b10, 0, 0b11000, 0b11000]
+    # The last mask links the first two through bits 0 and 2.
+    assert components([0b1, 0b100, 0b10000, 0b101]) == [0b101, 0b101, 0b10000, 0b101]
+
+
+@given(domain_and_policy())
+@settings(max_examples=100, deadline=None)
+def test_sweep_matches_the_per_action_sweep_on_generated_policies(pair):
+    base = reify(ground(*pair))
+    assume(len(base.ground.state_atoms) <= 8)
+    assert sweep(base) == reference.per_action_sweep(base)
+
+
+@given(pinned_ground_policy(max_state_atoms=8))
+@settings(max_examples=100, deadline=None)
+def test_sweep_matches_the_per_action_sweep_under_pins(case):
+    gp, pins = case
+    assume(not check_pins(gp, pins))
+    base = reify(gp)
+    options = SweepOptions(pins=tuple(pins))
+    assert sweep(base, options) == reference.per_action_sweep(base, options)
+
+
+MISSION_POLICY = """
+rule s1: !permitted(assume_comm(C,M)) if authorized(C,M).
+rule s2: permitted(assume_comm(C,M)) if colonel(C).
+rule d1: normally permitted(authorize_comm(C,M)) if colonel(C).
+rule d2: normally !permitted(authorize_comm(C,M)) if observer(C).
+rule o1: obl(assume_comm(C,M)) if ordered_by_superior(C,M).
+"""
+
+
+def test_sweep_matches_the_per_action_sweep_on_mission_two_by_three():
+    # Two commanders and three missions give 16 state atoms in two
+    # components of 8 bits, one per commander: 65,536 states.
+    domain = (DATA / "mission.dom").read_text(encoding="utf-8")
+    domain = domain.replace("commander: c.", "commander: c, d.")
+    domain = domain.replace("mission: m.", "mission: m, n, o.")
+    base = base_from(domain + MISSION_POLICY)
+    assert len(base.ground.state_atoms) == 16
+    assert sorted(c.bit_count() for c in sweep_components(base)) == [8, 8]
+    got = sweep(base)
+    assert got.states_examined == 1 << 16
+    assert got == reference.per_action_sweep(base)
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_sweep_detects_as_often_as_the_per_action_sweep(fixture, split, request, monkeypatch):
+    # Split, each component of one bit or more gets a table per action's bits.
+    base = request.getfixturevalue(fixture)
+    calls = []
+    original = analysis.detect_state
+
+    def counting(base, state, actions):
+        calls.append((state, tuple(actions)))
+        return original(base, state, actions)
+
+    monkeypatch.setattr(analysis, "detect_state", counting)
+    if split:
+        monkeypatch.setattr(analysis, "COMPONENT_BITS", 0)
+    first = base.ground.state_atoms[0]
+    for options in (SweepOptions(), SweepOptions(pins=tuple(parse_pins([f"!{first}"])))):
+        got = sweep(base, options)
+        ours = sorted(calls)
+        calls.clear()
+        assert got == reference.per_action_sweep(base, options)
+        assert ours == sorted(calls)
+        calls.clear()
+
+
+def test_a_witness_tie_across_component_entries_is_broken_by_text(joined_by_exec):
+    base = joined_by_exec
+    gp = base.ground
+    assert base.index.mask(make_state(gp, "h")) < base.index.mask(make_state(gp, "g"))
+    [gap] = [i.record for i in sweep(base).instances if str(i.record.action) == "go"]
+    assert str(gap.witness_state) == "{g}"
+
+
+def test_a_witness_tie_across_components_is_broken_by_text(tied_across_components):
+    # go(a)'s gap with p(a) alone is first seen in {p(a), q(b)}; b's
+    # component ties it with {p(a), p(b)}, which comes later in mask order.
+    base = tied_across_components
+    gp = base.ground
+    first, later = make_state(gp, "p(a)", "q(b)"), make_state(gp, "p(a)", "p(b)")
+    assert base.index.mask(first) < base.index.mask(later)
+    [gap] = [
+        i.record
+        for i in sweep(base).instances
+        if str(i.record.action) == "go(a)" and str(i.record.missing[0][1][0]) == "q(a)"
+    ]
+    assert gap.witness_state == later
+
+
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_detectors_match_the_reference_on_every_state(fixture, request):
     base = request.getfixturevalue(fixture)
@@ -218,6 +356,7 @@ def assert_same_filters(gp):
         verdict = reference.satisfies_constraints(gp, state)
         assert satisfies_constraints(gp, state) is verdict, str(state)
         assert satisfies_constraints(gp, mask) is verdict, str(state)
+        assert reference.satisfies_constraint_checks(gp, mask) is verdict, str(state)
         assert executable_actions(gp, state) == reference.executable_actions(gp, state)
 
 
@@ -297,3 +436,51 @@ def test_enumerated_states_carry_their_mask_and_the_policys_own_atoms(case):
         assert state.mask == gp.index.mask(state)
         assert state.mask == WorldState(state.universe, state.true_atoms).mask
         assert all(id(atom) in own for atom in state.true_atoms)
+
+
+def assert_same_constraint_checks(gp):
+    """The constraint tables against one constraint at a time, on every mask."""
+    for mask in range(1 << len(gp.state_atoms)):
+        assert satisfies_constraints(gp, mask) is reference.satisfies_constraint_checks(gp, mask)
+
+
+@given(pinned_ground_policy(max_state_atoms=8))
+@settings(max_examples=200, deadline=None)
+def test_constraint_tables_match_the_per_constraint_check_on_generated_policies(case):
+    assert_same_constraint_checks(case[0])
+
+
+def test_constraint_tables_cover_every_kind_of_constraint():
+    # f(t0) .. f(t9) chain into one component of 10 bits, above the table
+    # cap.  Beside it: a headless constraint on g and h, or a body of sort
+    # atoms alone on h and a head that can never hold on g.
+    constants = ", ".join(f"t{i}" for i in range(10))
+    chain = "".join(f"constraint f(t{i + 1}) if f(t{i}).\n" for i in range(9))
+    domain = f"sorts n: {constants}.\nfluent f(n). fluent g. fluent h.\naction go.\n" + chain
+    never = StateConstraint((Literal(Atom("g"), True),), Literal(Atom("n", ("u",)), True))
+    cases = [
+        ("", (), []),
+        ("impossible g, !h.\n", (), [2]),
+        ("constraint h if n(t0).\n", (never,), [1, 1]),
+    ]
+    for extra, added, small in cases:
+        gp = base_from(domain + extra).ground
+        gp = replace(gp, state_constraints=gp.state_constraints + added)
+        tables = [c for c in gp.index.constraints if isinstance(c[1], frozenset)]
+        [(wide, checks)] = [c for c in gp.index.constraints if c not in tables]
+        assert wide.bit_count() == 10 and len(checks) == 9
+        assert sorted(component.bit_count() for component, _ in tables) == small
+        assert_same_constraint_checks(gp)
+    assert gp.sort_facts == (Atom("n", ("t0",)),)
+
+
+def test_constraint_tables_of_the_shift_rota():
+    # Three workers: 12 constraints in three components of 4 bits, each
+    # accepting 7 of its 16 sub-masks.
+    base = base_from(
+        (DATA / "shifts.dom").read_text(encoding="utf-8").replace("ann, bob", "ann, bob, cy")
+    )
+    tables = base.index.constraints
+    assert all(isinstance(valid, frozenset) for _, valid in tables)
+    assert sorted((c.bit_count(), len(valid)) for c, valid in tables) == [(4, 7)] * 3
+    assert_same_constraint_checks(base.ground)

@@ -74,6 +74,21 @@ class TestEnumeration:
         assert str(first) == "{}"
         assert peak < 1 << 20
 
+    def test_first_state_of_a_wider_space_needs_one_chunk_table(self):
+        # Only the lowest 8 unpinned atoms get a table; the other 72 give
+        # the high part of each state from a counter.
+        constants = ", ".join(f"t{i}" for i in range(80))
+        gp = base_from(f"sorts thing: {constants}.\nfluent f(thing).\naction go.\n").ground
+        assert state_space_size(gp) == 1 << 80
+        tracemalloc.start()
+        try:
+            first = next(enumerate_states(gp))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(first) == "{}"
+        assert peak < 0.3 * (1 << 20)
+
     def test_state_space_size_counts_unpinned_atoms(self, mission_strict):
         gp = mission_strict.ground
         assert state_space_size(gp) == 16
