@@ -9,7 +9,7 @@ test against the state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -146,7 +146,7 @@ class HeadLiteral:
         return HeadLiteral(self.modality, self.happening, not self.positive)
 
     def substitute(self, binding: Mapping[str, str]) -> "HeadLiteral":
-        return replace(self, happening=self.happening.substitute(binding))
+        return HeadLiteral(self.modality, self.happening.substitute(binding), self.positive)
 
     def __str__(self) -> str:
         sign = "" if self.positive else "!"

@@ -3,7 +3,9 @@
 One file format covers both domain declarations and policy statements, so a
 policy may live in one file or be split across several; parse each file and
 merge the results.  Statements end with a period.  Comments run from ``%`` to
-end of line.
+end of line.  The tokenizer reads the text with one compiled pattern, one
+token per match, and builds a ``Position`` only for the parser's statement
+positions and diagnostics.
 
 Statement forms::
 
@@ -31,6 +33,7 @@ diagnostic.  A parse with errors returns no AST.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, TypeVar
@@ -74,11 +77,15 @@ class _TokKind(Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: _TokKind
-    value: str
-    position: Position
+    __slots__ = ("kind", "value", "line", "column")
+
+    def __init__(self, kind: _TokKind, value: str, line: int, column: int) -> None:
+        self.kind, self.value, self.line, self.column = kind, value, line, column
+
+    @property
+    def position(self) -> Position:
+        return Position(self.line, self.column)
 
 
 class _ParseError(Exception):
@@ -90,89 +97,89 @@ class _ParseError(Exception):
 
 _STRING_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 
+# A word matched here may start with a digit that is not a decimal, such as
+# ``²``; ``_tokenize`` reports those.  A string runs to its closing quote, a
+# newline or the end of the text; a backslash takes the next character with
+# it, even a newline.
+_TOKEN = re.compile(
+    r"""(?P<skip>(?:[ \t\r\n]|%[^\n]*)+)"""
+    r"""|(?P<word>[^\W\d]\w*)"""
+    r"""|(?P<string>"(?:[^"\\\n]|\\[\s\S]?)*)"""
+    rf"""|(?P<punct>[{re.escape(_PUNCT)}])"""
+    r"""|(?P<other>[\s\S])"""
+)
+_ESCAPE = re.compile(r"\\([\s\S]?)")
+
+
+def _unescape(
+    text: str, start: int, end: int, line: int, line_start: int, diagnostics: list[Diagnostic]
+) -> str:
+    """The value of the string body ``text[start:end]``, reporting unknown escapes."""
+
+    def escape(match: re.Match) -> str:
+        nonlocal line, line_start
+        escaped = match.group(1)
+        if escaped in _STRING_ESCAPES:
+            return _STRING_ESCAPES[escaped]
+        at = start + match.start() + 1
+        diagnostics.append(_error("unknown string escape", Position(line, at - line_start + 1)))
+        if escaped == "\n":  # the only way a string spans lines
+            line, line_start = line + 1, at + 1
+        return ""
+
+    return _ESCAPE.sub(escape, text[start:end])
+
+
+def _error(message: str, position: Position) -> Diagnostic:
+    return Diagnostic(Severity.ERROR, message, position=position)
+
 
 def _tokenize(text: str) -> tuple[list[_Token], list[Diagnostic]]:
     tokens: list[_Token] = []
     diagnostics: list[Diagnostic] = []
-    line, col = 1, 1
-    i = 0
+    line, line_start = 1, 0
+    pos = 0
     n = len(text)
-
-    def advance(count: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
+    match = _TOKEN.match
+    while pos < n:
+        found = match(text, pos)
+        kind = found.lastgroup
+        end = found.end()
+        column = pos - line_start + 1
+        if kind == "word" and (text[pos].isalpha() or text[pos] == "_"):
+            word = text[pos:end]
+            word_kind = _TokKind.VARIABLE if is_variable(word) else _TokKind.IDENT
+            tokens.append(_Token(word_kind, word, line, column))
+        elif kind == "punct":
+            tokens.append(_Token(_TokKind.PUNCT, text[pos], line, column))
+        elif kind == "string":
+            value = text[pos + 1 : end]
+            if "\\" in value:
+                value = _unescape(text, pos + 1, end, line, line_start, diagnostics)
+            if text.startswith('"', end):
+                end += 1
             else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance()
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                advance()
-            continue
-        pos = Position(line, col)
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                advance()
-            word = text[start:i]
-            kind = _TokKind.VARIABLE if is_variable(word) else _TokKind.IDENT
-            tokens.append(_Token(kind, word, pos))
-            continue
-        if ch == '"':
-            advance()
-            chars: list[str] = []
-            closed = False
-            while i < n:
-                c = text[i]
-                if c == '"':
-                    advance()
-                    closed = True
+                diagnostics.append(_error("unterminated string", Position(line, column)))
+            tokens.append(_Token(_TokKind.STRING, value, line, column))
+        elif kind != "skip":
+            # Every character before the first letter or ``_`` of a run of
+            # ``\w`` that starts with a digit, or the one character no token
+            # starts with, is unexpected.
+            for at in range(pos, end):
+                if text[at].isalpha() or text[at] == "_":
+                    end = at
                     break
-                if c == "\\":
-                    advance()
-                    if i < n and text[i] in _STRING_ESCAPES:
-                        chars.append(_STRING_ESCAPES[text[i]])
-                        advance()
-                    else:
-                        diagnostics.append(
-                            Diagnostic(
-                                Severity.ERROR,
-                                "unknown string escape",
-                                position=Position(line, col),
-                            )
-                        )
-                        if i < n:
-                            advance()
-                    continue
-                if c == "\n":
-                    break
-                chars.append(c)
-                advance()
-            if not closed:
-                diagnostics.append(
-                    Diagnostic(Severity.ERROR, "unterminated string", position=pos)
-                )
-            tokens.append(_Token(_TokKind.STRING, "".join(chars), pos))
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_TokKind.PUNCT, ch, pos))
-            advance()
-            continue
-        diagnostics.append(
-            Diagnostic(Severity.ERROR, f"unexpected character {ch!r}", position=pos)
-        )
-        advance()
+                position = Position(line, at - line_start + 1)
+                diagnostics.append(_error(f"unexpected character {text[at]!r}", position))
+        if kind == "skip" or kind == "string":
+            # Only whitespace, comments and escaped newlines in strings span lines.
+            newline = text.rfind("\n", pos, end)
+            if newline >= 0:
+                line += text.count("\n", pos, newline) + 1
+                line_start = newline + 1
+        pos = end
 
-    end = Position(line, col)
-    tokens.append(_Token(_TokKind.EOF, "", end))
+    tokens.append(_Token(_TokKind.EOF, "", line, pos - line_start + 1))
     return tokens, diagnostics
 
 
@@ -423,9 +430,7 @@ def _parse_statements(
             else:
                 raise _ParseError(f"unknown statement keyword {keyword!r}", token.position)
         except _ParseError as exc:
-            diagnostics.append(
-                Diagnostic(Severity.ERROR, exc.message, position=exc.position)
-            )
+            diagnostics.append(_error(exc.message, exc.position))
             parser.synchronize()
 
     return sorts, predicates, state_constraints, exec_constraints, rules, texts
@@ -470,26 +475,15 @@ def parse_files(sources: list[SourceFile]) -> ParseResult:
     seen_text: set[str] = set()
     for stmt in text_stmts:
         if stmt.label not in by_label:
-            diagnostics.append(
-                Diagnostic(
-                    Severity.ERROR,
-                    f"text statement names unknown rule {stmt.label}",
-                    position=stmt.position,
-                )
-            )
+            problem = f"text statement names unknown rule {stmt.label}"
+        elif stmt.label in seen_text:
+            problem = f"duplicate text statement for rule {stmt.label}"
+        else:
+            seen_text.add(stmt.label)
+            idx = by_label[stmt.label]
+            rules[idx] = replace(rules[idx], text=stmt.text)
             continue
-        if stmt.label in seen_text:
-            diagnostics.append(
-                Diagnostic(
-                    Severity.ERROR,
-                    f"duplicate text statement for rule {stmt.label}",
-                    position=stmt.position,
-                )
-            )
-            continue
-        seen_text.add(stmt.label)
-        idx = by_label[stmt.label]
-        rules[idx] = replace(rules[idx], text=stmt.text)
+        diagnostics.append(_error(problem, stmt.position))
 
     policy = Policy(tuple(rules))
     domain = DomainSpec(

@@ -22,8 +22,13 @@ Two references work on the package's own integer forms instead: the
 constraint check that tests one constraint's masks at a time, where the
 package looks up per-component tables, and ``per_action_sweep``, the
 package's sweep before it memoised whole bit components, which keeps one
-memo per action and reads the package's private finding helpers.  Nothing
-else here reads a private name of the package.
+memo per action and reads the package's private finding helpers.
+
+``_tokenize`` at the end is the parser's character-at-a-time tokenizer,
+which builds a ``Position`` for every token; the package's ``_tokenize``
+reads the text with one compiled pattern instead and must give the same
+tokens and diagnostics.  It shares the parser's token kinds, punctuation and
+escape table.  Nothing else here reads a private name of the package.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from aopl_lint.analysis import (
     SweepResult,
 )
 from aopl_lint.engine import AmbiguityStats, WorldState, factor, state_literals
-from aopl_lint.diagnostics import has_errors
+from aopl_lint.diagnostics import Diagnostic, Position, Severity, has_errors
 from aopl_lint.grounding import GroundingError, GroundPolicy, GroundRule
 from aopl_lint.model import (
     Atom,
@@ -63,6 +68,7 @@ from aopl_lint.model import (
     is_variable,
     validate,
 )
+from aopl_lint.parser import _PUNCT, _STRING_ESCAPES, _TokKind
 from aopl_lint.reify import ReifiedBase
 from aopl_lint.states import check_pins, check_state_space
 
@@ -1105,3 +1111,95 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
         exec_constraints=tuple(ground_exec_constraints),
         sort_facts=tuple(sorted(sort_fact_set, key=str)),
     )
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: _TokKind
+    value: str
+    position: Position
+
+
+def _tokenize(text: str) -> tuple[list[_Token], list[Diagnostic]]:
+    tokens: list[_Token] = []
+    diagnostics: list[Diagnostic] = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+
+    def advance(count: int = 1) -> None:
+        nonlocal i, line, col
+        for _ in range(count):
+            if i < n and text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            advance()
+            continue
+        if ch == "%":
+            while i < n and text[i] != "\n":
+                advance()
+            continue
+        pos = Position(line, col)
+        if ch.isalpha() or ch == "_":
+            start = i
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                advance()
+            word = text[start:i]
+            kind = _TokKind.VARIABLE if is_variable(word) else _TokKind.IDENT
+            tokens.append(_Token(kind, word, pos))
+            continue
+        if ch == '"':
+            advance()
+            chars: list[str] = []
+            closed = False
+            while i < n:
+                c = text[i]
+                if c == '"':
+                    advance()
+                    closed = True
+                    break
+                if c == "\\":
+                    advance()
+                    if i < n and text[i] in _STRING_ESCAPES:
+                        chars.append(_STRING_ESCAPES[text[i]])
+                        advance()
+                    else:
+                        diagnostics.append(
+                            Diagnostic(
+                                Severity.ERROR,
+                                "unknown string escape",
+                                position=Position(line, col),
+                            )
+                        )
+                        if i < n:
+                            advance()
+                    continue
+                if c == "\n":
+                    break
+                chars.append(c)
+                advance()
+            if not closed:
+                diagnostics.append(
+                    Diagnostic(Severity.ERROR, "unterminated string", position=pos)
+                )
+            tokens.append(_Token(_TokKind.STRING, "".join(chars), pos))
+            continue
+        if ch in _PUNCT:
+            tokens.append(_Token(_TokKind.PUNCT, ch, pos))
+            advance()
+            continue
+        diagnostics.append(
+            Diagnostic(Severity.ERROR, f"unexpected character {ch!r}", position=pos)
+        )
+        advance()
+
+    end = Position(line, col)
+    tokens.append(_Token(_TokKind.EOF, "", end))
+    return tokens, diagnostics

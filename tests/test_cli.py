@@ -190,6 +190,40 @@ def test_report_matches_golden(domain, policy, name, fmt, suffix, capsys, monkey
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
+_DECLS = b"fluent ready.\naction go.\nrule r1: permitted(go) if ready.\n"
+
+# name -> (arguments after "analyze", the one input file's bytes)
+PARSE_ERROR_GOLDENS = {
+    "unterminated_string": (
+        ["bad.aopl"],
+        _DECLS + b'text r1: "never closed.\nrule r2: permitted(go).\n',
+    ),
+    "unknown_escape": (["bad.aopl"], _DECLS + b'text r1: "a \\q and \\" b".\n'),
+    "trailing_backslash": (["bad.aopl"], _DECLS + b'text r1: "ends in \\'),
+    "stray_semicolon": (["bad.aopl"], b"fluent ready;\naction go.\nrule r1: permitted(go).\n"),
+    "crlf_line3": (
+        ["bad.aopl"],
+        b"fluent ready.\r\naction go.\r\nrule r1: permitted(go) if ready # x.\r\n",
+    ),
+    "after_tab": (["bad.aopl"], b"fluent ready.\n\taction\tgo\t;\n"),
+    "bad_pin": (["--pin", "ready;", "bad.aopl"], _DECLS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_ERROR_GOLDENS))
+def test_parse_errors_match_golden(name, tmp_path, capsys, monkeypatch):
+    # The golden holds the exit code, stdout and stderr of ``analyze``.
+    args, source = PARSE_ERROR_GOLDENS[name]
+    (tmp_path / "bad.aopl").write_bytes(source)
+    monkeypatch.chdir(tmp_path)
+    code = main(["analyze", *args])
+    captured = capsys.readouterr()
+    golden = DATA / "golden" / f"{name}.parse_error.golden"
+    assert f"exit: {code}\n--- stdout\n{captured.out}--- stderr\n{captured.err}" == (
+        golden.read_text(encoding="utf-8")
+    )
+
+
 class TestParseErrors:
     def test_syntax_error_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.aopl"

@@ -1,6 +1,7 @@
 """Concrete syntax: tokenizing, statement parsing, recovery, multi-file merge."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aopl_lint import (
     Atom,
@@ -18,6 +19,7 @@ from aopl_lint import (
     parse_ground_literal,
 )
 import aopl_lint.parser as parser_module
+import reference
 
 from helpers import DATA
 
@@ -248,3 +250,73 @@ class TestFragments:
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             parse_ground_atom(text) if "!" not in text else parse_ground_literal(text)
+
+
+# Pieces that reach every branch of the tokenizer: word starts that are and
+# are not letters (``²`` is a digit but not a decimal, ``٣`` a non-ASCII
+# decimal), every whitespace character, comments with and without a final
+# newline, strings with valid and invalid escapes, every punctuation mark
+# and two stray characters.
+_PIECES = [
+    *"aZé_É9²٣",
+    "x1",
+    "Var_2",
+    " ",
+    "\t",
+    "\r",
+    "\n",
+    "\r\n",
+    "% note",
+    "%",
+    '"',
+    "\\",
+    '\\"',
+    "\\\\",
+    "\\n",
+    "\\t",
+    "\\q",
+    "\\\n",
+    *".,:()>!-",
+    ";",
+    "#",
+]
+
+
+def _tokens_and_diagnostics(tokenize, text):
+    tokens, diagnostics = tokenize(text)
+    stream = [(t.kind, t.value, t.position.line, t.position.column) for t in tokens]
+    return stream, diagnostics
+
+
+def _same_as_reference(text):
+    assert _tokens_and_diagnostics(parser_module._tokenize, text) == _tokens_and_diagnostics(
+        reference._tokenize, text
+    )
+
+
+class TestTokenizerMatchesReference:
+    @given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
+    @settings(max_examples=500, deadline=None)
+    def test_random_text(self, text):
+        _same_as_reference(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'x9a"\\',  # a backslash at end of input inside an unterminated string
+            'a "b\\\nc" d',  # a backslash before a newline inside a string
+            '"\\\n\\q\n\\\n\\x" Z',
+            '"a\\\n\\q\\\n\\t\\x" b',  # invalid escapes on later lines of one string
+            "²a ٣b _c éd",
+            "a\r\nb\rc",
+            "% only a comment",
+            "",
+        ],
+    )
+    def test_edge_cases(self, text):
+        _same_as_reference(text)
+
+    def test_fixture_files(self):
+        for path in sorted(DATA.iterdir()):
+            if path.is_file():
+                _same_as_reference(path.read_text(encoding="utf-8"))
