@@ -6,6 +6,8 @@ statements cause inconsistencies, coverage gaps, ambiguity, conflicting
 obligations, or obligation/authorization collisions.
 """
 
+from importlib import import_module
+
 from .analysis import (
     AuthorizationClass,
     Compliance,
@@ -26,7 +28,6 @@ from .analysis import (
     sweep,
 )
 from .diagnostics import Diagnostic, Position, Severity, SourceFile
-from .emit import emit_asp
 from .engine import AmbiguityStats, WorldState
 from .grounding import GroundPolicy, GroundRule, GroundingError, ground
 from .model import (
@@ -47,7 +48,6 @@ from .model import (
     validate,
 )
 from .parser import ParseResult, parse, parse_files, parse_ground_atom, parse_ground_literal
-from .printer import print_domain, print_policy
 from .reify import ReifiedBase, reify
 from .report import AnalysisReport, build_report, parse_json, render, render_json, render_text
 from .states import (
@@ -59,6 +59,16 @@ from .states import (
 )
 
 __version__ = "0.1.0"
+
+# Exports whose modules load on first use (PEP 562); the sweep never reads them.
+_LAZY = {"emit_asp": "emit", "print_domain": "printer", "print_policy": "printer"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+
 
 __all__ = [
     "AmbiguityStats",

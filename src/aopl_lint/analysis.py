@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
+from .diagnostics import Frozen, set_field
 from .engine import AmbiguityStats, Outcome, WorldState, factor, factor_rules
 from .model import Atom, Happening, Literal
 from .reify import COMPONENT_BITS, ReifiedBase, components
@@ -47,8 +48,7 @@ KIND_ORDER = {
 }
 
 
-@dataclass(frozen=True)
-class IssueRecord:
+class IssueRecord(Frozen):
     """One finding in one state.
 
     ``rule_labels`` are ground labels, first the rule supporting the
@@ -62,18 +62,31 @@ class IssueRecord:
     most pressing.
     """
 
-    kind: IssueKind
-    action: Happening
-    witness_state: WorldState
-    rule_labels: tuple[str, ...] = ()
-    rule_texts: tuple[str, ...] = ()
-    pos_support: tuple[Literal, ...] = ()
-    neg_support: tuple[Literal, ...] = ()
-    missing: tuple[tuple[str, tuple[Literal, ...]], ...] = ()
-    pairs: tuple[tuple[str, str], ...] = ()
-    urgency: int | None = None
-    stats: AmbiguityStats | None = None
-    case: int | None = None
+    __slots__ = (
+        "kind", "action", "witness_state", "rule_labels", "rule_texts", "pos_support",
+        "neg_support", "missing", "pairs", "urgency", "stats", "case",
+    )
+
+    def __init__(
+        self, kind: IssueKind, action: Happening, witness_state: WorldState,
+        rule_labels: tuple[str, ...] = (), rule_texts: tuple[str, ...] = (),
+        pos_support: tuple[Literal, ...] = (), neg_support: tuple[Literal, ...] = (),
+        missing: tuple[tuple[str, tuple[Literal, ...]], ...] = (),
+        pairs: tuple[tuple[str, str], ...] = (), urgency: int | None = None,
+        stats: AmbiguityStats | None = None, case: int | None = None,
+    ) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "action", action)
+        set_field(self, "witness_state", witness_state)
+        set_field(self, "rule_labels", rule_labels)
+        set_field(self, "rule_texts", rule_texts)
+        set_field(self, "pos_support", pos_support)
+        set_field(self, "neg_support", neg_support)
+        set_field(self, "missing", missing)
+        set_field(self, "pairs", pairs)
+        set_field(self, "urgency", urgency)
+        set_field(self, "stats", stats)
+        set_field(self, "case", case)
 
     def key(self) -> tuple:
         """Identity of the finding independent of the witness state."""
@@ -88,10 +101,6 @@ class IssueRecord:
             self.urgency if self.urgency is not None else 0,
             self.case if self.case is not None else 0,
         )
-
-
-def _texts(base: ReifiedBase, labels: Iterable[str], state: WorldState | None) -> tuple[str, ...]:
-    return () if state is None else tuple(base.text_or_print(label) for label in labels)
 
 
 # A finding is a compact tuple led by its kind's index in _KINDS; with the
@@ -166,64 +175,53 @@ def _stats(base: ReifiedBase, state: WorldState, permitted: int | None) -> Ambig
     )
 
 
-def _record(base: ReifiedBase, finding: tuple, state: WorldState | None) -> IssueRecord:
-    """The IssueRecord a finding stands for; without a witness ``state``, only its identity."""
+def _identity(base: ReifiedBase, finding: tuple) -> tuple:
+    """The fields of a finding's IssueRecord that its witness does not fix.
+
+    They are, in ``IssueRecord`` order: kind, action, rule labels, supports,
+    missing, pairs, urgency and case.
+    """
     index = base.index
     tag = finding[0]
-    kind = _KINDS[tag]
     if tag == _INCONSISTENCY:
         action = index.pairs[finding[1]].happening
     else:
         action = Happening(base.ground.action_atoms[finding[1]], True)
-
+    pos_support = neg_support = missing = pairs = ()
+    urgency = case = None
     if tag == _AMBIGUITY:
         _, _, permitting, forbidding = finding
         labels = tuple(dict.fromkeys(permitting + forbidding))
-        return IssueRecord(
-            kind=kind,
-            action=action,
-            witness_state=state,
-            rule_labels=labels,
-            rule_texts=_texts(base, labels, state),
-            pairs=tuple((p, f) for p in permitting for f in forbidding),
-            stats=None if state is None else _stats(base, state, index.actions[finding[1]][0]),
-        )
-    if tag == _UNDERSPECIFIED:
-        if finding[2] == 1:
-            return IssueRecord(kind=kind, action=action, witness_state=state, case=1)
-        missing: list[tuple[str, tuple[Literal, ...]]] = []
-        for rule in index.actions[finding[1]][3]:
+        pairs = tuple((p, f) for p in permitting for f in forbidding)
+    elif tag == _UNDERSPECIFIED:
+        case = finding[2]
+        if case == 2:
             # The finding holds the state's authorization bits, all these rules read.
-            failing = index.failing(rule.condition, finding[3])
-            if failing:
-                missing.append((rule.label, failing))
+            missing = tuple(
+                (rule.label, failing)
+                for rule in index.actions[finding[1]][3]
+                if (failing := index.failing(rule.condition, finding[3]))
+            )
         labels = tuple(label for label, _ in missing)
-        return IssueRecord(
-            kind=kind,
-            action=action,
-            witness_state=state,
-            rule_labels=labels,
-            rule_texts=_texts(base, labels, state),
-            missing=tuple(missing),
-            case=2,
-        )
-
-    if tag == _MODALITY:
-        _, _, urgency, r1, r2 = finding
     else:
-        _, _, r1, r2 = finding
-        urgency = None
-    labels = (r1,) if r2 is None else (r1, r2)
-    return IssueRecord(
-        kind=kind,
-        action=action,
-        witness_state=state,
-        rule_labels=labels,
-        rule_texts=_texts(base, labels, state),
-        pos_support=index.by_label[r1].condition,
-        neg_support=index.by_label[r2].condition if r2 is not None else (),
-        urgency=urgency,
-    )
+        if tag == _MODALITY:
+            _, _, urgency, r1, r2 = finding
+        else:
+            _, _, r1, r2 = finding
+        labels = (r1,) if r2 is None else (r1, r2)
+        pos_support = index.by_label[r1].condition
+        neg_support = index.by_label[r2].condition if r2 is not None else ()
+    return _KINDS[tag], action, labels, pos_support, neg_support, missing, pairs, urgency, case
+
+
+def _record(base: ReifiedBase, finding: tuple, state: WorldState) -> IssueRecord:
+    """The IssueRecord a finding stands for, with ``state`` as its witness."""
+    kind, action, labels, *fields, case = _identity(base, finding)
+    stats = None
+    if finding[0] == _AMBIGUITY:
+        stats = _stats(base, state, base.index.actions[finding[1]][0])
+    texts = tuple(base.text_or_print(label) for label in labels)
+    return IssueRecord(kind, action, state, labels, texts, *fields, stats, case)
 
 
 def _view(
@@ -320,8 +318,7 @@ class AuthorizationClass(Enum):
     CONFLICTED = "conflicted"
 
 
-@dataclass(frozen=True)
-class Compliance:
+class Compliance(Frozen):
     """Authorization and obligation verdicts for one event in one state.
 
     ``action_classes`` classifies each action of the event on its own.  The
@@ -331,11 +328,21 @@ class Compliance:
     obligation, including obligations about actions outside the event.
     """
 
-    action_classes: tuple[tuple[Atom, AuthorizationClass], ...]
-    strongly_compliant: bool
-    weakly_compliant: bool
-    non_compliant: bool
-    obligation_compliant: bool
+    __slots__ = (
+        "action_classes", "strongly_compliant", "weakly_compliant", "non_compliant",
+        "obligation_compliant",
+    )
+
+    def __init__(
+        self, action_classes: tuple[tuple[Atom, AuthorizationClass], ...],
+        strongly_compliant: bool, weakly_compliant: bool, non_compliant: bool,
+        obligation_compliant: bool,
+    ) -> None:
+        set_field(self, "action_classes", action_classes)
+        set_field(self, "strongly_compliant", strongly_compliant)
+        set_field(self, "weakly_compliant", weakly_compliant)
+        set_field(self, "non_compliant", non_compliant)
+        set_field(self, "obligation_compliant", obligation_compliant)
 
 
 def _authorization(outcomes: tuple[Outcome, ...]) -> AuthorizationClass:
@@ -402,22 +409,26 @@ def classify_compliance(
     )
 
 
-@dataclass(frozen=True)
-class SweepOptions:
-    pins: tuple[Literal, ...] = ()
-    max_states: int = DEFAULT_MAX_STATES
+class SweepOptions(Frozen):
+    __slots__ = ("pins", "max_states")
+
+    def __init__(self, pins: tuple[Literal, ...] = (), max_states: int = DEFAULT_MAX_STATES) -> None:
+        set_field(self, "pins", pins)
+        set_field(self, "max_states", max_states)
 
 
-@dataclass(frozen=True)
-class InstanceRecord:
+class InstanceRecord(Frozen):
     """A deduplicated ground finding and the number of states it was seen in.
 
     The representative record keeps the witness state with the fewest true
     atoms, breaking ties by the state's text (``str(state)``).
     """
 
-    record: IssueRecord
-    state_count: int
+    __slots__ = ("record", "state_count")
+
+    def __init__(self, record: IssueRecord, state_count: int) -> None:
+        set_field(self, "record", record)
+        set_field(self, "state_count", state_count)
 
 
 @dataclass(frozen=True)
@@ -494,7 +505,7 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
         fired = 0
         for finding in findings:
             if finding not in family_of:
-                key = _family_key(_record(base, finding, None))
+                key = _family_key(*_identity(base, finding))
                 family_of[finding] = family_ids.setdefault(key, len(family_ids))
             fired |= 1 << family_of[finding]
         return fired
@@ -610,21 +621,23 @@ class FamilyRecord:
     instance_count: int
 
 
-def _family_key(record: IssueRecord) -> tuple:
-    action_sign = "" if record.action.positive else "-"
+def _family_key(
+    kind: IssueKind, action: Happening, labels: tuple[str, ...], pos_support: tuple[Literal, ...],
+    neg_support: tuple[Literal, ...], missing: tuple, pairs: tuple, urgency: int | None,
+    case: int | None,
+) -> tuple:
+    """The family of a finding, from its ``_identity``: its fields without constants."""
+    action_sign = "" if action.positive else "-"
     return (
-        record.kind.value,
-        f"{action_sign}{record.action.action.predicate}",
-        tuple(_strip_binding(l) for l in record.rule_labels),
-        tuple(_literal_family(l) for l in record.pos_support),
-        tuple(_literal_family(l) for l in record.neg_support),
-        tuple(
-            (_strip_binding(r), tuple(_literal_family(l) for l in lits))
-            for r, lits in record.missing
-        ),
-        tuple((_strip_binding(a), _strip_binding(b)) for a, b in record.pairs),
-        record.urgency if record.urgency is not None else 0,
-        record.case if record.case is not None else 0,
+        kind.value,
+        f"{action_sign}{action.action.predicate}",
+        tuple(_strip_binding(l) for l in labels),
+        tuple(_literal_family(l) for l in pos_support),
+        tuple(_literal_family(l) for l in neg_support),
+        tuple((_strip_binding(r), tuple(_literal_family(l) for l in lits)) for r, lits in missing),
+        tuple((_strip_binding(a), _strip_binding(b)) for a, b in pairs),
+        urgency if urgency is not None else 0,
+        case if case is not None else 0,
     )
 
 
@@ -634,8 +647,12 @@ def collapse_families(result: SweepResult) -> tuple[FamilyRecord, ...]:
     accum: _Accumulator = {}
     for instance in result.instances:
         record = instance.record
+        key = _family_key(
+            record.kind, record.action, record.rule_labels, record.pos_support,
+            record.neg_support, record.missing, record.pairs, record.urgency, record.case,
+        )
         # A family's states may overlap across members; the sweep counted them.
-        _accumulate(accum, _family_key(record), record, record.witness_state, 0)
+        _accumulate(accum, key, record, record.witness_state, 0)
 
     families = [
         FamilyRecord(

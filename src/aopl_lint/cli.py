@@ -9,13 +9,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import traceback
 from dataclasses import replace
 from itertools import islice
 
 from .analysis import SweepOptions, SweepResult, classify_compliance, sweep
 from .diagnostics import SourceFile
-from .emit import emit_asp
 from .grounding import ground
 from .parser import parse_files, parse_ground_atom
 from .report import build_report, render
@@ -249,6 +247,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_emit_asp(args) -> int:
+    from .emit import emit_asp  # only this command reads it
     _, base = _load_base(args.files)
     state = _load_state_file(base, args.state) if args.state else None
     _write_output(emit_asp(base, variant=args.variant, state=state), args.output)
@@ -288,6 +287,7 @@ def run() -> None:
     try:
         sys.exit(main())
     except Exception:
+        import traceback  # only an internal error reads it
         traceback.print_exc()
         sys.exit(3)
 

@@ -1,9 +1,53 @@
-"""Source positions and diagnostics shared by the parser and the validator."""
+"""Source positions and diagnostics shared by the parser and the validator,
+and ``Frozen``, the base of the package's immutable record types."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
+
+# ``Frozen.__setattr__`` refuses every assignment, so a subclass's ``__init__``
+# sets its fields through this.
+set_field = object.__setattr__
+
+
+class Frozen:
+    """Immutable fields with a frozen dataclass's ``==``, ``hash`` and ``repr``.
+
+    A subclass lists its fields in ``__slots__`` in ``__init__`` order and
+    sets each there with ``set_field``; a ``__dict__`` slot makes room for
+    ``functools.cached_property``.  Nothing is generated, so a subclass
+    costs no ``exec``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        names = tuple(name for name in cls.__slots__ if name != "__dict__")
+        get = attrgetter(*names)  # the field values as one tuple, built in C
+        cls._fields = names
+        cls._values = get if len(names) > 1 else staticmethod(lambda self: (get(self),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values(self)
 
 
 class Severity(Enum):
@@ -11,12 +55,14 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(Frozen):
     """1-based line and column of a token in a source file."""
 
-    line: int
-    column: int
+    __slots__ = ("line", "column")
+
+    def __init__(self, line: int, column: int) -> None:
+        set_field(self, "line", line)
+        set_field(self, "column", column)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
@@ -57,12 +103,14 @@ def has_errors(diagnostics: list[Diagnostic]) -> bool:
     return any(d.severity is Severity.ERROR for d in diagnostics)
 
 
-@dataclass(frozen=True)
-class SourceFile:
+class SourceFile(Frozen):
     """A named input text, kept around so diagnostics can cite their origin."""
 
-    path: str
-    text: str
+    __slots__ = ("path", "text")
+
+    def __init__(self, path: str, text: str) -> None:
+        set_field(self, "path", path)
+        set_field(self, "text", text)
 
     @classmethod
     def load(cls, path: str) -> "SourceFile":

@@ -27,9 +27,9 @@ on the action's ``Index.slices`` entry gives those pairs' exact outcomes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
+from .diagnostics import Frozen, set_field
 from .model import Atom, Literal
 from .reify import ReifiedBase, state_bits
 
@@ -38,12 +38,15 @@ from .reify import ReifiedBase, state_bits
 _last_universe: list = [((), frozenset())]
 
 
-@dataclass(frozen=True)
-class WorldState:
+class WorldState(Frozen):
     """A complete truth assignment over the ground state atoms."""
 
-    universe: tuple[Atom, ...]
-    true_atoms: frozenset[Atom]
+    __slots__ = ("universe", "true_atoms", "__dict__")
+
+    def __init__(self, universe: tuple[Atom, ...], true_atoms: frozenset[Atom]) -> None:
+        set_field(self, "universe", universe)
+        set_field(self, "true_atoms", true_atoms)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         universe, members = _last_universe[0]
@@ -135,14 +138,16 @@ def factor_rules(rules: tuple, prefers: tuple, state: int) -> Factored:
     return ab, groups
 
 
-@dataclass(frozen=True)
-class AmbiguityStats:
+class AmbiguityStats(Frozen):
     """Answer-set counts behind an ambiguity verdict for one action.
 
     ``n`` answer sets in total, ``n_p`` containing permitted(e) and ``n_np``
     containing its negation.
     """
 
-    n: int
-    n_p: int
-    n_np: int
+    __slots__ = ("n", "n_p", "n_np")
+
+    def __init__(self, n: int, n_p: int, n_np: int) -> None:
+        set_field(self, "n", n)
+        set_field(self, "n_p", n_p)
+        set_field(self, "n_np", n_np)

@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import chain, product
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-from .diagnostics import has_errors
+from .diagnostics import Frozen, has_errors, set_field
 from .model import (
     Atom,
     DomainSpec,
@@ -27,6 +27,7 @@ from .model import (
     PredicateKind,
     RuleKind,
     StateConstraint,
+    passed_validation,
     validate,
     variable_sorts,
     variables_of,
@@ -40,18 +41,26 @@ class GroundingError(Exception):
     """Raised when a policy/domain pair cannot be grounded."""
 
 
-@dataclass(frozen=True)
-class GroundRule:
+class GroundRule(Frozen):
     """One ground instance of a policy statement."""
 
-    label: str
-    base_label: str
-    kind: RuleKind
-    head: HeadLiteral | None = None
-    condition: tuple[Literal, ...] = ()
-    preferred: str | None = None
-    dispreferred: str | None = None
-    text: str | None = None
+    __slots__ = (
+        "label", "base_label", "kind", "head", "condition", "preferred", "dispreferred", "text"
+    )
+
+    def __init__(
+        self, label: str, base_label: str, kind: RuleKind, head: HeadLiteral | None = None,
+        condition: tuple[Literal, ...] = (), preferred: str | None = None,
+        dispreferred: str | None = None, text: str | None = None,
+    ) -> None:
+        set_field(self, "label", label)
+        set_field(self, "base_label", base_label)
+        set_field(self, "kind", kind)
+        set_field(self, "head", head)
+        set_field(self, "condition", condition)
+        set_field(self, "preferred", preferred)
+        set_field(self, "dispreferred", dispreferred)
+        set_field(self, "text", text)
 
 
 @dataclass(frozen=True)
@@ -148,12 +157,14 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
     """Instantiate a validated policy over its domain.
 
     Raises GroundingError when validation reports errors; run validate()
-    first for the full diagnostic list.
+    first for the full diagnostic list.  A pair ``validate`` has just passed,
+    such as the one ``parse_files`` returns, is not validated again.
     """
-    diagnostics = validate(policy, domain)
-    if has_errors(diagnostics):
-        first = next(d for d in diagnostics if d.severity.value == "error")
-        raise GroundingError(f"policy does not validate: {first.message}")
+    if not passed_validation(policy, domain):
+        diagnostics = validate(policy, domain)
+        if has_errors(diagnostics):
+            first = next(d for d in diagnostics if d.severity.value == "error")
+            raise GroundingError(f"policy does not validate: {first.message}")
 
     state_atoms = _ground_atoms(domain, (PredicateKind.STATIC, PredicateKind.FLUENT))
     action_atoms = _ground_atoms(domain, (PredicateKind.ACTION,))

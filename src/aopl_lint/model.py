@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .diagnostics import Diagnostic, Severity, sort_diagnostics
+from .diagnostics import Diagnostic, Frozen, Severity, has_errors, set_field, sort_diagnostics
 
 # Names claimed by the logic-program translation and the concrete syntax.
 # Letting a sort, predicate, or rule label shadow one of these would make
@@ -71,12 +71,23 @@ def is_variable(name: str) -> bool:
     return bool(name) and name[0].isupper()
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Frozen):
     """A predicate applied to constant or variable arguments."""
 
-    predicate: str
-    args: tuple[str, ...] = ()
+    __slots__ = ("predicate", "args")
+
+    def __init__(self, predicate: str, args: tuple[str, ...] = ()) -> None:
+        set_field(self, "predicate", predicate)
+        set_field(self, "args", args)
+
+    # Atoms key the index and state lookups; a tuple display beats ``Frozen``'s attrgetter.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.predicate, self.args) == (other.predicate, other.args)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.predicate, self.args))
 
     @property
     def is_ground(self) -> bool:
@@ -95,12 +106,14 @@ class Atom:
         return f"{self.predicate}({','.join(self.args)})"
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(Frozen):
     """An atom or its classical negation, written !atom in source text."""
 
-    atom: Atom
-    positive: bool = True
+    __slots__ = ("atom", "positive")
+
+    def __init__(self, atom: Atom, positive: bool = True) -> None:
+        set_field(self, "atom", atom)
+        set_field(self, "positive", positive)
 
     def negated(self) -> "Literal":
         return Literal(self.atom, not self.positive)
@@ -112,12 +125,14 @@ class Literal:
         return str(self.atom) if self.positive else f"!{self.atom}"
 
 
-@dataclass(frozen=True)
-class Happening:
+class Happening(Frozen):
     """An action execution or non-execution: e or -e."""
 
-    action: Atom
-    positive: bool = True
+    __slots__ = ("action", "positive")
+
+    def __init__(self, action: Atom, positive: bool = True) -> None:
+        set_field(self, "action", action)
+        set_field(self, "positive", positive)
 
     def negated(self) -> "Happening":
         return Happening(self.action, not self.positive)
@@ -129,17 +144,19 @@ class Happening:
         return str(self.action) if self.positive else f"-{self.action}"
 
 
-@dataclass(frozen=True)
-class HeadLiteral:
+class HeadLiteral(Frozen):
     """A deontic literal: [!] permitted(e) or [!] obl(h).
 
     Only obligations may talk about non-execution, so a permitted head
     always carries a positive happening.
     """
 
-    modality: Modality
-    happening: Happening
-    positive: bool = True
+    __slots__ = ("modality", "happening", "positive")
+
+    def __init__(self, modality: Modality, happening: Happening, positive: bool = True) -> None:
+        set_field(self, "modality", modality)
+        set_field(self, "happening", happening)
+        set_field(self, "positive", positive)
 
     def opposite(self) -> "HeadLiteral":
         """The complementary deontic literal (classical negation flipped)."""
@@ -184,48 +201,58 @@ class PolicyRule:
         return variables_of(self.atoms())
 
 
-@dataclass(frozen=True)
-class Policy:
-    rules: tuple[PolicyRule, ...] = ()
+class Policy(Frozen):
+    __slots__ = ("rules",)
+
+    def __init__(self, rules: tuple[PolicyRule, ...] = ()) -> None:
+        set_field(self, "rules", rules)
 
     def rule_map(self) -> dict[str, PolicyRule]:
         return {r.label: r for r in self.rules}
 
 
-@dataclass(frozen=True)
-class SortDecl:
-    name: str
-    members: tuple[str, ...]
+class SortDecl(Frozen):
+    __slots__ = ("name", "members")
+
+    def __init__(self, name: str, members: tuple[str, ...]) -> None:
+        set_field(self, "name", name)
+        set_field(self, "members", members)
 
 
-@dataclass(frozen=True)
-class PredicateDecl:
-    name: str
-    kind: PredicateKind
-    arg_sorts: tuple[str, ...] = ()
+class PredicateDecl(Frozen):
+    __slots__ = ("name", "kind", "arg_sorts")
+
+    def __init__(self, name: str, kind: PredicateKind, arg_sorts: tuple[str, ...] = ()) -> None:
+        set_field(self, "name", name)
+        set_field(self, "kind", kind)
+        set_field(self, "arg_sorts", arg_sorts)
 
 
-@dataclass(frozen=True)
-class StateConstraint:
+class StateConstraint(Frozen):
     """A state law: head holds whenever the body does.
 
     A constraint without a head forbids the body combination outright.
     """
 
-    body: tuple[Literal, ...]
-    head: Literal | None = None
+    __slots__ = ("body", "head")
+
+    def __init__(self, body: tuple[Literal, ...], head: Literal | None = None) -> None:
+        set_field(self, "body", body)
+        set_field(self, "head", head)
 
     def literals(self) -> tuple[Literal, ...]:
         """The body, then the head if there is one."""
         return self.body + ((self.head,) if self.head is not None else ())
 
 
-@dataclass(frozen=True)
-class ExecConstraint:
+class ExecConstraint(Frozen):
     """Marks an action non-executable in states satisfying the condition."""
 
-    action: Atom
-    condition: tuple[Literal, ...] = ()
+    __slots__ = ("action", "condition")
+
+    def __init__(self, action: Atom, condition: tuple[Literal, ...] = ()) -> None:
+        set_field(self, "action", action)
+        set_field(self, "condition", condition)
 
 
 @dataclass(frozen=True)
@@ -472,7 +499,19 @@ def validate(policy: Policy, domain: DomainSpec) -> list[Diagnostic]:
         if a is not None and b is not None and a < b and (b, a) in pref_pairs:
             warn(f"mutual preference between {a} and {b} disables both rules")
 
-    return sort_diagnostics(out)
+    out = sort_diagnostics(out)
+    if not has_errors(out):
+        _passed[:] = policy, domain
+    return out
+
+
+# The last pair ``validate`` passed; holding it keeps other objects from taking its ids.
+_passed: list = [None, None]
+
+
+def passed_validation(policy: Policy, domain: DomainSpec) -> bool:
+    """True when the last ``validate`` call without errors was on these objects."""
+    return _passed[0] is policy and _passed[1] is domain
 
 
 def variable_sorts(

@@ -309,28 +309,15 @@ class _Parser:
         return var, self.expect_ident("a sort name").value
 
 
-@dataclass
-class _RuleStmt:
-    rule: PolicyRule
-    position: Position
-
-
-@dataclass
-class _TextStmt:
-    label: str
-    text: str
-    position: Position
-
-
 def _parse_statements(
     parser: _Parser, diagnostics: list[Diagnostic]
-) -> tuple[list[SortDecl], list[PredicateDecl], list[StateConstraint], list[ExecConstraint], list[_RuleStmt], list[_TextStmt]]:
+) -> tuple[list[SortDecl], list[PredicateDecl], list[StateConstraint], list[ExecConstraint], list[tuple[PolicyRule, Position]], list[tuple[str, str, Position]]]:
     sorts: list[SortDecl] = []
     predicates: list[PredicateDecl] = []
     state_constraints: list[StateConstraint] = []
     exec_constraints: list[ExecConstraint] = []
-    rules: list[_RuleStmt] = []
-    texts: list[_TextStmt] = []
+    rules: list[tuple[PolicyRule, Position]] = []
+    texts: list[tuple[str, str, Position]] = []  # label, text, position
 
     while parser.peek().kind is not _TokKind.EOF:
         token = parser.peek()
@@ -391,10 +378,7 @@ def _parse_statements(
                     where = parser.comma_list(parser.parse_where_entry)
                 parser.expect_punct(".")
                 rules.append(
-                    _RuleStmt(
-                        PolicyRule(label, kind, head=head, condition=condition, where=where),
-                        position,
-                    )
+                    (PolicyRule(label, kind, head=head, condition=condition, where=where), position)
                 )
             elif keyword == "prefer":
                 position = token.position
@@ -406,7 +390,7 @@ def _parse_statements(
                 dispreferred = parser.expect_ident("a defeasible rule label").value
                 parser.expect_punct(".")
                 rules.append(
-                    _RuleStmt(
+                    (
                         PolicyRule(
                             label,
                             RuleKind.PREFERENCE,
@@ -426,7 +410,7 @@ def _parse_statements(
                     raise _ParseError("expected a quoted string", string.position)
                 parser.next()
                 parser.expect_punct(".")
-                texts.append(_TextStmt(label, string.value, position))
+                texts.append((label, string.value, position))
             else:
                 raise _ParseError(f"unknown statement keyword {keyword!r}", token.position)
         except _ParseError as exc:
@@ -467,23 +451,23 @@ def parse_files(sources: list[SourceFile]) -> ParseResult:
 
     positions: dict[str, Position] = {}
     rules: list[PolicyRule] = []
-    for stmt in rule_stmts:
-        positions.setdefault(stmt.rule.label, stmt.position)
-        rules.append(stmt.rule)
+    for rule, position in rule_stmts:
+        positions.setdefault(rule.label, position)
+        rules.append(rule)
 
     by_label = {rule.label: idx for idx, rule in enumerate(rules)}
     seen_text: set[str] = set()
-    for stmt in text_stmts:
-        if stmt.label not in by_label:
-            problem = f"text statement names unknown rule {stmt.label}"
-        elif stmt.label in seen_text:
-            problem = f"duplicate text statement for rule {stmt.label}"
+    for label, text, position in text_stmts:
+        if label not in by_label:
+            problem = f"text statement names unknown rule {label}"
+        elif label in seen_text:
+            problem = f"duplicate text statement for rule {label}"
         else:
-            seen_text.add(stmt.label)
-            idx = by_label[stmt.label]
-            rules[idx] = replace(rules[idx], text=stmt.text)
+            seen_text.add(label)
+            idx = by_label[label]
+            rules[idx] = replace(rules[idx], text=text)
             continue
-        diagnostics.append(_error(problem, stmt.position))
+        diagnostics.append(_error(problem, position))
 
     policy = Policy(tuple(rules))
     domain = DomainSpec(

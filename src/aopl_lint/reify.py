@@ -16,10 +16,10 @@ once on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
+from .diagnostics import Frozen, set_field
 from .grounding import GroundPolicy, GroundRule
 from .model import Atom, HeadLiteral, Literal, Modality, RuleKind
 
@@ -27,8 +27,7 @@ if TYPE_CHECKING:
     from .engine import WorldState
 
 
-@dataclass(frozen=True)
-class Index:
+class Index(Frozen):
     """A ground policy in integer form, shared across states.
 
     A state is an int read as a binary numeral over ``state_atoms`` in
@@ -56,17 +55,32 @@ class Index:
     its ground rule.
     """
 
-    bits: dict[Atom, int]
-    pairs: tuple[HeadLiteral, ...]
-    rules: tuple[tuple[int, int, str, int, bool, bool], ...]
-    prefers: tuple[tuple[int, int, str], ...]
-    actions: tuple[tuple[int, int, int, tuple[GroundRule, ...], int], ...]
-    slices: tuple[tuple[tuple, tuple], ...]
-    relevant: tuple[int, ...]
-    exec_conditions: tuple[tuple[int, int, int], ...]
-    constraints: tuple[tuple[int, frozenset[int] | ConstraintChecks], ...]
-    by_label: dict[str, GroundRule]
-    sort_facts: frozenset[Atom]
+    __slots__ = (
+        "bits", "pairs", "rules", "prefers", "actions", "slices", "relevant",
+        "exec_conditions", "constraints", "by_label", "sort_facts",
+    )
+
+    def __init__(
+        self, bits: dict[Atom, int], pairs: tuple[HeadLiteral, ...],
+        rules: tuple[tuple[int, int, str, int, bool, bool], ...],
+        prefers: tuple[tuple[int, int, str], ...],
+        actions: tuple[tuple[int, int, int, tuple[GroundRule, ...], int], ...],
+        slices: tuple[tuple[tuple, tuple], ...], relevant: tuple[int, ...],
+        exec_conditions: tuple[tuple[int, int, int], ...],
+        constraints: tuple[tuple[int, frozenset[int] | ConstraintChecks], ...],
+        by_label: dict[str, GroundRule], sort_facts: frozenset[Atom],
+    ) -> None:
+        set_field(self, "bits", bits)
+        set_field(self, "pairs", pairs)
+        set_field(self, "rules", rules)
+        set_field(self, "prefers", prefers)
+        set_field(self, "actions", actions)
+        set_field(self, "slices", slices)
+        set_field(self, "relevant", relevant)
+        set_field(self, "exec_conditions", exec_conditions)
+        set_field(self, "constraints", constraints)
+        set_field(self, "by_label", by_label)
+        set_field(self, "sort_facts", sort_facts)
 
     def mask(self, state: WorldState) -> int:
         """The state as an int over ``state_atoms``."""
@@ -92,8 +106,7 @@ class Index:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class ReifiedBase:
+class ReifiedBase(Frozen):
     """Fact-level view of a ground policy.
 
     Treat instances as immutable: the analysis layer shares one base across
@@ -102,8 +115,11 @@ class ReifiedBase:
     integer form the engine evaluates, which the ground policy builds once.
     """
 
-    display: dict[str, str]
-    ground: GroundPolicy
+    __slots__ = ("display", "ground", "__dict__")
+
+    def __init__(self, display: dict[str, str], ground: GroundPolicy) -> None:
+        set_field(self, "display", display)
+        set_field(self, "ground", ground)
 
     def text_or_print(self, label: str) -> str:
         """A rule's source text, falling back to the formal statement."""

@@ -8,24 +8,34 @@ field.  The text form is for humans and leads with the most severe findings.
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 
 from .analysis import FamilyRecord, IssueKind, KIND_ORDER, SweepResult, collapse_families
+from .diagnostics import Frozen, set_field
 
 TOOL_NAME = "aopl-lint"
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    families: tuple[FamilyRecord, ...]
-    states_examined: int
-    domain_path: str | None = None
-    domain_digest: str | None = None
-    policy_path: str | None = None
-    policy_digest: str | None = None
-    pins: tuple[str, ...] = ()
+class AnalysisReport(Frozen):
+    __slots__ = (
+        "families", "states_examined", "domain_path", "domain_digest", "policy_path",
+        "policy_digest", "pins",
+    )
+
+    def __init__(
+        self, families: tuple[FamilyRecord, ...], states_examined: int,
+        domain_path: str | None = None, domain_digest: str | None = None,
+        policy_path: str | None = None, policy_digest: str | None = None,
+        pins: tuple[str, ...] = (),
+    ) -> None:
+        set_field(self, "families", families)
+        set_field(self, "states_examined", states_examined)
+        set_field(self, "domain_path", domain_path)
+        set_field(self, "domain_digest", domain_digest)
+        set_field(self, "policy_path", policy_path)
+        set_field(self, "policy_digest", policy_digest)
+        set_field(self, "pins", pins)
 
     def counts(self) -> dict[str, int]:
         out = {kind.value: 0 for kind in IssueKind}
@@ -183,6 +193,7 @@ def _family_from_json(data: dict) -> FamilyRecord:
 
 
 def render_json(report: AnalysisReport) -> str:
+    import json  # the text format never reads it
     payload = {
         "schema_version": SCHEMA_VERSION,
         "tool": TOOL_NAME,
@@ -197,6 +208,7 @@ def render_json(report: AnalysisReport) -> str:
 
 
 def parse_json(text: str) -> AnalysisReport:
+    import json
     payload = json.loads(text)
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:

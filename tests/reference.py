@@ -720,11 +720,11 @@ def per_action_sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) 
     family_of: dict[tuple, int] = {}  # compact finding -> family id
     seen_counts: dict[int, int] = {}  # states per set of families fired, as a bitmask
 
-    def families(findings: list[tuple]) -> int:
+    def families(findings: list[tuple], state: WorldState) -> int:
         fired = 0
         for finding in findings:
             if finding not in family_of:
-                key = analysis._family_key(analysis._record(base, finding, None))
+                key = _family_key(analysis._record(base, finding, state))
                 family_of[finding] = family_ids.setdefault(key, len(family_ids))
             fired |= 1 << family_of[finding]
         return fired
@@ -746,7 +746,7 @@ def per_action_sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) 
             entry = memo.get(mask & relevant)
             if entry is None:
                 findings = analysis.detect_state(base, mask, (action,))
-                entry = memo[mask & relevant] = [findings, families(findings), rank, state, 0]
+                entry = memo[mask & relevant] = [findings, families(findings, state), rank, state, 0]
             elif rank < entry[2] or (rank == entry[2] and str(state) < str(entry[3])):
                 entry[2:4] = rank, state
             entry[4] += 1
@@ -755,7 +755,7 @@ def per_action_sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) 
             findings = analysis.detect_state(base, mask, split[1])
             for finding in findings:
                 analysis._accumulate(accum, finding, state, state, 1)
-            seen |= families(findings)
+            seen |= families(findings, state)
         seen_counts[seen] = seen_counts.get(seen, 0) + 1
     for memo in filter(None, memos):
         for findings, _, _, witness, states in memo.values():

@@ -1,5 +1,6 @@
 """End-to-end command line behavior via main(argv)."""
 
+import ast
 import json
 import os
 import subprocess
@@ -406,3 +407,63 @@ class TestStates:
         code = main(["states", "--pin", "colonel(c)", "--pin", "!colonel(c)", DOM, STRICT])
         assert code == 2
         assert "contradictory pins" in capsys.readouterr().err
+
+
+# Runs the module as ``-m`` does, as ``__main__``, and prints its exit code and
+# the modules it left loaded.
+_LOADED = (
+    "import runpy, sys\n"
+    "sys.argv = ['aopl-lint', *sys.argv[1:]]\n"
+    "try:\n"
+    "    runpy.run_module('aopl_lint.cli', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as done:\n"
+    "    print(done.code, sorted(sys.modules))\n"
+)
+
+
+def loaded_by(*argv: str) -> tuple[int, set[str]]:
+    # -S skips site, whose imports differ between environments.
+    done = run_child("-S", "-c", _LOADED, *argv)
+    code, modules = done.stdout.rstrip().splitlines()[-1].split(" ", 1)
+    return int(code), set(ast.literal_eval(modules))
+
+
+class TestStartup:
+    """What a command imports: nothing it never runs."""
+
+    def test_analyze_loads_no_emitter_printer_traceback_or_json(self, tmp_path):
+        code, modules = loaded_by("analyze", "-o", str(tmp_path / "report.txt"), DOM, STRICT)
+        assert code == 1
+        assert {m for m in modules if m.startswith("aopl_lint")} == {
+            "aopl_lint",
+            "aopl_lint.analysis",
+            "aopl_lint.diagnostics",
+            "aopl_lint.engine",
+            "aopl_lint.grounding",
+            "aopl_lint.model",
+            "aopl_lint.parser",
+            "aopl_lint.reify",
+            "aopl_lint.report",
+            "aopl_lint.states",
+        }
+        assert not modules & {"traceback", "json"}
+
+    def test_the_commands_that_need_them_load_them(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert "json" in loaded_by("analyze", "--format", "json", "-o", out, DOM, STRICT)[1]
+        code, modules = loaded_by("emit-asp", "-o", out, DOM, STRICT)
+        assert code == 0 and "aopl_lint.emit" in modules and "aopl_lint.printer" not in modules
+
+    def test_analyze_validates_once(self, monkeypatch, capsys):
+        from aopl_lint import grounding, model, parser
+
+        calls = []
+
+        def counting(policy, domain, original=model.validate):
+            calls.append(policy)
+            return original(policy, domain)
+
+        for module in (model, parser, grounding):
+            monkeypatch.setattr(module, "validate", counting)
+        assert main(["analyze", DOM, STRICT]) == 1
+        assert len(calls) == 1

@@ -196,6 +196,11 @@ class TestGroundingErrors:
         domain = DomainSpec(predicates=(PredicateDecl("go", PredicateKind.ACTION),))
         with pytest.raises(GroundingError, match="undeclared predicate: ghost"):
             ground(policy, domain)
+        # A pair that passed validation vouches for itself only.
+        result = parse("action go.\nrule r1: permitted(go).\n")
+        assert ground(result.policy, result.domain).rules
+        with pytest.raises(GroundingError, match="undeclared predicate: ghost"):
+            ground(policy, result.domain)
 
 
 class TestAgainstReference:

@@ -51,9 +51,14 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     return sorted((line, name) for line, name in imported if name not in read)
 
 
+# Module-level functions the interpreter calls by name (PEP 562).
+MODULE_HOOKS = {"__getattr__", "__dir__"}
+
+
 def dead_definitions(sources: dict[str, str]) -> list[tuple[str, int, str]]:
     """(module, line, name) for every module-level function or class that no
-    other top-level statement of the modules reads; ``__all__`` counts."""
+    other top-level statement of the modules reads; ``__all__`` and
+    ``MODULE_HOOKS`` count."""
     statements = [
         (module, stmt) for module, source in sources.items() for stmt in ast.parse(source).body
     ]
@@ -62,6 +67,7 @@ def dead_definitions(sources: dict[str, str]) -> list[tuple[str, int, str]]:
         (module, stmt.lineno, stmt.name)
         for module, stmt in statements
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and stmt.name not in MODULE_HOOKS
         and not any(stmt.name in read for other, read in reads if other is not stmt)
     )
 
@@ -90,6 +96,7 @@ def test_the_definition_scan_ignores_reads_inside_the_definition_itself():
         "a": "__all__ = ['Public']\nclass Public:\n    pass\ndef loop(n):\n    return loop(n)\n",
         "b": "def _helper():\n    pass\ndef caller() -> '_Quoted':\n    return _helper()\n",
         "c": "class _Quoted:\n    pass\n",
+        "d": "def __getattr__(name):\n    raise AttributeError(name)\n",
     }
     assert dead_definitions(sources) == [("a", 4, "loop"), ("b", 3, "caller")]
 
@@ -100,3 +107,49 @@ def test_every_definition_under_src_is_read_or_exported():
         path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))
     }
     assert dead_definitions(sources) == []
+
+
+# The dataclasses under src/ and what needs each to be one.  Every other
+# record type is a ``diagnostics.Frozen`` class, which generates no methods
+# when its module is imported.
+DATACLASSES = {
+    "Diagnostic": "parser.parse_files names the file in a message with dataclasses.replace",
+    "PolicyRule": "parser.parse_files attaches text statements with dataclasses.replace",
+    "DomainSpec": "tests derive domains with dataclasses.replace",
+    "GroundPolicy": "tests derive ground policies with dataclasses.replace",
+    "SweepResult": "cli check filters a result's instances with dataclasses.replace",
+    "FamilyRecord": "report's JSON form reads it with dataclasses.asdict and fields",
+    "ParseResult": "its diagnostics default to a new list through dataclasses.field",
+}
+
+
+def dataclass_names(source: str) -> list[str]:
+    """Names of the classes decorated with ``dataclass``, called or not."""
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        if any(
+            getattr(part, "id", None) == "dataclass" or getattr(part, "attr", None) == "dataclass"
+            for decorator in node.decorator_list
+            for part in ast.walk(decorator)
+        )
+    ]
+
+
+def test_the_dataclass_scan_finds_every_spelling():
+    source = (
+        "import dataclasses\nfrom dataclasses import dataclass\n"
+        "@dataclass\nclass A: pass\n@dataclass(frozen=True)\nclass B: pass\n"
+        "@dataclasses.dataclass(frozen=True)\nclass C: pass\nclass D: pass\n"
+    )
+    assert dataclass_names(source) == ["A", "B", "C"]
+
+
+def test_only_the_allowed_classes_under_src_are_dataclasses():
+    found = [
+        name
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for name in dataclass_names(path.read_text(encoding="utf-8"))
+    ]
+    assert sorted(found) == sorted(DATACLASSES)
