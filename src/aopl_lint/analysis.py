@@ -19,7 +19,6 @@ policy's integer index, built once per ground policy.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -431,13 +430,18 @@ class InstanceRecord(Frozen):
         set_field(self, "state_count", state_count)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Frozen):
     """``family_counts`` pairs each family key with the number of states it fired in."""
 
-    instances: tuple[InstanceRecord, ...]
-    states_examined: int
-    family_counts: tuple[tuple[tuple, int], ...]
+    __slots__ = ("instances", "states_examined", "family_counts")
+
+    def __init__(
+        self, instances: tuple[InstanceRecord, ...], states_examined: int,
+        family_counts: tuple[tuple[tuple, int], ...],
+    ) -> None:
+        set_field(self, "instances", instances)
+        set_field(self, "states_examined", states_examined)
+        set_field(self, "family_counts", family_counts)
 
 
 # Accumulator entry per key: [witness, its state, states seen, additions].
@@ -595,8 +599,7 @@ def _literal_family(literal: Literal) -> str:
     return f"{sign}{literal.atom.predicate}"
 
 
-@dataclass(frozen=True)
-class FamilyRecord:
+class FamilyRecord(Frozen):
     """Instances of one finding that differ only in their constants.
 
     Display strings come from the representative instance, the one with the
@@ -604,21 +607,35 @@ class FamilyRecord:
     all instances; ``instance_count`` counts the ground instances.
     """
 
-    kind: IssueKind
-    action: str
-    base_labels: tuple[str, ...]
-    instance_labels: tuple[str, ...]
-    rule_texts: tuple[str, ...]
-    pos_support: tuple[str, ...]
-    neg_support: tuple[str, ...]
-    missing: tuple[tuple[str, tuple[str, ...]], ...]
-    pairs: tuple[tuple[str, str], ...]
-    urgency: int | None
-    stats: tuple[int, int, int] | None
-    case: int | None
-    witness_true_atoms: tuple[str, ...]
-    state_count: int
-    instance_count: int
+    __slots__ = (
+        "kind", "action", "base_labels", "instance_labels", "rule_texts", "pos_support",
+        "neg_support", "missing", "pairs", "urgency", "stats", "case", "witness_true_atoms",
+        "state_count", "instance_count",
+    )
+
+    def __init__(
+        self, kind: IssueKind, action: str, base_labels: tuple[str, ...],
+        instance_labels: tuple[str, ...], rule_texts: tuple[str, ...],
+        pos_support: tuple[str, ...], neg_support: tuple[str, ...],
+        missing: tuple[tuple[str, tuple[str, ...]], ...], pairs: tuple[tuple[str, str], ...],
+        urgency: int | None, stats: tuple[int, int, int] | None, case: int | None,
+        witness_true_atoms: tuple[str, ...], state_count: int, instance_count: int,
+    ) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "action", action)
+        set_field(self, "base_labels", base_labels)
+        set_field(self, "instance_labels", instance_labels)
+        set_field(self, "rule_texts", rule_texts)
+        set_field(self, "pos_support", pos_support)
+        set_field(self, "neg_support", neg_support)
+        set_field(self, "missing", missing)
+        set_field(self, "pairs", pairs)
+        set_field(self, "urgency", urgency)
+        set_field(self, "stats", stats)
+        set_field(self, "case", case)
+        set_field(self, "witness_true_atoms", witness_true_atoms)
+        set_field(self, "state_count", state_count)
+        set_field(self, "instance_count", instance_count)
 
 
 def _family_key(

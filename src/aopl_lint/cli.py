@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from itertools import islice
 
 from .analysis import SweepOptions, SweepResult, classify_compliance, sweep
@@ -216,8 +215,7 @@ def _cmd_check(args) -> int:
     result = sweep(base, SweepOptions(pins=state.literals()))
     if only is not None:
         # One state: every family left keeps its count of 1.
-        result = replace(
-            result,
+        result = result.replace(
             instances=tuple(i for i in result.instances if i.record.action.action == only),
         )
     return _write_report(sources, result, args.format, None)

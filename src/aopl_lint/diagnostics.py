@@ -3,7 +3,6 @@ and ``Frozen``, the base of the package's immutable record types."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 
@@ -13,12 +12,13 @@ set_field = object.__setattr__
 
 
 class Frozen:
-    """Immutable fields with a frozen dataclass's ``==``, ``hash`` and ``repr``.
+    """Immutable fields with a frozen dataclass's ``==``, ``hash``, ``repr`` and
+    ``replace``.
 
     A subclass lists its fields in ``__slots__`` in ``__init__`` order and
     sets each there with ``set_field``; a ``__dict__`` slot makes room for
-    ``functools.cached_property``.  Nothing is generated, so a subclass
-    costs no ``exec``.
+    ``functools.cached_property``, and ``replace`` leaves it behind.
+    Nothing is generated, so a subclass costs no ``exec``.
     """
 
     __slots__ = ()
@@ -49,6 +49,10 @@ class Frozen:
     def __reduce__(self) -> tuple:
         return self.__class__, self._values(self)
 
+    def replace(self, **changes: object) -> "Frozen":
+        """A copy with ``changes`` applied; an unknown field is a ``TypeError``."""
+        return self.__class__(**{**dict(zip(self._fields, self._values(self))), **changes})
+
 
 class Severity(Enum):
     ERROR = "error"
@@ -68,14 +72,19 @@ class Position(Frozen):
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Frozen):
     """One problem found while parsing or validating a policy or domain."""
 
-    severity: Severity
-    message: str
-    position: Position | None = None
-    rule_label: str | None = None
+    __slots__ = ("severity", "message", "position", "rule_label")
+
+    def __init__(
+        self, severity: Severity, message: str, position: Position | None = None,
+        rule_label: str | None = None,
+    ) -> None:
+        set_field(self, "severity", severity)
+        set_field(self, "message", message)
+        set_field(self, "position", position)
+        set_field(self, "rule_label", rule_label)
 
     def __str__(self) -> str:
         parts = [self.severity.value]

@@ -9,7 +9,6 @@ range independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
@@ -63,8 +62,7 @@ class GroundRule(Frozen):
         set_field(self, "text", text)
 
 
-@dataclass(frozen=True)
-class GroundPolicy:
+class GroundPolicy(Frozen):
     """A fully instantiated policy together with its ground domain.
 
     ``state_atoms`` lists the ground static and fluent atoms in declaration
@@ -76,13 +74,24 @@ class GroundPolicy:
     (``reify.Index``), built once on first use.
     """
 
-    rules: tuple[GroundRule, ...]
-    state_atoms: tuple[Atom, ...]
-    action_atoms: tuple[Atom, ...]
-    head_universe: tuple[HeadLiteral, ...]
-    state_constraints: tuple[StateConstraint, ...] = ()
-    exec_constraints: tuple[ExecConstraint, ...] = ()
-    sort_facts: tuple[Atom, ...] = ()
+    __slots__ = (
+        "rules", "state_atoms", "action_atoms", "head_universe", "state_constraints",
+        "exec_constraints", "sort_facts", "__dict__",
+    )
+
+    def __init__(
+        self, rules: tuple[GroundRule, ...], state_atoms: tuple[Atom, ...],
+        action_atoms: tuple[Atom, ...], head_universe: tuple[HeadLiteral, ...],
+        state_constraints: tuple[StateConstraint, ...] = (),
+        exec_constraints: tuple[ExecConstraint, ...] = (), sort_facts: tuple[Atom, ...] = (),
+    ) -> None:
+        set_field(self, "rules", rules)
+        set_field(self, "state_atoms", state_atoms)
+        set_field(self, "action_atoms", action_atoms)
+        set_field(self, "head_universe", head_universe)
+        set_field(self, "state_constraints", state_constraints)
+        set_field(self, "exec_constraints", exec_constraints)
+        set_field(self, "sort_facts", sort_facts)
 
     def rule_map(self) -> dict[str, GroundRule]:
         return {r.label: r for r in self.rules}

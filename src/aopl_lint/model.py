@@ -9,7 +9,6 @@ test against the state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -170,8 +169,7 @@ class HeadLiteral(Frozen):
         return f"{sign}{self.modality.value}({self.happening})"
 
 
-@dataclass(frozen=True)
-class PolicyRule:
+class PolicyRule(Frozen):
     """One policy statement.
 
     Strict and defeasible rules carry a head and a condition.  Preference
@@ -182,14 +180,24 @@ class PolicyRule:
     positions.
     """
 
-    label: str
-    kind: RuleKind
-    head: HeadLiteral | None = None
-    condition: tuple[Literal, ...] = ()
-    preferred: str | None = None
-    dispreferred: str | None = None
-    text: str | None = None
-    where: tuple[tuple[str, str], ...] = ()
+    __slots__ = (
+        "label", "kind", "head", "condition", "preferred", "dispreferred", "text", "where"
+    )
+
+    def __init__(
+        self, label: str, kind: RuleKind, head: HeadLiteral | None = None,
+        condition: tuple[Literal, ...] = (), preferred: str | None = None,
+        dispreferred: str | None = None, text: str | None = None,
+        where: tuple[tuple[str, str], ...] = (),
+    ) -> None:
+        set_field(self, "label", label)
+        set_field(self, "kind", kind)
+        set_field(self, "head", head)
+        set_field(self, "condition", condition)
+        set_field(self, "preferred", preferred)
+        set_field(self, "dispreferred", dispreferred)
+        set_field(self, "text", text)
+        set_field(self, "where", where)
 
     def atoms(self) -> tuple[Atom, ...]:
         """The head's action, then the condition atoms."""
@@ -255,12 +263,18 @@ class ExecConstraint(Frozen):
         set_field(self, "condition", condition)
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    sorts: tuple[SortDecl, ...] = ()
-    predicates: tuple[PredicateDecl, ...] = ()
-    state_constraints: tuple[StateConstraint, ...] = ()
-    exec_constraints: tuple[ExecConstraint, ...] = ()
+class DomainSpec(Frozen):
+    __slots__ = ("sorts", "predicates", "state_constraints", "exec_constraints")
+
+    def __init__(
+        self, sorts: tuple[SortDecl, ...] = (), predicates: tuple[PredicateDecl, ...] = (),
+        state_constraints: tuple[StateConstraint, ...] = (),
+        exec_constraints: tuple[ExecConstraint, ...] = (),
+    ) -> None:
+        set_field(self, "sorts", sorts)
+        set_field(self, "predicates", predicates)
+        set_field(self, "state_constraints", state_constraints)
+        set_field(self, "exec_constraints", exec_constraints)
 
     def sort_map(self) -> dict[str, SortDecl]:
         return {s.name: s for s in self.sorts}

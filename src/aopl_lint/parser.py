@@ -34,11 +34,12 @@ diagnostic.  A parse with errors returns no AST.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, TypeVar
 
-from .diagnostics import Diagnostic, Position, Severity, SourceFile, has_errors, sort_diagnostics
+from .diagnostics import (
+    Diagnostic, Frozen, Position, Severity, SourceFile, has_errors, set_field, sort_diagnostics,
+)
 from .model import (
     Atom,
     DomainSpec,
@@ -183,17 +184,24 @@ def _tokenize(text: str) -> tuple[list[_Token], list[Diagnostic]]:
     return tokens, diagnostics
 
 
-@dataclass
-class ParseResult:
+class ParseResult(Frozen):
     """Outcome of a parse: either an AST pair or error diagnostics.
 
     ``policy`` and ``domain`` are None whenever any error-severity
     diagnostic is present; warnings alone do not suppress the AST.
+    ``diagnostics`` defaults to a new list; the list makes it unhashable.
     """
 
-    policy: Policy | None
-    domain: DomainSpec | None
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    __slots__ = ("policy", "domain", "diagnostics")
+    __hash__ = None
+
+    def __init__(
+        self, policy: Policy | None, domain: DomainSpec | None,
+        diagnostics: list[Diagnostic] | None = None,
+    ) -> None:
+        set_field(self, "policy", policy)
+        set_field(self, "domain", domain)
+        set_field(self, "diagnostics", [] if diagnostics is None else diagnostics)
 
     @property
     def ok(self) -> bool:
@@ -445,7 +453,7 @@ def parse_files(sources: list[SourceFile]) -> ParseResult:
         for into, part in zip(merged, _parse_statements(_Parser(tokens), local)):
             into.extend(part)
         if len(sources) > 1:
-            local = [replace(d, message=f"{source.path}: {d.message}") for d in local]
+            local = [d.replace(message=f"{source.path}: {d.message}") for d in local]
         diagnostics.extend(local)
     sorts, predicates, state_cs, exec_cs, rule_stmts, text_stmts = merged
 
@@ -465,7 +473,7 @@ def parse_files(sources: list[SourceFile]) -> ParseResult:
         else:
             seen_text.add(label)
             idx = by_label[label]
-            rules[idx] = replace(rules[idx], text=text)
+            rules[idx] = rules[idx].replace(text=text)
             continue
         diagnostics.append(_error(problem, position))
 
@@ -479,7 +487,7 @@ def parse_files(sources: list[SourceFile]) -> ParseResult:
 
     for diag in validate(policy, domain):
         if diag.position is None and diag.rule_label in positions:
-            diag = replace(diag, position=positions[diag.rule_label])
+            diag = diag.replace(position=positions[diag.rule_label])
         diagnostics.append(diag)
 
     diagnostics = sort_diagnostics(diagnostics)

@@ -8,7 +8,6 @@ field.  The text form is for humans and leads with the most severe findings.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, fields
 
 from .analysis import FamilyRecord, IssueKind, KIND_ORDER, SweepResult, collapse_families
 from .diagnostics import Frozen, set_field
@@ -176,7 +175,7 @@ def render_text(report: AnalysisReport) -> str:
 
 
 def _family_to_json(family: FamilyRecord) -> dict:
-    data = asdict(family)
+    data = dict(zip(family._fields, family._values(family)))
     data["kind"] = family.kind.value
     data["explanations"] = explanation_lines(family)
     return data
@@ -187,7 +186,7 @@ def _tuples(value):
 
 
 def _family_from_json(data: dict) -> FamilyRecord:
-    values = {f.name: _tuples(data[f.name]) for f in fields(FamilyRecord)}
+    values = {name: _tuples(data[name]) for name in FamilyRecord._fields}
     values["kind"] = IssueKind(data["kind"])
     return FamilyRecord(**values)
 

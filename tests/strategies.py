@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from hypothesis import assume, strategies as st
 
 from aopl_lint import (
@@ -104,8 +102,7 @@ def domain_and_policy(draw) -> tuple[Policy, DomainSpec]:
         vars_of.clear()
         action = atom_for(draw(st.sampled_from(action_decls)))
         exec_constraints.append(ExecConstraint(action=action, condition=condition()))
-    domain = replace(
-        domain,
+    domain = domain.replace(
         state_constraints=tuple(state_constraints),
         exec_constraints=tuple(exec_constraints),
     )
@@ -177,8 +174,7 @@ def pinned_ground_policy(draw, max_state_atoms: int = 6) -> tuple[GroundPolicy, 
         state_constraint = StateConstraint(tuple(body), draw(st.none() | literal))
         condition = draw(st.lists(literal, max_size=2))
         exec_constraint = ExecConstraint(draw(st.sampled_from(gp.action_atoms)), tuple(condition))
-        gp = replace(
-            gp,
+        gp = gp.replace(
             state_constraints=gp.state_constraints + (state_constraint,),
             exec_constraints=gp.exec_constraints + (exec_constraint,),
         )

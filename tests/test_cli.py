@@ -448,6 +448,12 @@ class TestStartup:
         }
         assert not modules & {"traceback", "json"}
 
+    @pytest.mark.parametrize("command", [["analyze"], ["check", "--state", STATE]])
+    def test_commands_load_no_dataclasses_or_what_it_imports(self, command):
+        code, modules = loaded_by(*command, DOM, STRICT)
+        assert code == 1
+        assert not modules & {"dataclasses", "inspect", "ast", "dis", "tokenize", "copy"}
+
     def test_the_commands_that_need_them_load_them(self, tmp_path):
         out = str(tmp_path / "out")
         assert "json" in loaded_by("analyze", "--format", "json", "-o", out, DOM, STRICT)[1]

@@ -2,7 +2,6 @@
 against the reference."""
 
 import importlib
-from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -465,7 +464,7 @@ def test_constraint_tables_cover_every_kind_of_constraint():
     ]
     for extra, added, small in cases:
         gp = base_from(domain + extra).ground
-        gp = replace(gp, state_constraints=gp.state_constraints + added)
+        gp = gp.replace(state_constraints=gp.state_constraints + added)
         tables = [c for c in gp.index.constraints if isinstance(c[1], frozenset)]
         [(wide, checks)] = [c for c in gp.index.constraints if c not in tables]
         assert wide.bit_count() == 10 and len(checks) == 9

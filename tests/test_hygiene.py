@@ -109,25 +109,13 @@ def test_every_definition_under_src_is_read_or_exported():
     assert dead_definitions(sources) == []
 
 
-# The dataclasses under src/ and what needs each to be one.  Every other
-# record type is a ``diagnostics.Frozen`` class, which generates no methods
-# when its module is imported.
-DATACLASSES = {
-    "Diagnostic": "parser.parse_files names the file in a message with dataclasses.replace",
-    "PolicyRule": "parser.parse_files attaches text statements with dataclasses.replace",
-    "DomainSpec": "tests derive domains with dataclasses.replace",
-    "GroundPolicy": "tests derive ground policies with dataclasses.replace",
-    "SweepResult": "cli check filters a result's instances with dataclasses.replace",
-    "FamilyRecord": "report's JSON form reads it with dataclasses.asdict and fields",
-    "ParseResult": "its diagnostics default to a new list through dataclasses.field",
-}
-
-
 def dataclass_names(source: str) -> list[str]:
-    """Names of the classes decorated with ``dataclass``, called or not."""
-    return [
+    """Names of the classes decorated with ``dataclass``, called or not, and
+    ``import dataclasses`` for each statement that imports the module."""
+    tree = ast.parse(source)
+    classes = [
         node.name
-        for node in ast.walk(ast.parse(source))
+        for node in ast.walk(tree)
         if isinstance(node, ast.ClassDef)
         if any(
             getattr(part, "id", None) == "dataclass" or getattr(part, "attr", None) == "dataclass"
@@ -135,6 +123,13 @@ def dataclass_names(source: str) -> list[str]:
             for part in ast.walk(decorator)
         )
     ]
+    imports = [
+        "import dataclasses"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+        or isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+    ]
+    return classes + imports
 
 
 def test_the_dataclass_scan_finds_every_spelling():
@@ -142,14 +137,18 @@ def test_the_dataclass_scan_finds_every_spelling():
         "import dataclasses\nfrom dataclasses import dataclass\n"
         "@dataclass\nclass A: pass\n@dataclass(frozen=True)\nclass B: pass\n"
         "@dataclasses.dataclass(frozen=True)\nclass C: pass\nclass D: pass\n"
+        "def f():\n    from dataclasses import replace\n"
     )
-    assert dataclass_names(source) == ["A", "B", "C"]
+    assert dataclass_names(source) == ["A", "B", "C"] + ["import dataclasses"] * 3
 
 
-def test_only_the_allowed_classes_under_src_are_dataclasses():
+# Every record type under src/ is a ``diagnostics.Frozen`` class, which
+# generates no methods when its module is imported, and nothing under src/
+# loads ``dataclasses`` (and with it ``inspect``).
+def test_nothing_under_src_is_or_imports_a_dataclass():
     found = [
-        name
+        (path.name, name)
         for path in sorted((ROOT / "src").rglob("*.py"))
         for name in dataclass_names(path.read_text(encoding="utf-8"))
     ]
-    assert sorted(found) == sorted(DATACLASSES)
+    assert found == []

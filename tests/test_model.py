@@ -1,7 +1,5 @@
 """AST helpers and semantic validation."""
 
-from dataclasses import replace
-
 import pytest
 
 from aopl_lint import (
@@ -217,7 +215,7 @@ class TestValidateRejects:
     )
     def test_action_literal_in_constraint(self, constraints, needle):
         go = PredicateDecl("go", PredicateKind.ACTION, ("agent",))
-        domain = replace(DOM, predicates=DOM.predicates + (go,), **constraints)
+        domain = DOM.replace(predicates=DOM.predicates + (go,), **constraints)
         assert errors_of(Policy(), domain) == [needle]
 
     def test_duplicate_labels(self):
