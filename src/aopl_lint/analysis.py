@@ -182,8 +182,8 @@ def _identity(base: ReifiedBase, finding: tuple) -> tuple:
     """
     index = base.index
     tag = finding[0]
-    if tag == _INCONSISTENCY:
-        action = index.pairs[finding[1]].happening
+    if tag == _INCONSISTENCY:  # the pair of its first rule's head
+        action = index.by_label[finding[2]].head.happening
     else:
         action = Happening(base.ground.action_atoms[finding[1]], True)
     pos_support = neg_support = missing = pairs = ()

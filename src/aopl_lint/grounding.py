@@ -18,10 +18,8 @@ from .model import (
     Atom,
     DomainSpec,
     ExecConstraint,
-    Happening,
     HeadLiteral,
     Literal,
-    Modality,
     Policy,
     PredicateKind,
     RuleKind,
@@ -41,19 +39,16 @@ class GroundingError(Exception):
 
 
 class GroundRule(Frozen):
-    """One ground instance of a policy statement."""
+    """One ground instance of a policy statement, labelled as the module docstring says."""
 
-    __slots__ = (
-        "label", "base_label", "kind", "head", "condition", "preferred", "dispreferred", "text"
-    )
+    __slots__ = ("label", "kind", "head", "condition", "preferred", "dispreferred", "text")
 
     def __init__(
-        self, label: str, base_label: str, kind: RuleKind, head: HeadLiteral | None = None,
+        self, label: str, kind: RuleKind, head: HeadLiteral | None = None,
         condition: tuple[Literal, ...] = (), preferred: str | None = None,
         dispreferred: str | None = None, text: str | None = None,
     ) -> None:
         set_field(self, "label", label)
-        set_field(self, "base_label", base_label)
         set_field(self, "kind", kind)
         set_field(self, "head", head)
         set_field(self, "condition", condition)
@@ -67,28 +62,25 @@ class GroundPolicy(Frozen):
 
     ``state_atoms`` lists the ground static and fluent atoms in declaration
     order and defines the state space; ``action_atoms`` lists the ground
-    actions in declaration order.  ``head_universe`` holds the six deontic
-    literals per ground action.  ``sort_facts`` are the ground sort
+    actions in declaration order.  ``sort_facts`` are the ground sort
     membership atoms referenced by rule or constraint conditions; they are
     true in every state.  ``index`` is the policy in integer form
     (``reify.Index``), built once on first use.
     """
 
     __slots__ = (
-        "rules", "state_atoms", "action_atoms", "head_universe", "state_constraints",
-        "exec_constraints", "sort_facts", "__dict__",
+        "rules", "state_atoms", "action_atoms", "state_constraints", "exec_constraints",
+        "sort_facts", "__dict__",
     )
 
     def __init__(
         self, rules: tuple[GroundRule, ...], state_atoms: tuple[Atom, ...],
-        action_atoms: tuple[Atom, ...], head_universe: tuple[HeadLiteral, ...],
-        state_constraints: tuple[StateConstraint, ...] = (),
+        action_atoms: tuple[Atom, ...], state_constraints: tuple[StateConstraint, ...] = (),
         exec_constraints: tuple[ExecConstraint, ...] = (), sort_facts: tuple[Atom, ...] = (),
     ) -> None:
         set_field(self, "rules", rules)
         set_field(self, "state_atoms", state_atoms)
         set_field(self, "action_atoms", action_atoms)
-        set_field(self, "head_universe", head_universe)
         set_field(self, "state_constraints", state_constraints)
         set_field(self, "exec_constraints", exec_constraints)
         set_field(self, "sort_facts", sort_facts)
@@ -144,24 +136,6 @@ def _ground_atoms(domain: DomainSpec, kinds: tuple[PredicateKind, ...]) -> tuple
     return tuple(atoms)
 
 
-def _head_universe(action_atoms: tuple[Atom, ...]) -> tuple[HeadLiteral, ...]:
-    heads: list[HeadLiteral] = []
-    for action in action_atoms:
-        does = Happening(action, True)
-        does_not = Happening(action, False)
-        heads.extend(
-            [
-                HeadLiteral(Modality.PERMITTED, does, True),
-                HeadLiteral(Modality.PERMITTED, does, False),
-                HeadLiteral(Modality.OBL, does, True),
-                HeadLiteral(Modality.OBL, does, False),
-                HeadLiteral(Modality.OBL, does_not, True),
-                HeadLiteral(Modality.OBL, does_not, False),
-            ]
-        )
-    return tuple(heads)
-
-
 def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
     """Instantiate a validated policy over its domain.
 
@@ -196,7 +170,6 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
                 ground_rules.append(
                     GroundRule(
                         label=_ground_label(rule.label, variables, binding),
-                        base_label=rule.label,
                         kind=RuleKind.PREFERENCE,
                         preferred=_ground_label(rule.preferred, pref_vars, binding),
                         dispreferred=_ground_label(rule.dispreferred, disp_vars, binding),
@@ -210,7 +183,6 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
             ground_rules.append(
                 GroundRule(
                     label=_ground_label(rule.label, variables, binding),
-                    base_label=rule.label,
                     kind=rule.kind,
                     head=rule.head.substitute(binding),
                     condition=tuple(lit.substitute(binding) for lit in rule.condition),
@@ -255,7 +227,6 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
         rules=tuple(ground_rules),
         state_atoms=state_atoms,
         action_atoms=action_atoms,
-        head_universe=_head_universe(action_atoms),
         state_constraints=tuple(state_constraints),
         exec_constraints=tuple(exec_constraints),
         sort_facts=tuple(sorted(sort_facts, key=str)),

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from .diagnostics import Frozen, set_field
 from .grounding import GroundPolicy, GroundRule
-from .model import Atom, HeadLiteral, Literal, Modality, RuleKind
+from .model import Atom, Literal, Modality, RuleKind
 
 if TYPE_CHECKING:
     from .engine import WorldState
@@ -34,14 +34,14 @@ class Index(Frozen):
     declaration order: the first declared atom is the most significant bit
     and the last the least, so ``state_atoms[i]`` is bit ``n - 1 - i``.  A
     body is a (must-be-true, must-be-false) mask pair with sort facts folded
-    in; a rule or preference whose body can never hold is left out.  ``pairs``
-    holds the positive member of every complementary head pair, ordered by
-    ``str``.  ``rules`` holds (true mask, false mask, label, pair, positive
-    head, strict) per strict or defeasible rule in base order, and
-    ``prefers`` (the stronger body's masks, the weaker label) per
-    preference.  ``actions`` holds, per ground action, its permitted,
-    obl(a) and obl(-a) pair indexes, its authorization rules and the state
-    bits their conditions mention.  ``slices`` holds, per ground action, the
+    in; a rule or preference whose body can never hold is left out.  A
+    complementary head pair is an int: ground action ``a``'s permitted(a),
+    obl(a) and obl(-a) pairs are ``3 * a`` to ``3 * a + 2``.  ``rules`` holds
+    (true mask, false mask, label, pair, positive head, strict) per strict or
+    defeasible rule in base order, and ``prefers`` (the stronger body's
+    masks, the weaker label) per preference.  ``actions`` holds, per ground
+    action, its permitted, obl(a) and obl(-a) pair indexes, its authorization
+    rules and the state bits their conditions mention.  ``slices`` holds, per ground action, the
     ``rules`` on its three pairs and the ``prefers`` whose weaker rule is one
     of them; a pair has one action, so the slices partition both.
     ``relevant`` holds, per ground action, every state bit its findings
@@ -56,13 +56,12 @@ class Index(Frozen):
     """
 
     __slots__ = (
-        "bits", "pairs", "rules", "prefers", "actions", "slices", "relevant",
+        "bits", "rules", "prefers", "actions", "slices", "relevant",
         "exec_conditions", "constraints", "by_label", "sort_facts",
     )
 
     def __init__(
-        self, bits: dict[Atom, int], pairs: tuple[HeadLiteral, ...],
-        rules: tuple[tuple[int, int, str, int, bool, bool], ...],
+        self, bits: dict[Atom, int], rules: tuple[tuple[int, int, str, int, bool, bool], ...],
         prefers: tuple[tuple[int, int, str], ...],
         actions: tuple[tuple[int, int, int, tuple[GroundRule, ...], int], ...],
         slices: tuple[tuple[tuple, tuple], ...], relevant: tuple[int, ...],
@@ -71,7 +70,6 @@ class Index(Frozen):
         by_label: dict[str, GroundRule], sort_facts: frozenset[Atom],
     ) -> None:
         set_field(self, "bits", bits)
-        set_field(self, "pairs", pairs)
         set_field(self, "rules", rules)
         set_field(self, "prefers", prefers)
         set_field(self, "actions", actions)
@@ -213,13 +211,6 @@ def _build_index(gp: GroundPolicy) -> Index:
         for rule in gp.rules
         if (masks := _body_masks(rule.condition, bits, sort_facts)) is not None
     }
-    # ``head_universe`` holds six heads per action, so its even entries are
-    # each action's permitted(a), obl(a) and obl(-a), the positive pair members.
-    positives = gp.head_universe[::2]
-    order = sorted(range(len(positives)), key=lambda i: str(positives[i]))
-    pairs = tuple(positives[i] for i in order)
-    # The inverse permutation: the pair index of positive head 3 * action + slot.
-    pair_at = sorted(range(len(order)), key=order.__getitem__)
     action_index = {action: i for i, action in enumerate(gp.action_atoms)}
     authorizations: list[list[GroundRule]] = [[] for _ in gp.action_atoms]
     slices: list[tuple[list, list]] = [([], []) for _ in gp.action_atoms]
@@ -236,8 +227,7 @@ def _build_index(gp: GroundPolicy) -> Index:
         else:
             slot = 1 if head.happening.positive else 2
         if (masks := bodies.get(rule.label)) is not None:
-            entry = (*masks, rule.label, pair_at[3 * a + slot], head.positive,
-                     rule.kind is RuleKind.STRICT)
+            entry = (*masks, rule.label, 3 * a + slot, head.positive, rule.kind is RuleKind.STRICT)
             rules.append(entry)
             slices[a][0].append(entry)
             relevant[a] |= masks[0] | masks[1]
@@ -253,7 +243,7 @@ def _build_index(gp: GroundPolicy) -> Index:
     for a, auth in enumerate(authorizations):
         mentioned = sum({bits.get(lit.atom, 0) for rule in auth for lit in rule.condition})
         relevant[a] |= mentioned
-        actions.append((*pair_at[3 * a : 3 * a + 3], tuple(auth), mentioned))
+        actions.append((3 * a, 3 * a + 1, 3 * a + 2, tuple(auth), mentioned))
     exec_conditions = tuple(
         (*masks, action_index[constraint.action])
         for constraint in gp.exec_constraints
@@ -279,7 +269,6 @@ def _build_index(gp: GroundPolicy) -> Index:
         constraints.append((component, group))
     return Index(
         bits=bits,
-        pairs=pairs,
         rules=tuple(rules),
         prefers=tuple(prefers),
         actions=tuple(actions),

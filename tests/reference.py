@@ -209,7 +209,9 @@ def answer_sets(base: ReifiedBase, state: WorldState) -> list[AnswerSet]:
         if all(_satisfies(state, lit, sort_facts) for lit in rule.condition)
     )
     literals = frozenset(state_literals(base, state))
-    pairs = base.index.pairs
+    # Each action's six heads in ``reify.Index`` pair order, so the even ones
+    # are the positive members of its permitted(a), obl(a) and obl(-a) pairs.
+    pairs = _head_universe(base.ground.action_atoms)[::2]
     choices = [
         [(pairs[pair], outcome) for outcome in outcomes] for pair, outcomes in groups.items()
     ]
@@ -311,7 +313,7 @@ def detect_inconsistency(
     """
     models = _models(base, state, models)
     bodies = _bodies(base)
-    pairs = _complementary_pairs(base.ground.head_universe)
+    pairs = _complementary_pairs(_head_universe(base.ground.action_atoms))
     records: dict[tuple, IssueRecord] = {}
     for model in models:
         for positive in pairs:
@@ -1037,7 +1039,6 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
                 ground_rules.append(
                     GroundRule(
                         label=_ground_label(rule.label, variables, binding),
-                        base_label=rule.label,
                         kind=RuleKind.PREFERENCE,
                         preferred=_ground_label(rule.preferred, pref_vars, binding),
                         dispreferred=_ground_label(rule.dispreferred, disp_vars, binding),
@@ -1052,7 +1053,6 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
             ground_rules.append(
                 GroundRule(
                     label=_ground_label(rule.label, variables, binding),
-                    base_label=rule.label,
                     kind=rule.kind,
                     head=rule.head.substitute(binding),
                     condition=tuple(lit.substitute(binding) for lit in rule.condition),
@@ -1106,7 +1106,6 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
         rules=tuple(ground_rules),
         state_atoms=state_atoms,
         action_atoms=action_atoms,
-        head_universe=_head_universe(action_atoms),
         state_constraints=tuple(ground_state_constraints),
         exec_constraints=tuple(ground_exec_constraints),
         sort_facts=tuple(sorted(sort_fact_set, key=str)),

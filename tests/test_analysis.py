@@ -83,6 +83,22 @@ class TestInconsistency:
         (record,) = detect_inconsistency(base, make_state(base.ground, "f"))
         assert record.rule_labels == ("o1", "o2")
 
+    def test_each_pair_reports_its_own_happening(self):
+        base = base_from(
+            "fluent f.\naction stay.\naction go.\n"
+            "rule a1: permitted(go) if f.\nrule a2: !permitted(go).\n"
+            "rule b1: obl(go) if f.\nrule b2: !obl(go).\n"
+            "rule c1: obl(-go) if f.\nrule c2: !obl(-go).\n"
+        )
+        expected = [(("a1", "a2"), "go"), (("b1", "b2"), "go"), (("c1", "c2"), "-go")]
+        records = detect_inconsistency(base, make_state(base.ground, "f"))
+        assert sorted((r.rule_labels, str(r.action)) for r in records) == expected
+        result = sweep(base)
+        instances = find(result.instances, IssueKind.INCONSISTENCY)
+        assert sorted((i.record.rule_labels, str(i.record.action)) for i in instances) == expected
+        families = [f for f in collapse_families(result) if f.kind is IssueKind.INCONSISTENCY]
+        assert sorted((f.base_labels, f.action) for f in families) == expected
+
 
 class TestUnderspecification:
     def test_case_one_when_no_rules_mention_the_action(self):

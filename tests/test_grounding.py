@@ -20,7 +20,7 @@ class TestMissionGrounding:
     def test_singleton_sorts_ground_once_per_rule(self, mission_defeasible):
         gp = mission_defeasible.ground
         assert [r.label for r in gp.rules] == ["d1[c,m]", "d2[c,m]", "s3[c,m]", "o1[c,m]", "p1[c,m]"]
-        assert {r.base_label for r in gp.rules} == {"d1", "d2", "s3", "o1", "p1"}
+        assert {r.label.split("[")[0] for r in gp.rules} == {"d1", "d2", "s3", "o1", "p1"}
 
     def test_preference_targets_are_ground_labels(self, mission_defeasible):
         pref = mission_defeasible.ground.rule_map()["p1[c,m]"]
@@ -37,19 +37,6 @@ class TestMissionGrounding:
             "ordered_by_superior(c,m)",
         ]
         assert [str(a) for a in gp.action_atoms] == ["assume_comm(c,m)", "authorize_comm(c,m)"]
-
-    def test_head_universe_six_per_action(self, mission_strict):
-        gp = mission_strict.ground
-        assert len(gp.head_universe) == 12
-        per_action = [str(h) for h in gp.head_universe[:6]]
-        assert per_action == [
-            "permitted(assume_comm(c,m))",
-            "!permitted(assume_comm(c,m))",
-            "obl(assume_comm(c,m))",
-            "!obl(assume_comm(c,m))",
-            "obl(-assume_comm(c,m))",
-            "!obl(-assume_comm(c,m))",
-        ]
 
     def test_conditions_are_ground(self, mission_strict):
         for rule in mission_strict.ground.rules:
@@ -81,11 +68,12 @@ class TestLargerDomain:
         gp = ground_from(TWO_BY_TWO)
         by_base = {}
         for rule in gp.rules:
-            by_base.setdefault(rule.base_label, []).append(rule.label)
+            by_base.setdefault(rule.label.split("[")[0], []).append(rule.label)
         assert len(by_base["d1"]) == 4
         assert len(by_base["d2"]) == 4
         assert len(by_base["p1"]) == 4
         assert "d1[c2,m1]" in by_base["d1"]
+        assert len(gp.action_atoms) == 4
 
     def test_shared_preference_variables_ground_together(self):
         gp = ground_from(TWO_BY_TWO)
@@ -122,11 +110,6 @@ prefer p1: d1 > d2.
     def test_variable_free_rules_keep_their_labels(self):
         gp = ground_from("action halt.\nrule r1: permitted(halt).\n")
         assert [r.label for r in gp.rules] == ["r1"]
-
-    def test_head_universe_covers_every_ground_action(self):
-        gp = ground_from(TWO_BY_TWO)
-        assert len(gp.action_atoms) == 4
-        assert len(gp.head_universe) == 24
 
 
 class TestConstraintsAndSortFacts:

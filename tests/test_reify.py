@@ -1,6 +1,6 @@
 """Ground policies become fact bases without loss."""
 
-from aopl_lint import RuleKind, emit_asp, parse_ground_literal
+from aopl_lint import Modality, RuleKind, emit_asp, parse_ground_literal
 
 from helpers import base_from
 
@@ -100,3 +100,23 @@ class TestInjectivity:
     def test_negative_condition_literal_is_preserved(self):
         base = base_from("fluent f.\naction go.\nrule r1: permitted(go) if !f.\n")
         assert facts_about(base, "mbr(") == ["mbr(b(r1), neg(f))."]
+
+
+class TestIndex:
+    def test_each_rule_sits_on_its_head_actions_pair(self):
+        base = base_from(
+            "sorts agent: a1, a2.\nfluent f(agent).\naction go(agent).\naction stay.\n"
+            "rule r1: permitted(go(X)) if f(X).\n"
+            "rule r2: normally !obl(go(X)).\n"
+            "rule r3: obl(-stay) if f(a1).\n"
+            "rule r4: !permitted(stay).\n"
+        )
+        index = base.index
+        pairs = [pair for entry in index.actions for pair in entry[:3]]
+        assert len(set(pairs)) == len(pairs) == 3 * len(base.ground.action_atoms)
+        actions = dict(zip(base.ground.action_atoms, index.actions))
+        assert len(index.rules) == 6
+        for _, _, label, pair, _, _ in index.rules:
+            head = index.by_label[label].head
+            slot = 0 if head.modality is Modality.PERMITTED else 1 if head.happening.positive else 2
+            assert pair == actions[head.happening.action][slot]

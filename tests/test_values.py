@@ -49,7 +49,8 @@ REQUIRED = inspect.Parameter.empty
 NEW_LIST = "a new list"
 
 # Every field and its default, as each type declared them when it was a
-# frozen dataclass.
+# frozen dataclass, less the fields removed since (``GroundRule.base_label``,
+# ``Index.pairs`` and ``GroundPolicy.head_universe``).
 FIELDS = {
     Position: {"line": REQUIRED, "column": REQUIRED},
     SourceFile: {"path": REQUIRED, "text": REQUIRED},
@@ -66,7 +67,6 @@ FIELDS = {
     AmbiguityStats: {"n": REQUIRED, "n_p": REQUIRED, "n_np": REQUIRED},
     GroundRule: {
         "label": REQUIRED,
-        "base_label": REQUIRED,
         "kind": REQUIRED,
         "head": None,
         "condition": (),
@@ -76,7 +76,7 @@ FIELDS = {
     },
     Index: dict.fromkeys(
         (
-            "bits pairs rules prefers actions slices relevant exec_conditions constraints "
+            "bits rules prefers actions slices relevant exec_conditions constraints "
             "by_label sort_facts"
         ).split(),
         REQUIRED,
@@ -130,7 +130,6 @@ FIELDS = {
         "rules": REQUIRED,
         "state_atoms": REQUIRED,
         "action_atoms": REQUIRED,
-        "head_universe": REQUIRED,
         "state_constraints": (),
         "exec_constraints": (),
         "sort_facts": (),
