@@ -213,9 +213,9 @@ def _identity(base: ReifiedBase, finding: tuple) -> tuple:
     return _KINDS[tag], action, labels, pos_support, neg_support, missing, pairs, urgency, case
 
 
-def _record(base: ReifiedBase, finding: tuple, state: WorldState) -> IssueRecord:
-    """The IssueRecord a finding stands for, with ``state`` as its witness."""
-    kind, action, labels, *fields, case = _identity(base, finding)
+def _record(base: ReifiedBase, finding: tuple, identity: tuple, state: WorldState) -> IssueRecord:
+    """The IssueRecord a finding with this ``_identity`` stands for, witnessed by ``state``."""
+    kind, action, labels, *fields, case = identity
     stats = None
     if finding[0] == _AMBIGUITY:
         stats = _stats(base, state, base.index.actions[finding[1]][0])
@@ -238,7 +238,7 @@ def _view(
     else:
         return []
     records = [
-        _record(base, finding, state)
+        _record(base, finding, _identity(base, finding), state)
         for finding in detect_state(base, base.index.mask(state), chosen)
         if finding[0] == kind
     ]
@@ -417,17 +417,19 @@ class SweepOptions(Frozen):
 
 
 class InstanceRecord(Frozen):
-    """A deduplicated ground finding and the number of states it was seen in.
+    """A deduplicated ground finding, the number of states it was seen in, and
+    its family key, which ``sweep`` derives once and ``collapse_families`` groups by.
 
     The representative record keeps the witness state with the fewest true
     atoms, breaking ties by the state's text (``str(state)``).
     """
 
-    __slots__ = ("record", "state_count")
+    __slots__ = ("record", "state_count", "family")
 
-    def __init__(self, record: IssueRecord, state_count: int) -> None:
+    def __init__(self, record: IssueRecord, state_count: int, family: tuple) -> None:
         set_field(self, "record", record)
         set_field(self, "state_count", state_count)
+        set_field(self, "family", family)
 
 
 class SweepResult(Frozen):
@@ -501,17 +503,18 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
     found: dict[tuple[int, int], tuple[list, int]] = {}  # findings, families per relevant bits
     accum: _Accumulator = {}  # keyed by compact finding; each is one record key
     family_ids: dict[tuple, int] = {}
-    family_of: dict[tuple, int] = {}  # compact finding -> family id
+    family_of: dict[tuple, tuple] = {}  # compact finding -> family id, _identity, family key
     seen_counts: dict[int, int] = {}  # states per set of families fired, as a bitmask
 
     def families(findings: list[tuple]) -> int:
-        """The findings' family ids as a bitmask; a finding's key is computed once."""
+        """The findings' family ids as a bitmask; a finding's identity is computed once."""
         fired = 0
         for finding in findings:
             if finding not in family_of:
-                key = _family_key(*_identity(base, finding))
-                family_of[finding] = family_ids.setdefault(key, len(family_ids))
-            fired |= 1 << family_of[finding]
+                identity = _identity(base, finding)
+                key = _family_key(*identity)
+                family_of[finding] = family_ids.setdefault(key, len(family_ids)), identity, key
+            fired |= 1 << family_of[finding][0]
         return fired
 
     states_examined = 0
@@ -561,8 +564,9 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
 
     instances = sorted(
         (
-            InstanceRecord(record=_record(base, finding, witness), state_count=states)
+            InstanceRecord(_record(base, finding, identity, witness), states, key)
             for finding, (witness, _, states, _) in accum.items()
+            for _, identity, key in (family_of[finding],)
         ),
         key=lambda instance: instance.record.key(),
     )
@@ -578,9 +582,10 @@ def merge_sweeps(first: SweepResult, second: SweepResult) -> SweepResult:
     accum: _Accumulator = {}
     for instance in first.instances + second.instances:
         record = instance.record
-        _accumulate(accum, record.key(), record, record.witness_state, instance.state_count)
+        _accumulate(accum, record.key(), instance, record.witness_state, instance.state_count)
     instances = tuple(
-        InstanceRecord(record=accum[key][0], state_count=accum[key][2]) for key in sorted(accum)
+        InstanceRecord(instance.record, states, instance.family)
+        for _, (instance, _, states, _) in sorted(accum.items())
     )
     family_counts = Counter(dict(first.family_counts)) + Counter(dict(second.family_counts))
     return SweepResult(
@@ -658,18 +663,24 @@ def _family_key(
     )
 
 
+def _true_atoms(state: WorldState) -> tuple[str, ...]:
+    """The state's true atoms in declaration order: its mask's set bits, highest first."""
+    universe, mask, atoms = state.universe, state.mask, []
+    while mask:
+        top = mask.bit_length()
+        atoms.append(str(universe[len(universe) - top]))
+        mask ^= 1 << (top - 1)
+    return tuple(atoms)
+
+
 def collapse_families(result: SweepResult) -> tuple[FamilyRecord, ...]:
-    """Group instance records into families and pick representatives."""
+    """Group instance records by their ``family`` key and pick representatives."""
     state_counts = dict(result.family_counts)
     accum: _Accumulator = {}
     for instance in result.instances:
         record = instance.record
-        key = _family_key(
-            record.kind, record.action, record.rule_labels, record.pos_support,
-            record.neg_support, record.missing, record.pairs, record.urgency, record.case,
-        )
         # A family's states may overlap across members; the sweep counted them.
-        _accumulate(accum, key, record, record.witness_state, 0)
+        _accumulate(accum, instance.family, record, record.witness_state, 0)
 
     families = [
         FamilyRecord(
@@ -687,11 +698,7 @@ def collapse_families(result: SweepResult) -> tuple[FamilyRecord, ...]:
             if record.stats
             else None,
             case=record.case,
-            witness_true_atoms=tuple(
-                str(a)
-                for a in record.witness_state.universe
-                if a in record.witness_state.true_atoms
-            ),
+            witness_true_atoms=_true_atoms(record.witness_state),
             state_count=state_counts[key],
             instance_count=count,
         )

@@ -698,6 +698,11 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SetSweep
     return _result(accum, states_examined)
 
 
+def _package_record(base: ReifiedBase, finding: tuple, state: WorldState) -> IssueRecord:
+    """The package's IssueRecord for a compact finding, witnessed by ``state``."""
+    return analysis._record(base, finding, analysis._identity(base, finding), state)
+
+
 def per_action_sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepResult:
     """The package's sweep with one memo per action and no components.
 
@@ -726,7 +731,7 @@ def per_action_sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) 
         fired = 0
         for finding in findings:
             if finding not in family_of:
-                key = _family_key(analysis._record(base, finding, state))
+                key = _family_key(_package_record(base, finding, state))
                 family_of[finding] = family_ids.setdefault(key, len(family_ids))
             fired |= 1 << family_of[finding]
         return fired
@@ -770,8 +775,9 @@ def per_action_sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) 
 
     instances = sorted(
         (
-            InstanceRecord(record=analysis._record(base, finding, witness), state_count=states)
+            InstanceRecord(record=record, state_count=states, family=_family_key(record))
             for finding, (witness, _, states, _) in accum.items()
+            for record in (_package_record(base, finding, witness),)
         ),
         key=lambda instance: instance.record.key(),
     )

@@ -14,6 +14,7 @@ from aopl_lint import (
     Literal,
     SweepLimitError,
     SweepOptions,
+    WorldState,
     classify_action,
     classify_compliance,
     collapse_families,
@@ -630,6 +631,7 @@ def test_merged_halves_equal_the_full_sweep(pair):
     assert merged.instances == full.instances
     assert merged.states_examined == full.states_examined
     assert merged.family_counts == full.family_counts
+    assert collapse_families(merged) == collapse_families(full)
 
 
 TWO_COMMANDERS = """\
@@ -677,3 +679,18 @@ class TestFamilies:
         families = collapse_families(result)
         assert len(families) == len(result.instances)
         assert all(f.instance_count == 1 for f in families)
+
+    def test_hand_built_witnesses_give_the_same_families(self):
+        result = sweep(base_from(TWO_COMMANDERS))
+        universe = result.instances[0].record.witness_state.universe
+        # colonel is declared before authorized: declaration order is not text order.
+        assert list(universe) != sorted(universe, key=str)
+        rebuilt = []
+        for instance in result.instances:
+            state = instance.record.witness_state
+            by_hand = WorldState(universe, state.true_atoms)
+            assert "mask" not in by_hand.__dict__
+            rebuilt.append(instance.replace(record=instance.record.replace(witness_state=by_hand)))
+        families = collapse_families(result.replace(instances=tuple(rebuilt)))
+        assert families == collapse_families(result)
+        assert ("colonel(c1)", "authorized(c1)") in [f.witness_true_atoms for f in families]

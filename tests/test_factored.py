@@ -63,6 +63,9 @@ def assert_same_sweep(base, options=SweepOptions()):
     for instance in want.instances:
         families.setdefault(reference._family_key(instance.record), set()).update(instance.states)
     assert got.family_counts == tuple(sorted((k, len(v)) for k, v in families.items()))
+    assert [i.family for i in got.instances] == [
+        reference._family_key(i.record) for i in got.instances
+    ]
     assert collapse_families(got) == reference.collapse_families(want)
     assert got == reference.per_action_sweep(base, options)
 

@@ -104,7 +104,7 @@ FIELDS = {
         REQUIRED,
     ),
     SweepOptions: {"pins": (), "max_states": DEFAULT_MAX_STATES},
-    InstanceRecord: {"record": REQUIRED, "state_count": REQUIRED},
+    InstanceRecord: {"record": REQUIRED, "state_count": REQUIRED, "family": REQUIRED},
     AnalysisReport: {
         "families": REQUIRED,
         "states_examined": REQUIRED,
