@@ -461,7 +461,7 @@ def _accumulate(
     entry[2] += states
     entry[3] += 1
     # Fewer true atoms win; only a tie builds the states' text.
-    ours, theirs = state.positive_count(), entry[1].positive_count()
+    ours, theirs = state.mask.bit_count(), entry[1].mask.bit_count()
     if ours < theirs or (ours == theirs and str(state) < str(entry[1])):
         entry[0] = witness
         entry[1] = state
@@ -663,16 +663,6 @@ def _family_key(
     )
 
 
-def _true_atoms(state: WorldState) -> tuple[str, ...]:
-    """The state's true atoms in declaration order: its mask's set bits, highest first."""
-    universe, mask, atoms = state.universe, state.mask, []
-    while mask:
-        top = mask.bit_length()
-        atoms.append(str(universe[len(universe) - top]))
-        mask ^= 1 << (top - 1)
-    return tuple(atoms)
-
-
 def collapse_families(result: SweepResult) -> tuple[FamilyRecord, ...]:
     """Group instance records by their ``family`` key and pick representatives."""
     state_counts = dict(result.family_counts)
@@ -698,7 +688,7 @@ def collapse_families(result: SweepResult) -> tuple[FamilyRecord, ...]:
             if record.stats
             else None,
             case=record.case,
-            witness_true_atoms=_true_atoms(record.witness_state),
+            witness_true_atoms=tuple([str(a) for a in record.witness_state.ordered_atoms()]),
             state_count=state_counts[key],
             instance_count=count,
         )

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 when no findings are reported, 1 when the requested analysis
-reports findings, 2 on usage, parse, or input errors, 3 on an internal error.
+reports findings, 2 on usage, parse, input or write errors, 3 on an internal
+error, 130 on an interrupt and 141 when the reader of stdout has gone.
 """
 
 from __future__ import annotations
@@ -281,13 +282,24 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """``main`` as a process: an internal error prints its traceback and exits 3."""
+    """``main`` as a process, with the exit codes of the module docstring."""
     try:
-        sys.exit(main())
+        code = main()
+        sys.stdout.flush()  # a failed write shows here, not at exit
+    except KeyboardInterrupt:
+        print("aopl-lint: interrupted", file=sys.stderr)
+        code = 130
+    except OSError as exc:  # reads and ``-o`` raise _InputError, so this is stdout
+        code = 141 if isinstance(exc, BrokenPipeError) else 2  # a closed pipe is quiet
+        if code == 2:
+            print(f"cannot write <stdout>: {exc}", file=sys.stderr)
+        # Python flushes stdout again at exit: send what it could not write nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except Exception:
         import traceback  # only an internal error reads it
         traceback.print_exc()
-        sys.exit(3)
+        code = 3
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -17,14 +17,15 @@ class Frozen:
 
     A subclass lists its fields in ``__slots__`` in ``__init__`` order and
     sets each there with ``set_field``; a ``__dict__`` slot makes room for
-    ``functools.cached_property``, and ``replace`` leaves it behind.
+    ``functools.cached_property``, and ``replace`` leaves it behind.  A
+    subclass whose slots are not its fields names the fields in ``_fields``.
     Nothing is generated, so a subclass costs no ``exec``.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        names = tuple(name for name in cls.__slots__ if name != "__dict__")
+        names = cls.__dict__.get("_fields") or tuple(n for n in cls.__slots__ if n != "__dict__")
         get = attrgetter(*names)  # the field values as one tuple, built in C
         cls._fields = names
         cls._values = get if len(names) > 1 else staticmethod(lambda self: (get(self),))

@@ -33,44 +33,53 @@ from .diagnostics import Frozen, set_field
 from .model import Atom, Literal
 from .reify import ReifiedBase, state_bits
 
-# A memo of the last universe a state was checked against and its set, as one
-# pair so that readers see both together; a state space shares one universe.
-_last_universe: list = [((), frozenset())]
-
 
 class WorldState(Frozen):
-    """A complete truth assignment over the ground state atoms."""
+    """A complete truth assignment over the ground state atoms: the fields
+    ``universe`` and ``true_atoms``, and ``mask``, the same assignment as an
+    int over ``universe`` in ``reify.Index``'s bit order.  A state built
+    ``from_mask`` reads ``true_atoms`` and its text off the mask when first used.
+    """
 
-    __slots__ = ("universe", "true_atoms", "__dict__")
+    __slots__ = ("universe", "mask", "__dict__")
+    _fields = ("universe", "true_atoms")
 
     def __init__(self, universe: tuple[Atom, ...], true_atoms: frozenset[Atom]) -> None:
-        set_field(self, "universe", universe)
-        set_field(self, "true_atoms", true_atoms)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        universe, members = _last_universe[0]
-        if universe is not self.universe:
-            members = frozenset(self.universe)
-            _last_universe[0] = self.universe, members
-        extra = self.true_atoms - members
+        bits = state_bits(universe)
+        extra = true_atoms - bits.keys()
         if extra:
             raise ValueError(f"state atoms outside the universe: {sorted(map(str, extra))}")
+        set_field(self, "universe", universe)
+        set_field(self, "mask", sum(bits[atom] for atom in true_atoms))
+        self.__dict__["true_atoms"] = true_atoms
+
+    @classmethod
+    def from_mask(cls, universe: tuple[Atom, ...], mask: int) -> WorldState:
+        """The state whose true atoms are the set bits of ``mask`` over ``universe``."""
+        state = _new(cls)
+        _set_universe(state, universe)
+        _set_mask(state, mask)
+        return state
+
+    def ordered_atoms(self) -> list[Atom]:
+        """The true atoms in declaration order: the mask's set bits, highest first."""
+        universe, mask, atoms = self.universe, self.mask, []
+        n = len(universe)
+        while mask:
+            top = mask.bit_length()
+            atoms.append(universe[n - top])
+            mask ^= 1 << (top - 1)
+        return atoms
 
     @cached_property
-    def mask(self) -> int:
-        """The state as an int over ``universe`` in ``reify.Index``'s bit order."""
-        bits = state_bits(self.universe)
-        return sum(bits[atom] for atom in self.true_atoms)
+    def true_atoms(self) -> frozenset[Atom]:
+        return frozenset(self.ordered_atoms())
 
     def literals(self) -> tuple[Literal, ...]:
         return tuple(Literal(a, a in self.true_atoms) for a in self.universe)
 
-    def satisfies(self, literal: Literal) -> bool:
-        return (literal.atom in self.true_atoms) == literal.positive
-
     def positive_count(self) -> int:
-        return len(self.true_atoms)
+        return self.mask.bit_count()
 
     def __str__(self) -> str:
         return self._text
@@ -78,8 +87,13 @@ class WorldState(Frozen):
     @cached_property
     def _text(self) -> str:
         # Witnesses tied on true atoms are ranked by text; build it once.
-        inside = ", ".join(str(a) for a in self.universe if a in self.true_atoms)
-        return "{" + inside + "}"
+        return "{" + ", ".join([str(a) for a in self.ordered_atoms()]) + "}"
+
+
+# Per enumerated state, the slots' own setters beat ``set_field``'s lookup by name.
+_new = object.__new__
+_set_universe = WorldState.universe.__set__
+_set_mask = WorldState.mask.__set__
 
 
 def state_literals(base: ReifiedBase, state: WorldState) -> tuple[Literal, ...]:

@@ -114,9 +114,6 @@ class Literal(Frozen):
         set_field(self, "atom", atom)
         set_field(self, "positive", positive)
 
-    def negated(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
-
     def substitute(self, binding: Mapping[str, str]) -> "Literal":
         return Literal(self.atom.substitute(binding), self.positive)
 
@@ -132,9 +129,6 @@ class Happening(Frozen):
     def __init__(self, action: Atom, positive: bool = True) -> None:
         set_field(self, "action", action)
         set_field(self, "positive", positive)
-
-    def negated(self) -> "Happening":
-        return Happening(self.action, not self.positive)
 
     def substitute(self, binding: Mapping[str, str]) -> "Happening":
         return Happening(self.action.substitute(binding), self.positive)

@@ -81,7 +81,9 @@ class Index(Frozen):
         set_field(self, "sort_facts", sort_facts)
 
     def mask(self, state: WorldState) -> int:
-        """The state as an int over ``state_atoms``."""
+        """The state as an int over ``state_atoms``: its ``mask`` when it is over them."""
+        if state.universe == tuple(reversed(self.bits)):
+            return state.mask
         bits = self.bits
         return sum(bits[atom] for atom in state.true_atoms)
 
@@ -166,7 +168,7 @@ def _body_masks(
     return need, forbid
 
 
-# Enumeration and the constraint tables take this many bits at a time.
+# A constraint component of at most this many bits is stored as the sub-masks it accepts.
 CHUNK_BITS = 8
 # A sweep table holds an entry per value of its bits, so wider components are split.
 COMPONENT_BITS = 10

@@ -18,7 +18,6 @@ from .engine import WorldState
 from .grounding import GroundPolicy
 from .model import Atom, Literal
 from .parser import parse_ground_literal
-from .reify import CHUNK_BITS
 
 DEFAULT_MAX_STATES = 1 << 20
 
@@ -92,40 +91,27 @@ def enumerate_states(
 ) -> Iterator[WorldState]:
     """All constraint-satisfying states, respecting pinned literals.
 
-    Deterministic order: increasing int mask.  The first declared atom is
-    the most significant bit, so the all-false assignment of unpinned atoms
-    comes first and the last declared atom varies fastest.  Assignments are
-    int masks checked by ``satisfies_constraints``; only an accepted one
-    becomes a WorldState, with its ``mask`` set.  Contradictory or unknown
-    pins yield an empty stream; call check_pins to get the diagnostics.
+    Deterministic order: increasing int mask, one walk over the submasks of
+    the unpinned bits.  The first declared atom is the most significant bit,
+    so the all-false assignment comes first and the last declared atom varies
+    fastest.  Each assignment is checked by ``satisfies_constraints``, and an
+    accepted one becomes a WorldState built ``from_mask`` alone.  Contradictory
+    or unknown pins yield an empty stream; call check_pins to get the diagnostics.
     """
     pins = list(pins)
     if check_pins(gp, pins):
         return
     bits = gp.index.bits
     signs = {pin.atom: pin.positive for pin in pins}
-    # The policy's own atoms, so that set unions reuse their stored hashes.
-    pinned = frozenset(atom for atom in gp.state_atoms if signs.get(atom))
-    pinned_mask = sum(bits[atom] for atom in pinned)
-    free = [atom for atom in reversed(gp.state_atoms) if atom not in signs]
-    low, high = free[:CHUNK_BITS], free[CHUNK_BITS:]
-    # Every sub-assignment of the lowest unpinned atoms as (mask bits, true
-    # atoms) in increasing mask order, built by doubling; a counter over the
-    # other unpinned atoms, least significant first, gives the high part.
-    table = [(0, frozenset())]
-    for atom in low:
-        bit, one = bits[atom], frozenset((atom,))
-        table += [(mask | bit, atoms | one) for mask, atoms in table]
-    for count in range(1 << len(high)):
-        chosen = [atom for i, atom in enumerate(high) if count >> i & 1]
-        high_mask = pinned_mask + sum(bits[atom] for atom in chosen)
-        high_atoms = pinned.union(chosen)
-        for mask, atoms in table:
-            mask |= high_mask
-            if satisfies_constraints(gp, mask):
-                state = WorldState(gp.state_atoms, high_atoms | atoms)
-                state.__dict__["mask"] = mask
-                yield state
+    pinned = sum(bits[atom] for atom, positive in signs.items() if positive)
+    free = sum(bit for atom, bit in bits.items() if atom not in signs)
+    universe, build = gp.state_atoms, WorldState.from_mask
+    count = 0
+    for _ in range(1 << free.bit_count()):
+        mask = pinned | count
+        if satisfies_constraints(gp, mask):
+            yield build(universe, mask)
+        count = (count - free) & free
 
 
 def parse_pins(texts: Iterable[str]) -> list[Literal]:

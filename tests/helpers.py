@@ -29,6 +29,16 @@ def make_state(gp, *true_atoms: str) -> WorldState:
     return WorldState(gp.state_atoms, frozenset(atom_map[s] for s in true_atoms))
 
 
+def satisfies(state: WorldState, literal) -> bool:
+    """True when ``literal`` holds in ``state``."""
+    return (literal.atom in state.true_atoms) == literal.positive
+
+
+def negated(item):
+    """A ``Literal`` or ``Happening`` with the other sign."""
+    return item.replace(positive=not item.positive)
+
+
 def executable_actions(gp, state: WorldState) -> tuple:
     """The ground actions ``Index.executable`` leaves in ``state``."""
     return tuple(gp.action_atoms[a] for a in gp.index.executable(gp.index.mask(state)))

@@ -72,11 +72,13 @@ from aopl_lint.parser import _PUNCT, _STRING_ESCAPES, _TokKind
 from aopl_lint.reify import ReifiedBase
 from aopl_lint.states import check_pins, check_state_space
 
+from helpers import negated, satisfies
+
 
 def _satisfies(state: WorldState, literal: Literal, sort_facts: frozenset[Atom]) -> bool:
     if literal.atom in sort_facts:
         return literal.positive
-    return state.satisfies(literal)
+    return satisfies(state, literal)
 
 
 def satisfies_constraints(gp: GroundPolicy, state: WorldState) -> bool:
@@ -396,7 +398,7 @@ def detect_underspecification(
 def _holds(base: ReifiedBase, state: WorldState, literal: Literal) -> bool:
     if literal.atom in set(base.ground.sort_facts):
         return literal.positive
-    return state.satisfies(literal)
+    return satisfies(state, literal)
 
 
 def detect_ambiguity(
@@ -524,7 +526,7 @@ def detect_modality_conflicts(
             permitted = HeadLiteral(Modality.PERMITTED, does, True)
             forbidden = permitted.opposite()
             obl_do = HeadLiteral(Modality.OBL, does, True)
-            obl_not = HeadLiteral(Modality.OBL, does.negated(), True)
+            obl_not = HeadLiteral(Modality.OBL, negated(does), True)
 
             if obl_do in model.heads:
                 for r1 in _fired_with_head(base, model, obl_do):

@@ -11,7 +11,7 @@ import pytest
 
 import aopl_lint
 from aopl_lint import parse_json
-from aopl_lint.cli import main
+from aopl_lint.cli import main, run
 
 from helpers import DATA
 
@@ -132,12 +132,13 @@ class TestAnalyze:
 SRC = Path(aopl_lint.__file__).resolve().parent.parent
 
 
-def run_child(*argv: str) -> subprocess.CompletedProcess:
+def run_child(*argv: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """Python in a fresh process that imports this package."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *argv], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+        timeout=60,
     )
 
 
@@ -168,6 +169,35 @@ class TestProcessExitCodes:
         assert done.stdout == ""
         assert "Traceback (most recent call last)" in done.stderr
         assert done.stderr.rstrip().endswith("ValueError: internal")
+
+    def test_a_closed_stdout_exits_141_quietly(self):
+        read, write = os.pipe()
+        os.close(read)  # the reader has gone before the first write
+        try:
+            done = run_child("-m", "aopl_lint.cli", "states", DOM, STRICT, stdout=write)
+        finally:
+            os.close(write)
+        assert done.returncode == 141
+        assert done.stderr == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_failed_stdout_write_exits_two_with_one_line(self):
+        with open("/dev/full", "w") as full:
+            done = run_child("-m", "aopl_lint.cli", "analyze", DOM, STRICT, stdout=full)
+        assert done.returncode == 2
+        assert done.stderr.startswith("cannot write <stdout>: ")
+        assert done.stderr.count("\n") == 1
+
+    def test_an_interrupt_exits_130_with_one_line(self, monkeypatch, capsys):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("aopl_lint.cli.sweep", interrupted)
+        monkeypatch.setattr(sys, "argv", ["aopl-lint", "analyze", DOM, STRICT])
+        with pytest.raises(SystemExit) as exc:
+            run()
+        assert exc.value.code == 130
+        assert capsys.readouterr() == ("", "aopl-lint: interrupted\n")
 
     def test_the_console_script_runs_the_process_entry_point(self):
         pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")

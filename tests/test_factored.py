@@ -2,6 +2,7 @@
 against the reference."""
 
 import importlib
+import pickle
 from itertools import combinations, product
 
 import pytest
@@ -412,8 +413,8 @@ def test_enumeration_over_twelve_unpinned_atoms_matches_the_reference():
 
 def test_enumeration_over_three_chunks_with_pins_in_every_byte_matches_the_reference():
     # Five workers give 20 state atoms.  One pin in each byte of the mask
-    # leaves 17 unpinned atoms, so enumeration crosses two chunk boundaries
-    # of 8 unpinned atoms and every chunk skips a pinned bit.
+    # leaves 17 unpinned atoms, so the submask walk skips a pinned bit in
+    # every byte (the name is from an enumeration in chunks of 8 atoms).
     base = base_from(
         (DATA / "shifts.dom")
         .read_text(encoding="utf-8")
@@ -438,6 +439,61 @@ def test_enumerated_states_carry_their_mask_and_the_policys_own_atoms(case):
         assert state.mask == gp.index.mask(state)
         assert state.mask == WorldState(state.universe, state.true_atoms).mask
         assert all(id(atom) in own for atom in state.true_atoms)
+
+
+def test_index_mask_reads_a_state_over_another_atom_order_by_its_atoms(mission_strict):
+    gp = mission_strict.ground
+    states = list(enumerate_states(gp))
+    others = [WorldState(gp.state_atoms[::-1], state.true_atoms) for state in states]
+    assert [gp.index.mask(other) for other in others] == [state.mask for state in states]
+    assert [other.mask for other in others] != [state.mask for state in states]
+
+
+# What a state offers its readers; each is read first on a fresh enumerated state.
+READS = {
+    "hash": hash,
+    "repr": repr,
+    "str": str,
+    "true_atoms": lambda state: state.true_atoms,
+    "positive_count": lambda state: state.positive_count(),
+    "literals": lambda state: state.literals(),
+    "pickle": lambda state: pickle.loads(pickle.dumps(state)),
+}
+
+
+def assert_mask_built_states_equal_constructed_ones(gp, pins=()):
+    # A frozenset's repr follows its insertion order: add the atoms in declaration order.
+    bits = gp.index.bits
+    built = [
+        WorldState(gp.state_atoms, frozenset(a for a in gp.state_atoms if state.mask & bits[a]))
+        for state in enumerate_states(gp, pins)
+    ]
+    assert list(enumerate_states(gp, pins)) == built
+    assert built == list(enumerate_states(gp, pins))
+    for name, read in READS.items():
+        assert [read(state) for state in enumerate_states(gp, pins)] == list(map(read, built)), name
+
+
+@given(pinned_ground_policy())
+@settings(max_examples=100, deadline=None)
+def test_mask_built_states_equal_constructed_ones_on_generated_policies(case):
+    assert_mask_built_states_equal_constructed_ones(*case)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_mask_built_states_equal_constructed_ones_on_fixtures(fixture, request):
+    gp = request.getfixturevalue(fixture).ground
+    assert_mask_built_states_equal_constructed_ones(gp)
+    first, last = gp.state_atoms[0], gp.state_atoms[-1]
+    assert_mask_built_states_equal_constructed_ones(gp, parse_pins([str(first), f"!{last}"]))
+
+
+def test_mask_built_states_follow_declaration_order_not_text_order(mission_strict):
+    gp = mission_strict.ground
+    assert list(gp.state_atoms) != sorted(gp.state_atoms, key=str)
+    assert_mask_built_states_equal_constructed_ones(gp)
+    last = list(enumerate_states(gp))[-1]
+    assert last.ordered_atoms() == list(gp.state_atoms)
 
 
 def assert_same_constraint_checks(gp):

@@ -24,6 +24,8 @@ from aopl_lint import (
 )
 from aopl_lint.model import variable_sorts
 
+from helpers import negated
+
 DOM = DomainSpec(
     sorts=(SortDecl("agent", ("a1", "a2")),),
     predicates=(
@@ -54,7 +56,7 @@ class TestAstStrings:
     def test_literal(self):
         lit = Literal(Atom("on_duty", ("a1",)), positive=False)
         assert str(lit) == "!on_duty(a1)"
-        assert str(lit.negated()) == "on_duty(a1)"
+        assert str(negated(lit)) == "on_duty(a1)"
 
     def test_happening(self):
         assert str(Happening(Atom("fire", ("a1",)), False)) == "-fire(a1)"
