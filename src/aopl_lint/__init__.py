@@ -16,14 +16,7 @@ from .analysis import (
     IssueRecord,
     SweepOptions,
     SweepResult,
-    classify_action,
-    classify_compliance,
     collapse_families,
-    detect_ambiguity,
-    detect_inconsistency,
-    detect_modality_conflicts,
-    detect_obligation_conflict,
-    detect_underspecification,
     merge_sweeps,
     sweep,
 )
@@ -50,18 +43,21 @@ from .model import (
 from .parser import ParseResult, parse, parse_files, parse_ground_atom, parse_ground_literal
 from .reify import ReifiedBase, reify
 from .report import AnalysisReport, build_report, parse_json, render, render_json, render_text
-from .states import (
-    SweepLimitError,
-    enumerate_states,
-    load_state,
-    satisfies_constraints,
-    state_space_size,
-)
+from .states import SweepLimitError, enumerate_states, satisfies_constraints, state_space_size
 
 __version__ = "0.1.0"
 
 # Exports whose modules load on first use (PEP 562); the sweep never reads them.
-_LAZY = {"emit_asp": "emit", "print_domain": "printer", "print_policy": "printer"}
+_LAZY = {
+    "emit_asp": "emit",
+    "print_domain": "printer",
+    "print_policy": "printer",
+    **dict.fromkeys((
+        "classify_action", "classify_compliance", "detect_ambiguity", "detect_inconsistency",
+        "detect_modality_conflicts", "detect_obligation_conflict", "detect_underspecification",
+        "load_state",
+    ), "one_state"),
+}
 
 
 def __getattr__(name: str):

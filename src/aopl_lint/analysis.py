@@ -1,6 +1,6 @@
-"""Issue detectors, compliance classification, and the state-space sweep.
+"""The issue detector, its records, and the state-space sweep.
 
-Detectors work per state and answer questions an author can act on: which
+Detection works per state and answers questions an author can act on: which
 pairs of statements contradict each other here, which action has no
 applicable authorization and why, where do defeasible rules pull in both
 directions, and which obligations collide with authorizations.  Every record
@@ -8,11 +8,11 @@ names the ground rules involved and the condition literals that made them
 fire or fail, so reports can quote the original statements.
 
 One per-state detector, ``detect_state``, reads every finding off the
-factored answer sets; the public ``detect_*`` functions are views of it for
-one state, and the ``classify_*`` functions read the same factors.  The
-sweep runs ``detect_state`` across a whole state space, deduplicates the
-ground findings, and collapses instances that differ only in constants into
-one family per schematic cause.  All of them evaluate through the ground
+factored answer sets; the one-state views and classifiers built on it live
+in ``one_state``, which ``analyze`` never loads.  The sweep runs
+``detect_state`` across a whole state space, deduplicates the ground
+findings, and collapses instances that differ only in constants into one
+family per schematic cause.  All of them evaluate through the ground
 policy's integer index, built once per ground policy.
 """
 
@@ -223,92 +223,6 @@ def _record(base: ReifiedBase, finding: tuple, identity: tuple, state: WorldStat
     return IssueRecord(kind, action, state, labels, texts, *fields, stats, case)
 
 
-def _view(
-    base: ReifiedBase, state: WorldState, kind: int, action: Atom | None = None
-) -> list[IssueRecord]:
-    """One kind of ``detect_state`` finding, as records sorted by key."""
-    actions = base.ground.action_atoms
-    if action is None:
-        chosen: Iterable[int] = range(len(actions))
-    elif action in actions:
-        chosen = (actions.index(action),)
-    elif kind == _UNDERSPECIFIED:  # no rule mentions an action outside the ground actions
-        does = Happening(action, True)
-        return [IssueRecord(kind=IssueKind.UNDERSPECIFIED, action=does, witness_state=state, case=1)]
-    else:
-        return []
-    records = [
-        _record(base, finding, _identity(base, finding), state)
-        for finding in detect_state(base, base.index.mask(state), chosen)
-        if finding[0] == kind
-    ]
-    return sorted(records, key=IssueRecord.key)
-
-
-def detect_inconsistency(base: ReifiedBase, state: WorldState) -> list[IssueRecord]:
-    """Rule pairs deriving a deontic literal and its negation together.
-
-    One record per (action, firing rule pair) found in some answer set; the
-    supports are the body literals of each side, all of which hold in the
-    witness state.
-    """
-    return _view(base, state, _INCONSISTENCY)
-
-
-def detect_underspecification(
-    base: ReifiedBase, state: WorldState, action: Atom
-) -> IssueRecord | None:
-    """Authorization coverage gap for one action in one state.
-
-    Case 1: the policy has no authorization rules about the action at all.
-    Case 2: rules exist, but some answer set settles the action neither way;
-    the record lists, per rule, the body literals that fail in this state.
-    """
-    found = _view(base, state, _UNDERSPECIFIED, action)
-    return found[0] if found else None
-
-
-def detect_ambiguity(
-    base: ReifiedBase, state: WorldState, action: Atom
-) -> tuple[IssueRecord | None, AmbiguityStats]:
-    """Defeasible disagreement about an action's permission in one state.
-
-    Ambiguous when neither permitted(e) nor its negation holds in every
-    answer set, yet every answer set decides one way or the other: the
-    model count splits as n = n_p + n_np with both sides present.  The
-    record pairs each applicable permitting rule with each applicable
-    forbidding one.
-    """
-    found = _view(base, state, _AMBIGUITY, action)
-    if found:
-        return found[0], found[0].stats
-    actions = base.ground.action_atoms
-    permitted = base.index.actions[actions.index(action)][0] if action in actions else None
-    return None, _stats(base, state, permitted)
-
-
-def detect_obligation_conflict(
-    base: ReifiedBase, state: WorldState, action: Atom
-) -> list[IssueRecord]:
-    """Obligations to both do and not do the same action in one state.
-
-    Fires when obl(e) and obl(-e) are each cautiously entailed; the records
-    pair the rules that derive them within a single answer set.
-    """
-    return _view(base, state, _OBLIGATION, action)
-
-
-def detect_modality_conflicts(base: ReifiedBase, state: WorldState) -> list[IssueRecord]:
-    """Obligations colliding with authorizations, ranked by urgency.
-
-    Urgency 1: obligated to do an action some rule forbids.  Urgency 2:
-    obligated to refrain from an action some rule permits.  Urgency 3:
-    obligated to do an action whose permission the answer set leaves open.
-    Each record cites the obligating rule and, for 1 and 2, its opponent.
-    """
-    return _view(base, state, _MODALITY)
-
-
 class AuthorizationClass(Enum):
     STRONGLY_COMPLIANT = "strongly compliant"
     NON_COMPLIANT = "non compliant"
@@ -342,70 +256,6 @@ class Compliance(Frozen):
         set_field(self, "weakly_compliant", weakly_compliant)
         set_field(self, "non_compliant", non_compliant)
         set_field(self, "obligation_compliant", obligation_compliant)
-
-
-def _authorization(outcomes: tuple[Outcome, ...]) -> AuthorizationClass:
-    """The class an action's permitted(a) pair outcomes give it.
-
-    A side holds cautiously when every outcome has it; the action is
-    underspecified when some outcome has neither side.
-    """
-    strongly = all(pos for pos, _ in outcomes)
-    forbidden = all(neg for _, neg in outcomes)
-    if strongly and forbidden:
-        return AuthorizationClass.CONFLICTED
-    if strongly:
-        return AuthorizationClass.STRONGLY_COMPLIANT
-    if forbidden:
-        return AuthorizationClass.NON_COMPLIANT
-    if any(not pos and not neg for pos, neg in outcomes):
-        return AuthorizationClass.UNDERSPECIFIED
-    return AuthorizationClass.AMBIGUOUS
-
-
-def _action_pairs(
-    base: ReifiedBase, state: WorldState
-) -> dict[Atom, tuple[tuple[Outcome, ...], ...]]:
-    """Per ground action, the outcomes of its permitted, obl(a) and obl(-a) pairs."""
-    index = base.index
-    groups = factor(base, index.mask(state))[1]
-    return {
-        action: tuple(groups.get(pair, _UNDECIDED) for pair in entry[:3])
-        for action, entry in zip(base.ground.action_atoms, index.actions)
-    }
-
-
-# The pairs of an action outside the ground actions: no rule decides them.
-_NO_RULES = (_UNDECIDED,) * 3
-
-
-def classify_action(base: ReifiedBase, state: WorldState, action: Atom) -> AuthorizationClass:
-    """Classify one action's permission in one state."""
-    return _authorization(_action_pairs(base, state).get(action, _NO_RULES)[0])
-
-
-def classify_compliance(
-    base: ReifiedBase, state: WorldState, event: tuple[Atom, ...]
-) -> Compliance:
-    """Classify an event against the policy in one state."""
-    pairs = _action_pairs(base, state)
-    permissions = [pairs.get(action, _NO_RULES)[0] for action in event]
-    weakly = not any(all(neg for _, neg in outcomes) for outcomes in permissions)
-    performed = set(event)
-    # An action's cautious obl(-a) binds when it is performed, obl(a) when not.
-    violated = any(
-        all(pos for pos, _ in (refrain if action in performed else do))
-        for action, (_, do, refrain) in pairs.items()
-    )
-    return Compliance(
-        action_classes=tuple(
-            (action, _authorization(outcomes)) for action, outcomes in zip(event, permissions)
-        ),
-        strongly_compliant=all(pos for outcomes in permissions for pos, _ in outcomes),
-        weakly_compliant=weakly,
-        non_compliant=not weakly,
-        obligation_compliant=not violated,
-    )
 
 
 class SweepOptions(Frozen):

@@ -12,7 +12,7 @@ import os
 import sys
 from itertools import islice
 
-from .analysis import SweepOptions, SweepResult, classify_compliance, sweep
+from .analysis import SweepOptions, SweepResult, sweep
 from .diagnostics import SourceFile
 from .grounding import ground
 from .parser import parse_files, parse_ground_atom
@@ -23,7 +23,6 @@ from .states import (
     SweepLimitError,
     check_state_space,
     enumerate_states,
-    load_state,
     parse_pins,
 )
 
@@ -146,6 +145,7 @@ def _load_base(paths: list[str]):
 
 
 def _load_state_file(base, path: str):
+    from .one_state import load_state  # only the commands that take a state read it
     state, diagnostics = load_state(base.ground, _read(path).text)
     if state is None:
         raise _InputError("\n".join(f"{path}: {d.message}" for d in diagnostics))
@@ -223,6 +223,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .one_state import classify_compliance  # only this command reads it
     _, base = _load_base(args.files)
     state = _load_state_file(base, args.state)
     event = tuple(_parse_action(base, text) for text in args.event)

@@ -7,13 +7,22 @@ field.  The text form is for humans and leads with the most severe findings.
 
 from __future__ import annotations
 
-import hashlib
+try:  # the interpreter's builtin SHA-256, which loads without OpenSSL
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # a build with OpenSSL's digests only
+        from hashlib import sha256
 
 from .analysis import FamilyRecord, IssueKind, KIND_ORDER, SweepResult, collapse_families
 from .diagnostics import Frozen, set_field
 
 TOOL_NAME = "aopl-lint"
 SCHEMA_VERSION = 1
+
+# The kinds' values in display order, as every report's counts list them.
+_KIND_VALUES = tuple(kind.value for kind in sorted(KIND_ORDER, key=KIND_ORDER.get))
 
 
 class AnalysisReport(Frozen):
@@ -37,14 +46,14 @@ class AnalysisReport(Frozen):
         set_field(self, "pins", pins)
 
     def counts(self) -> dict[str, int]:
-        out = {kind.value: 0 for kind in IssueKind}
+        out = dict.fromkeys(_KIND_VALUES, 0)
         for family in self.families:
             out[family.kind.value] += 1
         return out
 
 
 def digest_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
 def build_report(
@@ -133,9 +142,8 @@ def render_text(report: AnalysisReport) -> str:
         lines.append(f"pins: {', '.join(report.pins)}")
     lines.append(f"states examined: {report.states_examined}")
     lines.append(f"findings: {len(report.families)}")
-    counts = report.counts()
-    for kind in sorted(IssueKind, key=lambda k: KIND_ORDER[k]):
-        lines.append(f"  {kind.value}: {counts[kind.value]}")
+    for value, count in report.counts().items():
+        lines.append(f"  {value}: {count}")
 
     for number, family in enumerate(report.families, start=1):
         lines.append("")

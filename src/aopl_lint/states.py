@@ -1,4 +1,4 @@
-"""State-space enumeration, pins and state files for a ground domain.
+"""State-space enumeration and pins for a ground domain.
 
 States are complete truth assignments over the ground static and fluent
 atoms, filtered by the domain's state constraints.  Exhaustive enumeration is
@@ -117,47 +117,3 @@ def enumerate_states(
 def parse_pins(texts: Iterable[str]) -> list[Literal]:
     """Parse pin arguments of the form ``atom`` or ``!atom``."""
     return [parse_ground_literal(text) for text in texts]
-
-
-def load_state(gp: GroundPolicy, text: str) -> tuple[WorldState | None, list[Diagnostic]]:
-    """Read a state file: one ground literal per line, closed world.
-
-    Atoms not listed are false.  Negative literals are allowed for
-    documentation and checked for consistency with the positives.
-    """
-    out: list[Diagnostic] = []
-    bits = gp.index.bits
-    positives: set[Atom] = set()
-    explicit_negatives: set[Atom] = set()
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            literal = parse_ground_literal(line)
-        except ValueError as exc:
-            out.append(Diagnostic(Severity.ERROR, f"line {number}: {exc}"))
-            continue
-        if literal.atom not in bits:
-            out.append(
-                Diagnostic(
-                    Severity.ERROR,
-                    f"line {number}: {literal.atom} is not a state atom",
-                )
-            )
-            continue
-        if literal.positive:
-            positives.add(literal.atom)
-        else:
-            explicit_negatives.add(literal.atom)
-
-    for atom in sorted(positives & explicit_negatives, key=str):
-        out.append(Diagnostic(Severity.ERROR, f"state lists {atom} as both true and false"))
-
-    if any(d.severity is Severity.ERROR for d in out):
-        return None, out
-
-    if not satisfies_constraints(gp, sum(bits[atom] for atom in positives)):
-        out.append(Diagnostic(Severity.ERROR, "state violates a domain constraint"))
-        return None, out
-    return WorldState(gp.state_atoms, frozenset(positives)), out

@@ -458,6 +458,14 @@ def loaded_by(*argv: str) -> tuple[int, set[str]]:
     return int(code), set(ast.literal_eval(modules))
 
 
+# The exports that load ``aopl_lint.one_state`` on first use.
+ONE_STATE_NAMES = [
+    "classify_action", "classify_compliance", "detect_ambiguity", "detect_inconsistency",
+    "detect_modality_conflicts", "detect_obligation_conflict", "detect_underspecification",
+    "load_state",
+]
+
+
 class TestStartup:
     """What a command imports: nothing it never runs."""
 
@@ -489,6 +497,34 @@ class TestStartup:
         assert "json" in loaded_by("analyze", "--format", "json", "-o", out, DOM, STRICT)[1]
         code, modules = loaded_by("emit-asp", "-o", out, DOM, STRICT)
         assert code == 0 and "aopl_lint.emit" in modules and "aopl_lint.printer" not in modules
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_analyze_loads_no_openssl_digests_or_one_state_api(self, tmp_path, fmt):
+        out = str(tmp_path / "out")
+        code, modules = loaded_by("analyze", "--format", fmt, "-o", out, DOM, STRICT)
+        assert code == 1
+        assert not modules & {"hashlib", "_hashlib", "aopl_lint.one_state"}
+
+    @pytest.mark.parametrize(
+        "command, expected", [(["classify", "--state", STATE], 0), (["check", "--state", STATE], 1)]
+    )
+    def test_state_commands_load_the_one_state_api(self, command, expected):
+        code, modules = loaded_by(*command, DOM, STRICT)
+        assert code == expected
+        assert "aopl_lint.one_state" in modules
+
+    def test_every_export_resolves(self):
+        assert [name for name in aopl_lint.__all__ if not hasattr(aopl_lint, name)] == []
+        namespace: dict = {}
+        exec("from aopl_lint import *", namespace)
+        assert set(aopl_lint.__all__) <= namespace.keys()
+
+    @pytest.mark.parametrize("name", ONE_STATE_NAMES)
+    def test_one_state_names_load_from_their_module(self, name):
+        from aopl_lint import one_state
+
+        assert getattr(aopl_lint, name) is getattr(one_state, name)
+        assert getattr(one_state, name).__module__ == "aopl_lint.one_state"
 
     def test_analyze_validates_once(self, monkeypatch, capsys):
         from aopl_lint import grounding, model, parser

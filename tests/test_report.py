@@ -1,14 +1,20 @@
 """Report rendering, explanation templates, and the JSON round trip."""
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from aopl_lint import build_report, parse_json, render, render_json, render_text, sweep
 from aopl_lint.report import SCHEMA_VERSION, digest_text, explanation_lines
 
 from helpers import base_from
+from test_cli import run_child
 from test_factored import FIXTURES
+
+OVER_64K = "rule r1: permitted(go).\n" * 3000  # 72,000 bytes
+DIGEST_CASES = ["", "a\N{GOTHIC LETTER AHSA}\U0001f512 ok", OVER_64K]
 
 
 def family_of(report, kind, **match):
@@ -184,3 +190,31 @@ class TestJsonRoundTrip:
         assert render(strict_report, "json") == render_json(strict_report)
         with pytest.raises(ValueError, match="unknown report format"):
             render(strict_report, "yaml")
+
+
+def hashlib_digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestDigest:
+    @given(st.text())
+    def test_matches_hashlib(self, text):
+        assert digest_text(text) == hashlib_digest(text)
+
+    @pytest.mark.parametrize("text", DIGEST_CASES, ids=["empty", "non-bmp", "over-64k"])
+    def test_edge_cases_match_hashlib(self, text):
+        assert digest_text(text) == hashlib_digest(text)
+
+    def test_without_the_builtin_modules_falls_back_to_hashlib(self):
+        done = run_child(
+            "-c",
+            "import json, sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import hashlib\n"
+            "from aopl_lint import report\n"
+            "assert report.sha256 is hashlib.sha256, report.sha256\n"
+            "print(json.dumps([report.digest_text(t) for t in json.loads(sys.argv[1])]))\n",
+            json.dumps(DIGEST_CASES),
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [hashlib_digest(t) for t in DIGEST_CASES]
