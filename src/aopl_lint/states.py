@@ -91,8 +91,10 @@ def enumerate_states(
 ) -> Iterator[WorldState]:
     """All constraint-satisfying states, respecting pinned literals.
 
-    Deterministic order: increasing int mask, one walk over the submasks of
-    the unpinned bits.  The first declared atom is the most significant bit,
+    Deterministic order: increasing int mask.  The lowest run of unpinned
+    bits is counted through in steps of its lowest bit, once for each submask
+    of the unpinned bits above it; with no pins that is one count through
+    every assignment.  The first declared atom is the most significant bit,
     so the all-false assignment comes first and the last declared atom varies
     fastest.  Each assignment is checked by ``satisfies_constraints``, and an
     accepted one becomes a WorldState built ``from_mask`` alone.  Contradictory
@@ -106,12 +108,15 @@ def enumerate_states(
     pinned = sum(bits[atom] for atom, positive in signs.items() if positive)
     free = sum(bit for atom, bit in bits.items() if atom not in signs)
     universe, build = gp.state_atoms, WorldState.from_mask
-    count = 0
-    for _ in range(1 << free.bit_count()):
-        mask = pinned | count
-        if satisfies_constraints(gp, mask):
-            yield build(universe, mask)
-        count = (count - free) & free
+    low = free & -free
+    run = free & ~(free + low)  # the lowest run of unpinned bits, counted through
+    step, rest, count = low or 1, free ^ run, 0
+    for _ in range(1 << rest.bit_count()):
+        base = pinned | count
+        for mask in range(base, base + run + step, step):
+            if satisfies_constraints(gp, mask):
+                yield build(universe, mask)
+        count = (count - rest) & rest
 
 
 def parse_pins(texts: Iterable[str]) -> list[Literal]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from hypothesis import assume, strategies as st
 
 from aopl_lint import (
@@ -181,3 +183,64 @@ def pinned_ground_policy(draw, max_state_atoms: int = 6) -> tuple[GroundPolicy, 
     pin_atoms = st.sampled_from([*gp.state_atoms, Atom("ghost")])
     pins = draw(st.lists(st.builds(Literal, pin_atoms, st.booleans()), max_size=3))
     return gp, pins
+
+
+@st.composite
+def tied_components(draw) -> tuple[Policy, DomainSpec]:
+    """Two or three disjoint components whose constraints tie several witnesses.
+
+    Each component's state constraints demand at least ``t`` of its 2-3 atoms
+    true, for some ``t`` below its size, so several of its sub-assignments
+    tie on the fewest true atoms.  Its rules, preferences and exec constraints
+    read only its own atoms.  The atoms are nullary, declared in a drawn order
+    that interleaves the components, and named so that declaration order is
+    text order.  The first declared atom is the highest bit, so the sweep
+    meets a tied state later in mask order than the one that wins on text.
+    """
+    sizes = draw(st.lists(st.integers(2, 3), min_size=2, max_size=3))
+    assume(sum(sizes) <= 8)
+    owners = draw(st.permutations([c for c, size in enumerate(sizes) for _ in range(size)]))
+    atoms = [Atom(f"{chr(ord('a') + i)}x") for i in range(len(owners))]
+    kinds = st.sampled_from([PredicateKind.STATIC, PredicateKind.FLUENT])
+    predicates = [PredicateDecl(atom.predicate, draw(kinds), ()) for atom in atoms]
+
+    state_constraints: list[StateConstraint] = []
+    exec_constraints: list[ExecConstraint] = []
+    rules: list[PolicyRule] = []
+    for c in range(len(sizes)):
+        own = [atom for atom, owner in zip(atoms, owners) if owner == c]
+        # At least t true: no len(own) - t + 1 of them are all false.
+        t = draw(st.integers(1, len(own) - 1))
+        for false in combinations(own, len(own) - t + 1):
+            state_constraints.append(StateConstraint(tuple(Literal(a, False) for a in false)))
+        actions = [Atom(f"act{c}x{j}") for j in range(draw(st.integers(1, 2)))]
+        predicates += [PredicateDecl(a.predicate, PredicateKind.ACTION, ()) for a in actions]
+        literal = st.builds(Literal, st.sampled_from(own), st.booleans())
+        condition = st.lists(literal, max_size=2).map(tuple)
+        if draw(st.booleans()):
+            exec_constraints.append(ExecConstraint(draw(st.sampled_from(actions)), draw(condition)))
+        defeasible: list[str] = []
+        for i in range(draw(st.integers(1, 3))):
+            action = draw(st.sampled_from(actions))
+            if draw(st.booleans()):
+                head = HeadLiteral(Modality.PERMITTED, Happening(action, True), draw(st.booleans()))
+            else:
+                happening = Happening(action, draw(st.booleans()))
+                head = HeadLiteral(Modality.OBL, happening, draw(st.booleans()))
+            kind = draw(st.sampled_from([RuleKind.STRICT, RuleKind.DEFEASIBLE]))
+            rules.append(PolicyRule(f"r{c}x{i}", kind, head=head, condition=draw(condition)))
+            if kind is RuleKind.DEFEASIBLE:
+                defeasible.append(f"r{c}x{i}")
+        if len(defeasible) >= 2 and draw(st.booleans()):
+            pair = draw(st.permutations(defeasible))
+            rules.append(
+                PolicyRule(f"p{c}", RuleKind.PREFERENCE, preferred=pair[0], dispreferred=pair[1])
+            )
+
+    domain = DomainSpec(
+        sorts=(),
+        predicates=tuple(predicates),
+        state_constraints=tuple(state_constraints),
+        exec_constraints=tuple(exec_constraints),
+    )
+    return Policy(tuple(rules)), domain

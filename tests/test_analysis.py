@@ -561,12 +561,28 @@ class TestSweep:
             stats = instance.record.stats
             assert (stats.n, stats.n_p, stats.n_np) == (4096, 2048, 2048)
 
+    # Enumeration counts through the lowest run of unpinned bits once per
+    # submask of the unpinned bits above it.  That run is every bit with no
+    # pins, the low bits with the first declared atom pinned, the bits above
+    # the last declared atoms when those are pinned, and empty with every atom
+    # pinned.  Pinning trained(bob) and on_duty(ann,day) leaves trained(ann)
+    # above the run, so the count is repeated for each of its values.
     @pytest.mark.parametrize(
         "pins, assignments, examined",
         [
             ((), 256, 49),
             (("trained(ann)",), 128, 4 * 7),
             (("!trained(bob)", "on_duty(ann,day)"), 64, 2 * 3),
+            (("!on_duty(bob,eve)", "on_duty(bob,night)"), 64, 7),
+            (
+                (
+                    "trained(ann)", "trained(bob)", "on_duty(ann,day)", "!on_duty(ann,eve)",
+                    "!on_duty(ann,night)", "!on_duty(bob,day)", "!on_duty(bob,eve)",
+                    "on_duty(bob,night)",
+                ),
+                1,
+                1,
+            ),
         ],
     )
     def test_constraint_checks_add_up(self, shifts, pins, assignments, examined, monkeypatch):

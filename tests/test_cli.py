@@ -505,6 +505,13 @@ class TestStartup:
         assert code == 1
         assert not modules & {"hashlib", "_hashlib", "aopl_lint.one_state"}
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_analyze_loads_no_logging(self, tmp_path, fmt):
+        out = str(tmp_path / "out")
+        code, modules = loaded_by("analyze", "--format", fmt, "-o", out, DOM, STRICT)
+        assert code == 1
+        assert "logging" not in modules
+
     @pytest.mark.parametrize(
         "command, expected", [(["classify", "--state", STATE], 0), (["check", "--state", STATE], 1)]
     )

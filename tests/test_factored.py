@@ -6,7 +6,7 @@ import pickle
 from itertools import combinations, product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 from aopl_lint import (
     Atom,
@@ -35,7 +35,7 @@ from aopl_lint.states import check_pins, parse_pins
 import reference
 from corpus import corpus
 from helpers import DATA, action_atom, base_from, executable_actions, load_base, make_state
-from strategies import domain_and_policy, pinned_ground_policy
+from strategies import domain_and_policy, pinned_ground_policy, tied_components
 
 FIXTURES = [
     "mission_strict",
@@ -113,12 +113,12 @@ def assert_same_classes(base):
             ), (tuple(map(str, event)), str(state))
 
 
-@given(domain_and_policy())
+@given(st.one_of(domain_and_policy(), tied_components()))
 @settings(max_examples=100, deadline=None)
 def test_sweep_matches_the_reference_on_generated_policies(pair):
     policy, domain = pair
     base = reify(ground(policy, domain))
-    assume(len(base.ground.state_atoms) <= 6)
+    assume(len(base.ground.state_atoms) <= 8)
     assert_same_sweep(base)
 
 
@@ -350,6 +350,32 @@ def assert_same_states(gp, pins=()):
     assert list(enumerate_states(gp, pins)) == list(reference.enumerate_states(gp, pins))
 
 
+def pin_layouts(gp) -> dict[str, list[Literal]]:
+    """Pins that leave the unpinned bits as one run, none, or two runs.
+
+    The first declared atoms are the high bits, so pinning them leaves the low
+    run, and pinning the last declared ones leaves a run above pinned low bits,
+    counted in steps above 1.  A pin in the middle splits the unpinned bits in
+    two, and pinning every second atom leaves single-bit runs.
+    """
+    atoms = gp.state_atoms
+    signs = lambda chosen: [Literal(atom, i % 2 == 0) for i, atom in enumerate(chosen)]
+    middle = len(atoms) // 2
+    return {
+        "none": [],
+        "first": signs(atoms[:2]),
+        "last": signs(atoms[-2:]),
+        "every": signs(atoms),
+        "scattered": signs(atoms[middle : middle + 1]),
+        "alternate": signs(atoms[1::2]),
+    }
+
+
+def assert_same_states_under_every_layout(gp):
+    for pins in pin_layouts(gp).values():
+        assert_same_states(gp, pins)
+
+
 def assert_same_filters(gp):
     """Both forms of the constraint check and the exec filter, on every assignment."""
     atoms = gp.state_atoms
@@ -368,6 +394,7 @@ def assert_same_filters(gp):
 def test_enumeration_and_filters_match_the_reference_on_generated_policies(case):
     gp, pins = case
     assert_same_states(gp, pins)
+    assert_same_states_under_every_layout(gp)
     assert_same_filters(gp)
 
 
@@ -377,6 +404,7 @@ def test_enumeration_and_filters_match_the_reference_on_fixtures(fixture, reques
     assert_same_states(gp)
     first, last = gp.state_atoms[0], gp.state_atoms[-1]
     assert_same_states(gp, parse_pins([str(first), f"!{last}"]))
+    assert_same_states_under_every_layout(gp)
     assert_same_filters(gp)
 
 
@@ -409,6 +437,7 @@ def test_enumeration_over_twelve_unpinned_atoms_matches_the_reference():
     assert len(gp.state_atoms) == 12
     assert_same_states(gp)
     assert_same_states(gp, parse_pins(["on_duty(cy,eve)"]))
+    assert_same_states_under_every_layout(gp)
 
 
 def test_enumeration_over_three_chunks_with_pins_in_every_byte_matches_the_reference():

@@ -75,8 +75,8 @@ class TestEnumeration:
         assert peak < 1 << 20
 
     def test_first_state_of_a_wider_space_needs_one_chunk_table(self):
-        # The name is historical: the submask walk builds no table, so the
-        # first state of 2^80 assignments costs what any other state does.
+        # The name is historical: enumeration builds no table, so the first
+        # state of 2^80 assignments costs what any other state does.
         constants = ", ".join(f"t{i}" for i in range(80))
         gp = base_from(f"sorts thing: {constants}.\nfluent f(thing).\naction go.\n").ground
         assert state_space_size(gp) == 1 << 80
