@@ -43,7 +43,9 @@ from .model import (
 from .parser import ParseResult, parse, parse_files, parse_ground_atom, parse_ground_literal
 from .reify import ReifiedBase, reify
 from .report import AnalysisReport, build_report, parse_json, render, render_json, render_text
-from .states import SweepLimitError, enumerate_states, satisfies_constraints, state_space_size
+from .states import (
+    SweepLimitError, check_pins, enumerate_states, satisfies_constraints, state_space_size,
+)
 
 __version__ = "0.1.0"
 
@@ -102,6 +104,7 @@ __all__ = [
     "SweepResult",
     "WorldState",
     "build_report",
+    "check_pins",
     "classify_action",
     "classify_compliance",
     "collapse_families",

@@ -93,9 +93,9 @@ class IssueRecord(Frozen):
             self.kind.value,
             str(self.action),
             self.rule_labels,
-            tuple(str(l) for l in self.pos_support),
-            tuple(str(l) for l in self.neg_support),
-            tuple((r, tuple(str(l) for l in lits)) for r, lits in self.missing),
+            tuple(map(str, self.pos_support)),
+            tuple(map(str, self.neg_support)),
+            tuple([(r, tuple(map(str, lits))) for r, lits in self.missing]),
             self.pairs,
             self.urgency if self.urgency is not None else 0,
             self.case if self.case is not None else 0,
@@ -115,43 +115,45 @@ def detect_state(base: ReifiedBase, state: int, actions: Iterable[int]) -> list[
     Every combination of pair outcomes is an answer set, so each question
     reads off the outcomes of the action's three pairs: permitted(a),
     obl(a) and obl(-a), which factoring the action's slice of the index
-    gives without the other actions' rules.  A label list is read across all
-    outcomes of a pair when a finding combines it with another pair.
+    gives without the other actions' rules.  A pair has one outcome, or one
+    per side of an unblocked defeasible split, so its first outcome holds its
+    positive labels and its last its negative ones; only one outcome can hold both.
     """
     index = base.index
     findings: list[tuple] = []
+    append = findings.append
     for action in actions:
         groups = factor_rules(*index.slices[action], state)[1]
         permitted, obl_do, obl_not, auth_rules, auth_mask = index.actions[action]
-        for pair in (permitted, obl_do, obl_not):
-            for pos, neg in groups.get(pair, ()):
-                findings.extend((_INCONSISTENCY, pair, r1, r2) for r1 in pos for r2 in neg)
         perm = groups.get(permitted, _UNDECIDED)
         do = groups.get(obl_do, _UNDECIDED)
         refrain = groups.get(obl_not, _UNDECIDED)
-        undecided = any(not pos and not neg for pos, neg in perm)
-
+        for pair, outcomes in ((permitted, perm), (obl_do, do), (obl_not, refrain)):
+            pos, neg = outcomes[0]
+            for r1 in pos:
+                for r2 in neg:
+                    append((_INCONSISTENCY, pair, r1, r2))
+        permitting, forbidding = perm[0][0], perm[-1][1]
+        undecided = not permitting and not forbidding
         if not auth_rules:
-            findings.append((_UNDERSPECIFIED, action, 1, 0))
+            append((_UNDERSPECIFIED, action, 1, 0))
         elif undecided:
-            findings.append((_UNDERSPECIFIED, action, 2, state & auth_mask))
-
+            append((_UNDERSPECIFIED, action, 2, state & auth_mask))
         if len(perm) > 1:
-            # Only an unblocked defeasible split gives two outcomes, one per side.
-            permitting = tuple(r for pos, _ in perm for r in pos)
-            forbidding = tuple(r for _, neg in perm for r in neg)
-            findings.append((_AMBIGUITY, action, permitting, forbidding))
-
-        obliging = [r for pos, _ in do for r in pos]
-        refraining = [r for pos, _ in refrain for r in pos]
-        if all(pos for pos, _ in do) and all(pos for pos, _ in refrain):
-            findings.extend((_OBLIGATION, action, r1, r2) for r1 in obliging for r2 in refraining)
+            append((_AMBIGUITY, action, permitting, forbidding))
+        obliging, refraining = do[0][0], refrain[0][0]
+        if len(do) == len(refrain) == 1:
+            for r1 in obliging:
+                for r2 in refraining:
+                    append((_OBLIGATION, action, r1, r2))
         for r1 in obliging:
-            findings.extend((_MODALITY, action, 1, r1, r2) for _, neg in perm for r2 in neg)
+            for r2 in forbidding:
+                append((_MODALITY, action, 1, r1, r2))
             if undecided:
-                findings.append((_MODALITY, action, 3, r1, None))
+                append((_MODALITY, action, 3, r1, None))
         for r1 in refraining:
-            findings.extend((_MODALITY, action, 2, r1, r2) for pos, _ in perm for r2 in pos)
+            for r2 in permitting:
+                append((_MODALITY, action, 2, r1, r2))
     return findings
 
 
@@ -213,9 +215,24 @@ def _identity(base: ReifiedBase, finding: tuple) -> tuple:
     return _KINDS[tag], action, labels, pos_support, neg_support, missing, pairs, urgency, case
 
 
-def _record(base: ReifiedBase, finding: tuple, identity: tuple, state: WorldState) -> IssueRecord:
-    """The IssueRecord a finding with this ``_identity`` stands for, witnessed by ``state``."""
-    kind, action, labels, *fields, case = identity
+def _shape(base: ReifiedBase, finding: tuple) -> tuple:
+    """What fixes a finding's ``_family_key``: its kind, urgency and rules' base
+    labels, which fix their heads and condition predicates, or a case-1 gap's
+    action predicate.  A case-2 gap, whose ``missing`` reads the state, is its own.
+    """
+    tag = finding[0]
+    if tag == _AMBIGUITY:
+        return tag, tuple(map(_strip_binding, finding[2])), tuple(map(_strip_binding, finding[3]))
+    if tag == _UNDERSPECIFIED:
+        return (tag, base.ground.action_atoms[finding[1]].predicate) if finding[2] == 1 else finding
+    urgency = finding[2] if tag == _MODALITY else 0
+    r1, r2 = finding[-2:]  # r2 is None for an obligation on an open permission
+    return tag, urgency, _strip_binding(r1), r2 and _strip_binding(r2)
+
+
+def _record(base: ReifiedBase, finding: tuple, state: WorldState) -> IssueRecord:
+    """The IssueRecord a finding stands for, witnessed by ``state``."""
+    kind, action, labels, *fields, case = _identity(base, finding)
     stats = None
     if finding[0] == _AMBIGUITY:
         stats = _stats(base, state, base.index.actions[finding[1]][0])
@@ -324,15 +341,14 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
     memoised on those bits unless the bits cover every unpinned one.  Actions
     whose bits or exec conditions overlap share a table on their ``components``
     (split per action above ``COMPONENT_BITS`` bits); an entry holds their
-    findings and counts and ranks its states.
+    findings and counts and ranks its states.  A family key is derived once
+    per ``_shape``, and once per finding only for a case-2 gap.
     Sweeping a partition of the state space and merging the results equals
     sweeping the whole space, so callers may split the work freely.
     Pinning every state atom sweeps exactly one state.
     """
-    check_state_space(base.ground, options.pins, options.max_states)
+    free = check_state_space(base.ground, options.pins, options.max_states)
     index = base.index
-    pinned = {pin.atom for pin in options.pins}
-    free = sum(bit for atom, bit in index.bits.items() if atom not in pinned)
     scopes = [relevant & free for relevant in index.relevant]
     exec_conditions = index.exec_conditions
     for need, forbid, action in exec_conditions:
@@ -353,18 +369,22 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
     found: dict[tuple[int, int], tuple[list, int]] = {}  # findings, families per relevant bits
     accum: _Accumulator = {}  # keyed by compact finding; each is one record key
     family_ids: dict[tuple, int] = {}
-    family_of: dict[tuple, tuple] = {}  # compact finding -> family id, _identity, family key
+    family_of: dict[tuple, tuple] = {}  # compact finding -> family id, family key
+    shapes: dict[tuple, tuple] = {}  # the same per _shape
     seen_counts: dict[int, int] = {}  # states per set of families fired, as a bitmask
 
     def families(findings: list[tuple]) -> int:
-        """The findings' family ids as a bitmask; a finding's identity is computed once."""
+        """The findings' family ids as a bitmask; a family key is derived once per shape."""
         fired = 0
         for finding in findings:
-            if finding not in family_of:
-                identity = _identity(base, finding)
-                key = _family_key(*identity)
-                family_of[finding] = family_ids.setdefault(key, len(family_ids)), identity, key
-            fired |= 1 << family_of[finding][0]
+            entry = family_of.get(finding)
+            if entry is None:
+                shape = _shape(base, finding)
+                if shape not in shapes:
+                    key = _family_key(*_identity(base, finding))
+                    shapes[shape] = family_ids.setdefault(key, len(family_ids)), key
+                entry = family_of[finding] = shapes[shape]
+            fired |= 1 << entry[0]
         return fired
 
     states_examined = 0
@@ -414,9 +434,8 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
 
     instances = sorted(
         (
-            InstanceRecord(_record(base, finding, identity, witness), states, key)
+            InstanceRecord(_record(base, finding, witness), states, family_of[finding][1])
             for finding, (witness, _, states, _) in accum.items()
-            for _, identity, key in (family_of[finding],)
         ),
         key=lambda instance: instance.record.key(),
     )
@@ -503,11 +522,11 @@ def _family_key(
     return (
         kind.value,
         f"{action_sign}{action.action.predicate}",
-        tuple(_strip_binding(l) for l in labels),
-        tuple(_literal_family(l) for l in pos_support),
-        tuple(_literal_family(l) for l in neg_support),
-        tuple((_strip_binding(r), tuple(_literal_family(l) for l in lits)) for r, lits in missing),
-        tuple((_strip_binding(a), _strip_binding(b)) for a, b in pairs),
+        tuple(map(_strip_binding, labels)),
+        tuple(map(_literal_family, pos_support)),
+        tuple(map(_literal_family, neg_support)),
+        tuple([(_strip_binding(r), tuple(map(_literal_family, lits))) for r, lits in missing]),
+        tuple([(_strip_binding(a), _strip_binding(b)) for a, b in pairs]),
         urgency if urgency is not None else 0,
         case if case is not None else 0,
     )

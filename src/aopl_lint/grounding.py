@@ -18,6 +18,7 @@ from .model import (
     Atom,
     DomainSpec,
     ExecConstraint,
+    Happening,
     HeadLiteral,
     Literal,
     Policy,
@@ -141,7 +142,9 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
 
     Raises GroundingError when validation reports errors; run validate()
     first for the full diagnostic list.  A pair ``validate`` has just passed,
-    such as the one ``parse_files`` returns, is not validated again.
+    such as the one ``parse_files`` returns, is not validated again.  Ground
+    rules and constraints share the declared state and action atoms, with one
+    Literal per sign of each, so the index matches them by identity.
     """
     if not passed_validation(policy, domain):
         diagnostics = validate(policy, domain)
@@ -151,6 +154,17 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
 
     state_atoms = _ground_atoms(domain, (PredicateKind.STATIC, PredicateKind.FLUENT))
     action_atoms = _ground_atoms(domain, (PredicateKind.ACTION,))
+    # One Atom per ground atom, the declared ones, and one Literal per sign of each.
+    shared: dict[tuple, object] = {(a.predicate, a.args): a for a in state_atoms + action_atoms}
+
+    def ground_atom(atom: Atom, binding: Mapping[str, str]) -> Atom:
+        key = atom.predicate, tuple([binding.get(a, a) for a in atom.args])
+        return shared.get(key) or shared.setdefault(key, Atom(*key))
+
+    def ground_literal(lit: Literal, binding: Mapping[str, str]) -> Literal:
+        atom = ground_atom(lit.atom, binding)
+        key = atom.predicate, atom.args, lit.positive
+        return shared.get(key) or shared.setdefault(key, Literal(atom, lit.positive))
 
     ground_rules: list[GroundRule] = []
     rule_by_label = policy.rule_map()
@@ -179,13 +193,15 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
             continue
 
         variables, bindings = _bindings(rule.atoms(), domain, rule.where)
+        head, happening = rule.head, rule.head.happening
         for binding in bindings:
+            action = Happening(ground_atom(happening.action, binding), happening.positive)
             ground_rules.append(
                 GroundRule(
                     label=_ground_label(rule.label, variables, binding),
                     kind=rule.kind,
-                    head=rule.head.substitute(binding),
-                    condition=tuple(lit.substitute(binding) for lit in rule.condition),
+                    head=HeadLiteral(head.modality, action, head.positive),
+                    condition=tuple([ground_literal(lit, binding) for lit in rule.condition]),
                     text=rule.text,
                 )
             )
@@ -196,8 +212,8 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
         for binding in bindings:
             state_constraints.append(
                 StateConstraint(
-                    body=tuple(lit.substitute(binding) for lit in constraint.body),
-                    head=constraint.head.substitute(binding) if constraint.head else None,
+                    body=tuple([ground_literal(lit, binding) for lit in constraint.body]),
+                    head=constraint.head and ground_literal(constraint.head, binding),
                 )
             )
 
@@ -208,8 +224,8 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
         for binding in bindings:
             exec_constraints.append(
                 ExecConstraint(
-                    action=constraint.action.substitute(binding),
-                    condition=tuple(lit.substitute(binding) for lit in constraint.condition),
+                    action=ground_atom(constraint.action, binding),
+                    condition=tuple([ground_literal(lit, binding) for lit in constraint.condition]),
                 )
             )
 

@@ -12,7 +12,7 @@ from typing import Iterable
 
 from .analysis import (
     _AMBIGUITY, _INCONSISTENCY, _MODALITY, _OBLIGATION, _UNDECIDED, _UNDERSPECIFIED,
-    AuthorizationClass, Compliance, IssueKind, IssueRecord, _identity, _record, _stats,
+    AuthorizationClass, Compliance, IssueKind, IssueRecord, _record, _stats,
     detect_state,
 )
 from .diagnostics import Diagnostic, Severity
@@ -83,7 +83,7 @@ def _view(
     else:
         return []
     records = [
-        _record(base, finding, _identity(base, finding), state)
+        _record(base, finding, state)
         for finding in detect_state(base, base.index.mask(state), chosen)
         if finding[0] == kind
     ]

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 from .diagnostics import Diagnostic, Severity
 from .engine import WorldState
 from .grounding import GroundPolicy
-from .model import Atom, Literal
+from .model import Literal
 from .parser import parse_ground_literal
 
 DEFAULT_MAX_STATES = 1 << 20
@@ -40,28 +40,30 @@ def satisfies_constraints(gp: GroundPolicy, state: WorldState | int) -> bool:
     return True
 
 
-def check_pins(gp: GroundPolicy, pins: Iterable[Literal]) -> list[Diagnostic]:
-    """Validate pin literals: known state atoms, no contradictions."""
-    out: list[Diagnostic] = []
-    signs: dict[Atom, bool] = {}
+def _resolve(gp: GroundPolicy, pins: Iterable[Literal]) -> tuple[list[Diagnostic], int, int]:
+    """The pins' diagnostics, the bits they leave free and those pinned true, by the last sign."""
+    bits, out = gp.index.bits, []
+    pinned = true = 0
     for pin in pins:
-        if pin.atom not in gp.index.bits:
-            out.append(
-                Diagnostic(Severity.ERROR, f"pin atom {pin.atom} is not a state atom")
-            )
+        bit = bits.get(pin.atom)
+        if bit is None:
+            out.append(Diagnostic(Severity.ERROR, f"pin atom {pin.atom} is not a state atom"))
             continue
-        previous = signs.get(pin.atom)
-        if previous is not None and previous != pin.positive:
+        if pinned & bit and bool(true & bit) != pin.positive:
             out.append(Diagnostic(Severity.ERROR, f"contradictory pins for {pin.atom}"))
-        signs[pin.atom] = pin.positive
-    return out
+        pinned |= bit
+        true = true | bit if pin.positive else true & ~bit
+    return out, ((1 << len(bits)) - 1) ^ pinned, true
+
+
+def check_pins(gp: GroundPolicy, pins: Iterable[Literal]) -> list[Diagnostic]:
+    """Validate pin literals, in order: known state atoms, no sign unlike the last for its atom."""
+    return _resolve(gp, pins)[0]
 
 
 def state_space_size(gp: GroundPolicy, pins: Iterable[Literal] = ()) -> int:
     """Number of assignments enumeration will visit (before constraints)."""
-    pinned = {pin.atom for pin in pins}
-    unpinned = [a for a in gp.state_atoms if a not in pinned]
-    return 1 << len(unpinned)
+    return 1 << _resolve(gp, pins)[1].bit_count()
 
 
 class SweepLimitError(ValueError):
@@ -73,17 +75,18 @@ class SweepLimitError(ValueError):
 
 def check_state_space(
     gp: GroundPolicy, pins: tuple[Literal, ...], max_states: int
-) -> None:
-    """Refuse bad pins and slices holding more than ``max_states`` assignments."""
-    problems = check_pins(gp, pins)
+) -> int:
+    """Refuse bad pins and slices over ``max_states`` assignments; return the unpinned bits."""
+    problems, free, _ = _resolve(gp, pins)
     if problems:
         raise SweepLimitError("\n".join(str(d) for d in problems))
-    size = state_space_size(gp, pins)
+    size = 1 << free.bit_count()
     if size > max_states:
         raise SweepLimitError(
             f"state space holds {size} assignments, above the limit of "
             f"{max_states}; pin atoms or raise the limit"
         )
+    return free
 
 
 def enumerate_states(
@@ -100,13 +103,9 @@ def enumerate_states(
     accepted one becomes a WorldState built ``from_mask`` alone.  Contradictory
     or unknown pins yield an empty stream; call check_pins to get the diagnostics.
     """
-    pins = list(pins)
-    if check_pins(gp, pins):
+    problems, free, pinned = _resolve(gp, pins)
+    if problems:
         return
-    bits = gp.index.bits
-    signs = {pin.atom: pin.positive for pin in pins}
-    pinned = sum(bits[atom] for atom, positive in signs.items() if positive)
-    free = sum(bit for atom, bit in bits.items() if atom not in signs)
     universe, build = gp.state_atoms, WorldState.from_mask
     low = free & -free
     run = free & ~(free + low)  # the lowest run of unpinned bits, counted through

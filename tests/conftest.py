@@ -143,3 +143,17 @@ def chained():
         "rule r2: permitted(y) if q, !r.\n"
         "rule r3: permitted(z) if r, !s.\n"
     )
+
+
+@pytest.fixture(scope="session")
+def repeated_rules():
+    # d1's body reads a place its head does not name, so go(X)'s slice holds
+    # one ground d1 per place, and d2 and o1 read another predicate: the
+    # rule lists of go's findings repeat a base label or name another one.
+    return base_from(
+        "sorts thing: a, b. sorts place: u, v.\n"
+        "fluent at(thing, place). fluent busy(thing).\naction go(thing).\n"
+        "rule d1: normally permitted(go(X)) if at(X, Y).\n"
+        "rule d2: normally !permitted(go(X)) if busy(X).\n"
+        "rule o1: obl(go(X)) if busy(X).\n"
+    )

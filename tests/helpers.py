@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from pathlib import Path
 
 from aopl_lint import WorldState, ground, reify
+from aopl_lint.analysis import SweepOptions
 from aopl_lint.diagnostics import SourceFile
 from aopl_lint.parser import parse, parse_files
+from aopl_lint.states import parse_pins
 
 DATA = Path(__file__).parent / "data"
+BENCH = Path(__file__).parent.parent / "perfbench"
 
 
 def load_base(*names: str):
@@ -49,3 +54,26 @@ def action_atom(gp, text: str):
         if str(atom) == text:
             return atom
     raise KeyError(text)
+
+
+def bench_workloads():
+    """The benchmark's workload generator, ``perfbench/workloads.py``, loaded read-only."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:  # its dataclasses look their module up by name
+        spec = importlib.util.spec_from_file_location(name, BENCH / "workloads.py")
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def bench_case(name: str, seed: int = 1):
+    """A benchmark workload's base, its sweep options with the workload's pins,
+    and its expected outcome."""
+    workload = bench_workloads().generate(name, seed)
+    sources = [
+        SourceFile(f"{name}.dom", workload.domain), SourceFile(f"{name}.aopl", workload.policy)
+    ]
+    result = parse_files(sources)
+    assert result.ok, [str(d) for d in result.diagnostics]
+    options = SweepOptions(pins=tuple(parse_pins(workload.pins)))
+    return reify(ground(result.policy, result.domain)), options, workload.expected

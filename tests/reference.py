@@ -18,11 +18,14 @@ to equal the size of the matching set here.  The grounder at the end instantiate
 constraints in separate loops with their own sort inference; the package's
 ``ground`` must give an equal ground policy.
 
-Two references work on the package's own integer forms instead: the
+Three references work on the package's own integer forms instead: the
 constraint check that tests one constraint's masks at a time, where the
-package looks up per-component tables, and ``per_action_sweep``, the
+package looks up per-component tables; ``per_action_sweep``, the
 package's sweep before it memoised whole bit components, which keeps one
-memo per action and reads the package's private finding helpers.
+memo per action and reads the package's private finding helpers; and
+``detect_state``, the package's per-state detector before it read each
+pair's first and last outcome in one pass, which builds the package's
+compact findings from its private tags.
 
 ``_tokenize`` at the end is the parser's character-at-a-time tokenizer,
 which builds a ``Position`` for every token; the package's ``_tokenize``
@@ -49,7 +52,7 @@ from aopl_lint.analysis import (
     SweepOptions,
     SweepResult,
 )
-from aopl_lint.engine import AmbiguityStats, WorldState, factor, state_literals
+from aopl_lint.engine import AmbiguityStats, WorldState, factor, factor_rules, state_literals
 from aopl_lint.diagnostics import Diagnostic, Position, Severity, has_errors
 from aopl_lint.grounding import GroundingError, GroundPolicy, GroundRule
 from aopl_lint.model import (
@@ -700,9 +703,63 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SetSweep
     return _result(accum, states_examined)
 
 
+# The package's compact finding tags, read by the detector below.
+_INCONSISTENCY, _OBLIGATION, _MODALITY, _AMBIGUITY, _UNDERSPECIFIED = (
+    analysis._INCONSISTENCY, analysis._OBLIGATION, analysis._MODALITY, analysis._AMBIGUITY,
+    analysis._UNDERSPECIFIED,
+)
+_UNDECIDED = analysis._UNDECIDED
+
+
+def detect_state(base: ReifiedBase, state: int, actions: Iterable[int]) -> list[tuple]:
+    """The package's ``analysis.detect_state`` before it read each pair's
+    first and last outcome in one pass: every finding about the given actions
+    in one state, as the package's compact tuples.
+
+    Each question reads off the outcomes of the action's three pairs, and a
+    label list is read across all outcomes of a pair when a finding combines
+    it with another pair.
+    """
+    index = base.index
+    findings: list[tuple] = []
+    for action in actions:
+        groups = factor_rules(*index.slices[action], state)[1]
+        permitted, obl_do, obl_not, auth_rules, auth_mask = index.actions[action]
+        for pair in (permitted, obl_do, obl_not):
+            for pos, neg in groups.get(pair, ()):
+                findings.extend((_INCONSISTENCY, pair, r1, r2) for r1 in pos for r2 in neg)
+        perm = groups.get(permitted, _UNDECIDED)
+        do = groups.get(obl_do, _UNDECIDED)
+        refrain = groups.get(obl_not, _UNDECIDED)
+        undecided = any(not pos and not neg for pos, neg in perm)
+
+        if not auth_rules:
+            findings.append((_UNDERSPECIFIED, action, 1, 0))
+        elif undecided:
+            findings.append((_UNDERSPECIFIED, action, 2, state & auth_mask))
+
+        if len(perm) > 1:
+            # Only an unblocked defeasible split gives two outcomes, one per side.
+            permitting = tuple(r for pos, _ in perm for r in pos)
+            forbidding = tuple(r for _, neg in perm for r in neg)
+            findings.append((_AMBIGUITY, action, permitting, forbidding))
+
+        obliging = [r for pos, _ in do for r in pos]
+        refraining = [r for pos, _ in refrain for r in pos]
+        if all(pos for pos, _ in do) and all(pos for pos, _ in refrain):
+            findings.extend((_OBLIGATION, action, r1, r2) for r1 in obliging for r2 in refraining)
+        for r1 in obliging:
+            findings.extend((_MODALITY, action, 1, r1, r2) for _, neg in perm for r2 in neg)
+            if undecided:
+                findings.append((_MODALITY, action, 3, r1, None))
+        for r1 in refraining:
+            findings.extend((_MODALITY, action, 2, r1, r2) for pos, _ in perm for r2 in pos)
+    return findings
+
+
 def _package_record(base: ReifiedBase, finding: tuple, state: WorldState) -> IssueRecord:
     """The package's IssueRecord for a compact finding, witnessed by ``state``."""
-    return analysis._record(base, finding, analysis._identity(base, finding), state)
+    return analysis._record(base, finding, state)
 
 
 def per_action_sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepResult:

@@ -34,7 +34,10 @@ from aopl_lint.states import check_pins, parse_pins
 
 import reference
 from corpus import corpus
-from helpers import DATA, action_atom, base_from, executable_actions, load_base, make_state
+from helpers import (
+    DATA, action_atom, base_from, bench_case, bench_workloads, executable_actions, load_base,
+    make_state,
+)
 from strategies import domain_and_policy, pinned_ground_policy, tied_components
 
 FIXTURES = [
@@ -51,6 +54,7 @@ FIXTURES = [
     "joined_by_exec",
     "pinned_away",
     "chained",
+    "repeated_rules",
 ]
 
 
@@ -571,3 +575,75 @@ def test_constraint_tables_of_the_shift_rota():
     assert all(isinstance(valid, frozenset) for _, valid in tables)
     assert sorted((c.bit_count(), len(valid)) for c, valid in tables) == [(4, 7)] * 3
     assert_same_constraint_checks(base.ground)
+
+
+def assert_shapes_fix_families(base, options=SweepOptions()) -> list[tuple]:
+    """Every compact finding the sweep meets, after checking that findings of
+    one ``_shape`` have one family key; the sweep derives it once per shape."""
+    met: list[tuple] = []
+    original = analysis.detect_state
+
+    def recording(base, state, actions):
+        findings = original(base, state, actions)
+        met.extend(findings)
+        return findings
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "detect_state", recording)
+        sweep(base, options)
+    keys: dict[tuple, tuple] = {}
+    for finding in met:
+        key = analysis._family_key(*analysis._identity(base, finding))
+        assert keys.setdefault(analysis._shape(base, finding), key) == key, finding
+    return met
+
+
+@given(st.one_of(domain_and_policy(), tied_components()))
+@settings(max_examples=100, deadline=None)
+def test_a_findings_shape_fixes_its_family_on_generated_policies(pair):
+    base = reify(ground(*pair))
+    assume(len(base.ground.state_atoms) <= 8)
+    assert_shapes_fix_families(base)
+
+
+def test_a_findings_shape_fixes_its_family_on_the_corpus():
+    for policy, domain in corpus():
+        assert_shapes_fix_families(reify(ground(policy, domain)))
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_a_findings_shape_fixes_its_family_on_fixtures(fixture, request):
+    assert_shapes_fix_families(request.getfixturevalue(fixture))
+
+
+@pytest.mark.parametrize("name", sorted(bench_workloads().GENERATORS))
+def test_a_findings_shape_fixes_its_family_on_the_bench_workloads(name):
+    base, options, _ = bench_case(name)
+    assert assert_shapes_fix_families(base, options)
+
+
+def test_a_shape_tells_repeated_base_labels_from_one(repeated_rules):
+    # Per thing, three ambiguities: d1 at either place, or at both.  The two
+    # with d1 once share a shape, and the one with d1 twice has another.
+    met = assert_shapes_fix_families(repeated_rules)
+    ambiguities = {f for f in met if f[0] == analysis._AMBIGUITY}
+    assert len(ambiguities) == 6
+    shapes = {analysis._shape(repeated_rules, f) for f in ambiguities}
+    assert sorted(s[1:] for s in shapes) == [(("d1",), ("d2",)), (("d1", "d1"), ("d2",))]
+    modality = {analysis._shape(repeated_rules, f) for f in met if f[0] == analysis._MODALITY}
+    assert modality == {(analysis._MODALITY, 1, "o1", "d2")}
+
+
+@given(pinned_ground_policy(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_detect_state_matches_the_reference_detector(case, data):
+    gp, _ = case
+    base = reify(gp)
+    actions = range(len(gp.action_atoms))
+    for mask in data.draw(st.lists(st.integers(0, (1 << len(gp.state_atoms)) - 1), max_size=4)):
+        for action in actions:
+            got = analysis.detect_state(base, mask, (action,))
+            assert got == reference.detect_state(base, mask, (action,)), (mask, action)
+        assert analysis.detect_state(base, mask, actions) == reference.detect_state(
+            base, mask, actions
+        )

@@ -2,13 +2,18 @@
 
 import tracemalloc
 
+import pytest
+
 from aopl_lint import (
+    Severity,
+    SweepOptions,
     WorldState,
     enumerate_states,
     load_state,
     parse_ground_literal,
     satisfies_constraints,
     state_space_size,
+    sweep,
 )
 from aopl_lint.states import check_pins, parse_pins
 
@@ -115,6 +120,34 @@ class TestPinChecks:
     def test_duplicate_consistent_pins_are_fine(self, mission_strict):
         gp = mission_strict.ground
         assert check_pins(gp, pins("colonel(c)", "colonel(c)")) == []
+
+    UNKNOWN = "pin atom ghost is not a state atom"
+    CONTRADICTORY = "contradictory pins for colonel(c)"
+
+    @pytest.mark.parametrize(
+        "texts, messages",
+        [
+            (("ghost",), [UNKNOWN]),
+            (("ghost", "ghost"), [UNKNOWN, UNKNOWN]),
+            (("colonel(c)", "!colonel(c)"), [CONTRADICTORY]),
+            (("colonel(c)", "!colonel(c)", "colonel(c)"), [CONTRADICTORY, CONTRADICTORY]),
+            (("colonel(c)", "colonel(c)"), []),
+            (("ghost", "colonel(c)", "!colonel(c)"), [UNKNOWN, CONTRADICTORY]),
+        ],
+    )
+    def test_each_outcome_in_pin_order(self, mission_strict, texts, messages):
+        gp = mission_strict.ground
+        diags = check_pins(gp, pins(*texts))
+        assert [d.message for d in diags] == messages
+        assert all(d.severity is Severity.ERROR for d in diags)
+        states = list(enumerate_states(gp, pins(*texts)))
+        assert len(states) == (0 if messages else 8)
+
+    def test_a_repeated_pin_sweeps_as_one(self, mission_strict):
+        once = sweep(mission_strict, SweepOptions(pins=tuple(pins("!authorized(c,m)"))))
+        twice = sweep(mission_strict, SweepOptions(pins=tuple(pins(*["!authorized(c,m)"] * 2))))
+        assert twice == once
+        assert once.states_examined == 8
 
     def test_parse_pins(self):
         assert [str(p) for p in parse_pins(["colonel(c)", "!observer(c)"])] == [
