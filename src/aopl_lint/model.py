@@ -10,7 +10,7 @@ test against the state.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .diagnostics import Diagnostic, Frozen, Severity, has_errors, set_field, sort_diagnostics
 
@@ -96,9 +96,6 @@ class Atom(Frozen):
         """Variables in argument order, first occurrence only."""
         return variables_of((self,))
 
-    def substitute(self, binding: Mapping[str, str]) -> "Atom":
-        return Atom(self.predicate, tuple(binding.get(a, a) for a in self.args))
-
     def __str__(self) -> str:
         if not self.args:
             return self.predicate
@@ -114,9 +111,6 @@ class Literal(Frozen):
         set_field(self, "atom", atom)
         set_field(self, "positive", positive)
 
-    def substitute(self, binding: Mapping[str, str]) -> "Literal":
-        return Literal(self.atom.substitute(binding), self.positive)
-
     def __str__(self) -> str:
         return str(self.atom) if self.positive else f"!{self.atom}"
 
@@ -129,9 +123,6 @@ class Happening(Frozen):
     def __init__(self, action: Atom, positive: bool = True) -> None:
         set_field(self, "action", action)
         set_field(self, "positive", positive)
-
-    def substitute(self, binding: Mapping[str, str]) -> "Happening":
-        return Happening(self.action.substitute(binding), self.positive)
 
     def __str__(self) -> str:
         return str(self.action) if self.positive else f"-{self.action}"
@@ -154,9 +145,6 @@ class HeadLiteral(Frozen):
     def opposite(self) -> "HeadLiteral":
         """The complementary deontic literal (classical negation flipped)."""
         return HeadLiteral(self.modality, self.happening, not self.positive)
-
-    def substitute(self, binding: Mapping[str, str]) -> "HeadLiteral":
-        return HeadLiteral(self.modality, self.happening.substitute(binding), self.positive)
 
     def __str__(self) -> str:
         sign = "" if self.positive else "!"

@@ -28,7 +28,10 @@ def load_state(gp: GroundPolicy, text: str) -> tuple[WorldState | None, list[Dia
     """Read a state file: one ground literal per line, closed world.
 
     Atoms not listed are false.  Negative literals are allowed for
-    documentation and checked for consistency with the positives.
+    documentation and checked for consistency with the positives.  A line
+    is read without its ``%`` comment and surrounding blanks, so a literal
+    spelled canonically, such as ``!colonel(c)``, takes one match; see
+    ``parse_ground_literal``.
     """
     out: list[Diagnostic] = []
     bits = gp.index.bits

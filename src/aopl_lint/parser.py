@@ -4,8 +4,11 @@ One file format covers both domain declarations and policy statements, so a
 policy may live in one file or be split across several; parse each file and
 merge the results.  Statements end with a period.  Comments run from ``%`` to
 end of line.  The tokenizer reads the text with one compiled pattern, one
-token per match, and builds a ``Position`` only for the parser's statement
-positions and diagnostics.
+token per match with the whitespace and comments before it, into
+``(kind, value, offset)`` tuples; a ``Position`` is derived from an offset,
+by a cursor that only moves forward, for statement positions and diagnostics
+alone.  A ground literal in its canonical spelling is read in one match,
+without tokens; see ``parse_ground_literal``.
 
 Statement forms::
 
@@ -34,7 +37,6 @@ diagnostic.  A parse with errors returns no AST.
 from __future__ import annotations
 
 import re
-from enum import Enum
 from typing import Callable, TypeVar
 
 from .diagnostics import (
@@ -70,7 +72,11 @@ _PREDICATE_KEYWORDS = {
 }
 
 
-class _TokKind(Enum):
+class _TokKind:
+    """Token kinds, compared by identity.  Plain strings, not an ``Enum``:
+    reading one is a class attribute lookup, and the cycle collector stops
+    tracking a token tuple that holds only strings and an int."""
+
     IDENT = "ident"
     VARIABLE = "variable"
     STRING = "string"
@@ -78,54 +84,67 @@ class _TokKind(Enum):
     EOF = "eof"
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "column")
-
-    def __init__(self, kind: _TokKind, value: str, line: int, column: int) -> None:
-        self.kind, self.value, self.line, self.column = kind, value, line, column
-
-    @property
-    def position(self) -> Position:
-        return Position(self.line, self.column)
-
-
 class _ParseError(Exception):
-    def __init__(self, message: str, position: Position) -> None:
+    def __init__(self, message: str, offset: int) -> None:
         super().__init__(message)
         self.message = message
-        self.position = position
+        self.offset = offset
 
 
 _STRING_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 
-# A word matched here may start with a digit that is not a decimal, such as
-# ``²``; ``_tokenize`` reports those.  A string runs to its closing quote, a
-# newline or the end of the text; a backslash takes the next character with
-# it, even a newline.
+# One match is one token with the whitespace and comments before it.  A match
+# with no group only skips: to the end of the text, or past 256 comments in a
+# row, since ``re`` keeps backtracking state for each repetition of a group and
+# one match over an unbounded run of comments takes time superlinear in its
+# length.  A word may start with a digit that is not a decimal, such as ``²``;
+# ``_tokenize`` reports those.  A string runs to its closing quote, a newline
+# or the end of the text; a backslash takes the next character with it, even a
+# newline.
 _TOKEN = re.compile(
-    r"""(?P<skip>(?:[ \t\r\n]|%[^\n]*)+)"""
-    r"""|(?P<word>[^\W\d]\w*)"""
-    r"""|(?P<string>"(?:[^"\\\n]|\\[\s\S]?)*)"""
+    r"""[ \t\r\n]*(?:%[^\n]*[ \t\r\n]*){0,256}"""
+    r"""(?:(?P<word>[^\W\d]\w*)"""
+    r"""|(?P<string>"[^"\\\n]*(?:\\[\s\S]?[^"\\\n]*)*)"""
     rf"""|(?P<punct>[{re.escape(_PUNCT)}])"""
-    r"""|(?P<other>[\s\S])"""
+    r"""|(?=%)|(?P<other>[\s\S])|\Z)"""
 )
 _ESCAPE = re.compile(r"\\([\s\S]?)")
 
 
+def _positions(text: str) -> Callable[[int], Position]:
+    """The ``Position`` of an offset into ``text``, for offsets asked in order.
+
+    A cursor moves forward over the text, so a parse derives positions in
+    time linear in the text; an offset before the last one restarts it.
+    """
+    line, line_start, at = 1, 0, 0
+
+    def position(offset: int) -> Position:
+        nonlocal line, line_start, at
+        if offset < at:
+            line, line_start, at = 1, 0, 0
+        newline = text.rfind("\n", at, offset)
+        if newline >= 0:
+            line += text.count("\n", at, newline) + 1
+            line_start = newline + 1
+        at = offset
+        return Position(line, offset - line_start + 1)
+
+    return position
+
+
 def _unescape(
-    text: str, start: int, end: int, line: int, line_start: int, diagnostics: list[Diagnostic]
+    text: str, start: int, end: int, position: Callable[[int], Position],
+    diagnostics: list[Diagnostic],
 ) -> str:
     """The value of the string body ``text[start:end]``, reporting unknown escapes."""
 
     def escape(match: re.Match) -> str:
-        nonlocal line, line_start
         escaped = match.group(1)
         if escaped in _STRING_ESCAPES:
             return _STRING_ESCAPES[escaped]
-        at = start + match.start() + 1
-        diagnostics.append(_error("unknown string escape", Position(line, at - line_start + 1)))
-        if escaped == "\n":  # the only way a string spans lines
-            line, line_start = line + 1, at + 1
+        offset = start + match.start() + 1
+        diagnostics.append(_error("unknown string escape", position(offset)))
         return ""
 
     return _ESCAPE.sub(escape, text[start:end])
@@ -135,52 +154,51 @@ def _error(message: str, position: Position) -> Diagnostic:
     return Diagnostic(Severity.ERROR, message, position=position)
 
 
-def _tokenize(text: str) -> tuple[list[_Token], list[Diagnostic]]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> tuple[list[tuple[str, str, int]], list[Diagnostic]]:
+    """The ``(kind, value, offset)`` tokens of ``text``, ending in EOF, and its
+    diagnostics."""
+    tokens: list[tuple[str, str, int]] = []
     diagnostics: list[Diagnostic] = []
-    line, line_start = 1, 0
-    pos = 0
-    n = len(text)
+    position = _positions(text)
     match = _TOKEN.match
-    while pos < n:
+    pos, end = 0, len(text)
+    while pos < end:
         found = match(text, pos)
         kind = found.lastgroup
-        end = found.end()
-        column = pos - line_start + 1
-        if kind == "word" and (text[pos].isalpha() or text[pos] == "_"):
-            word = text[pos:end]
-            word_kind = _TokKind.VARIABLE if is_variable(word) else _TokKind.IDENT
-            tokens.append(_Token(word_kind, word, line, column))
+        if kind is None:
+            pos = found.end()
+            continue
+        start, pos = found.span(kind)
+        first = text[start]
+        if kind == "word" and (first.isalpha() or first == "_"):
+            word = text[start:pos]
+            tokens.append((_TokKind.VARIABLE if is_variable(word) else _TokKind.IDENT, word, start))
         elif kind == "punct":
-            tokens.append(_Token(_TokKind.PUNCT, text[pos], line, column))
+            tokens.append((_TokKind.PUNCT, first, start))
         elif kind == "string":
-            value = text[pos + 1 : end]
+            at = position(start)
+            value = text[start + 1 : pos]
             if "\\" in value:
-                value = _unescape(text, pos + 1, end, line, line_start, diagnostics)
-            if text.startswith('"', end):
-                end += 1
+                value = _unescape(text, start + 1, pos, position, diagnostics)
+            if text.startswith('"', pos):
+                pos += 1
             else:
-                diagnostics.append(_error("unterminated string", Position(line, column)))
-            tokens.append(_Token(_TokKind.STRING, value, line, column))
-        elif kind != "skip":
-            # Every character before the first letter or ``_`` of a run of
-            # ``\w`` that starts with a digit, or the one character no token
-            # starts with, is unexpected.
-            for at in range(pos, end):
+                diagnostics.append(_error("unterminated string", at))
+            tokens.append((_TokKind.STRING, value, start))
+        elif kind == "other":
+            diagnostics.append(_error(f"unexpected character {first!r}", position(start)))
+        else:
+            # A word that starts with a digit that is not a decimal: every
+            # character before its first letter or ``_`` is unexpected.
+            here = position(start)
+            for at in range(start, pos):
                 if text[at].isalpha() or text[at] == "_":
-                    end = at
+                    pos = at
                     break
-                position = Position(line, at - line_start + 1)
-                diagnostics.append(_error(f"unexpected character {text[at]!r}", position))
-        if kind == "skip" or kind == "string":
-            # Only whitespace, comments and escaped newlines in strings span lines.
-            newline = text.rfind("\n", pos, end)
-            if newline >= 0:
-                line += text.count("\n", pos, newline) + 1
-                line_start = newline + 1
-        pos = end
+                where = Position(here.line, here.column + at - start)
+                diagnostics.append(_error(f"unexpected character {text[at]!r}", where))
 
-    tokens.append(_Token(_TokKind.EOF, "", line, pos - line_start + 1))
+    tokens.append((_TokKind.EOF, "", end))
     return tokens, diagnostics
 
 
@@ -209,28 +227,29 @@ class ParseResult(Frozen):
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
+    def __init__(self, tokens: list[tuple[str, str, int]], text: str) -> None:
         self.tokens = tokens
         self.index = 0
+        self.position = _positions(text)
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple[str, str, int]:
         token = self.tokens[self.index]
-        if token.kind is not _TokKind.EOF:
+        if token[0] is not _TokKind.EOF:
             self.index += 1
         return token
 
     def at_punct(self, value: str) -> bool:
-        token = self.peek()
-        return token.kind is _TokKind.PUNCT and token.value == value
+        kind, text, _ = self.tokens[self.index]
+        return kind is _TokKind.PUNCT and text == value
 
     def accept(self, keyword: str) -> bool:
         """Consume the next token if it is the given keyword."""
-        token = self.peek()
-        if token.kind is _TokKind.IDENT and token.value == keyword:
-            self.next()
+        kind, text, _ = self.tokens[self.index]
+        if kind is _TokKind.IDENT and text == keyword:
+            self.index += 1
             return True
         return False
 
@@ -238,42 +257,42 @@ class _Parser:
         """One or more items separated by commas."""
         items = [item()]
         while self.at_punct(","):
-            self.next()
+            self.index += 1
             items.append(item())
         return tuple(items)
 
-    def expect_punct(self, value: str) -> _Token:
-        token = self.peek()
-        if token.kind is _TokKind.PUNCT and token.value == value:
-            return self.next()
-        raise _ParseError(f"expected {value!r}", token.position)
+    def expect_punct(self, value: str) -> None:
+        kind, text, offset = self.tokens[self.index]
+        if kind is not _TokKind.PUNCT or text != value:
+            raise _ParseError(f"expected {value!r}", offset)
+        self.index += 1
 
-    def expect_ident(self, what: str) -> _Token:
-        token = self.peek()
-        if token.kind is _TokKind.IDENT:
-            return self.next()
-        raise _ParseError(f"expected {what}", token.position)
+    def expect_ident(self, what: str) -> str:
+        kind, text, offset = self.tokens[self.index]
+        if kind is not _TokKind.IDENT:
+            raise _ParseError(f"expected {what}", offset)
+        self.index += 1
+        return text
 
     def synchronize(self) -> None:
         """Skip forward past the next period so later statements still parse."""
         while True:
-            token = self.next()
-            if token.kind is _TokKind.EOF:
-                return
-            if token.kind is _TokKind.PUNCT and token.value == ".":
+            kind, text, _ = self.next()
+            if kind is _TokKind.EOF or (kind is _TokKind.PUNCT and text == "."):
                 return
 
     def parse_term(self) -> str:
-        token = self.peek()
-        if token.kind in (_TokKind.IDENT, _TokKind.VARIABLE):
-            return self.next().value
-        raise _ParseError("expected a constant or variable", token.position)
+        kind, text, offset = self.tokens[self.index]
+        if kind is not _TokKind.IDENT and kind is not _TokKind.VARIABLE:
+            raise _ParseError("expected a constant or variable", offset)
+        self.index += 1
+        return text
 
     def parse_atom(self) -> Atom:
-        name = self.expect_ident("a predicate name").value
+        name = self.expect_ident("a predicate name")
         args: tuple[str, ...] = ()
         if self.at_punct("("):
-            self.next()
+            self.index += 1
             args = self.comma_list(self.parse_term)
             self.expect_punct(")")
         return Atom(name, args)
@@ -281,40 +300,38 @@ class _Parser:
     def parse_literal(self) -> Literal:
         positive = True
         if self.at_punct("!"):
-            self.next()
+            self.index += 1
             positive = False
         return Literal(self.parse_atom(), positive)
 
     def parse_head(self) -> HeadLiteral:
         positive = True
         if self.at_punct("!"):
-            self.next()
+            self.index += 1
             positive = False
-        token = self.peek()
-        if token.kind is not _TokKind.IDENT or token.value not in ("permitted", "obl"):
-            raise _ParseError("expected permitted(...) or obl(...)", token.position)
-        modality = Modality.PERMITTED if token.value == "permitted" else Modality.OBL
-        self.next()
+        kind, text, offset = self.peek()
+        if kind is not _TokKind.IDENT or text not in ("permitted", "obl"):
+            raise _ParseError("expected permitted(...) or obl(...)", offset)
+        modality = Modality.PERMITTED if text == "permitted" else Modality.OBL
+        self.index += 1
         self.expect_punct("(")
         happening_positive = True
         if self.at_punct("-"):
             if modality is Modality.PERMITTED:
-                raise _ParseError(
-                    "permitted heads cannot negate the action", self.peek().position
-                )
-            self.next()
+                raise _ParseError("permitted heads cannot negate the action", self.peek()[2])
+            self.index += 1
             happening_positive = False
         action = self.parse_atom()
         self.expect_punct(")")
         return HeadLiteral(modality, Happening(action, happening_positive), positive)
 
     def parse_where_entry(self) -> tuple[str, str]:
-        token = self.peek()
-        if token.kind is not _TokKind.VARIABLE:
-            raise _ParseError("expected a variable in where-clause", token.position)
-        var = self.next().value
+        kind, var, offset = self.peek()
+        if kind is not _TokKind.VARIABLE:
+            raise _ParseError("expected a variable in where-clause", offset)
+        self.index += 1
         self.expect_punct(":")
-        return var, self.expect_ident("a sort name").value
+        return var, self.expect_ident("a sort name")
 
 
 def _parse_statements(
@@ -327,26 +344,25 @@ def _parse_statements(
     rules: list[tuple[PolicyRule, Position]] = []
     texts: list[tuple[str, str, Position]] = []  # label, text, position
 
-    while parser.peek().kind is not _TokKind.EOF:
-        token = parser.peek()
+    while parser.peek()[0] is not _TokKind.EOF:
+        kind, keyword, offset = parser.peek()
         try:
-            if token.kind is not _TokKind.IDENT:
-                raise _ParseError("expected a statement keyword", token.position)
-            keyword = token.value
+            if kind is not _TokKind.IDENT:
+                raise _ParseError("expected a statement keyword", offset)
             if keyword == "sorts":
                 parser.next()
-                name = parser.expect_ident("a sort name").value
+                name = parser.expect_ident("a sort name")
                 parser.expect_punct(":")
-                members = parser.comma_list(lambda: parser.expect_ident("a constant").value)
+                members = parser.comma_list(lambda: parser.expect_ident("a constant"))
                 parser.expect_punct(".")
                 sorts.append(SortDecl(name, members))
             elif keyword in _PREDICATE_KEYWORDS:
                 parser.next()
-                name = parser.expect_ident("a predicate name").value
+                name = parser.expect_ident("a predicate name")
                 arg_sorts: tuple[str, ...] = ()
                 if parser.at_punct("("):
                     parser.next()
-                    arg_sorts = parser.comma_list(lambda: parser.expect_ident("a sort name").value)
+                    arg_sorts = parser.comma_list(lambda: parser.expect_ident("a sort name"))
                     parser.expect_punct(")")
                 parser.expect_punct(".")
                 predicates.append(PredicateDecl(name, _PREDICATE_KEYWORDS[keyword], arg_sorts))
@@ -372,9 +388,9 @@ def _parse_statements(
                 parser.expect_punct(".")
                 exec_constraints.append(ExecConstraint(action, condition))
             elif keyword == "rule":
-                position = token.position
+                position = parser.position(offset)
                 parser.next()
-                label = parser.expect_ident("a rule label").value
+                label = parser.expect_ident("a rule label")
                 parser.expect_punct(":")
                 kind = RuleKind.DEFEASIBLE if parser.accept("normally") else RuleKind.STRICT
                 head = parser.parse_head()
@@ -389,13 +405,13 @@ def _parse_statements(
                     (PolicyRule(label, kind, head=head, condition=condition, where=where), position)
                 )
             elif keyword == "prefer":
-                position = token.position
+                position = parser.position(offset)
                 parser.next()
-                label = parser.expect_ident("a rule label").value
+                label = parser.expect_ident("a rule label")
                 parser.expect_punct(":")
-                preferred = parser.expect_ident("a defeasible rule label").value
+                preferred = parser.expect_ident("a defeasible rule label")
                 parser.expect_punct(">")
-                dispreferred = parser.expect_ident("a defeasible rule label").value
+                dispreferred = parser.expect_ident("a defeasible rule label")
                 parser.expect_punct(".")
                 rules.append(
                     (
@@ -409,20 +425,20 @@ def _parse_statements(
                     )
                 )
             elif keyword == "text":
-                position = token.position
+                position = parser.position(offset)
                 parser.next()
-                label = parser.expect_ident("a rule label").value
+                label = parser.expect_ident("a rule label")
                 parser.expect_punct(":")
-                string = parser.peek()
-                if string.kind is not _TokKind.STRING:
-                    raise _ParseError("expected a quoted string", string.position)
+                kind, string, at = parser.peek()
+                if kind is not _TokKind.STRING:
+                    raise _ParseError("expected a quoted string", at)
                 parser.next()
                 parser.expect_punct(".")
-                texts.append((label, string.value, position))
+                texts.append((label, string, position))
             else:
-                raise _ParseError(f"unknown statement keyword {keyword!r}", token.position)
+                raise _ParseError(f"unknown statement keyword {keyword!r}", offset)
         except _ParseError as exc:
-            diagnostics.append(_error(exc.message, exc.position))
+            diagnostics.append(_error(exc.message, parser.position(exc.offset)))
             parser.synchronize()
 
     return sorts, predicates, state_constraints, exec_constraints, rules, texts
@@ -450,7 +466,7 @@ def parse_files(sources: list[SourceFile]) -> ParseResult:
     merged: tuple[list, ...] = ([], [], [], [], [], [])
     for source in sources:
         tokens, local = _tokenize(source.text)
-        for into, part in zip(merged, _parse_statements(_Parser(tokens), local)):
+        for into, part in zip(merged, _parse_statements(_Parser(tokens, source.text), local)):
             into.extend(part)
         if len(sources) > 1:
             local = [d.replace(message=f"{source.path}: {d.message}") for d in local]
@@ -496,11 +512,22 @@ def parse_files(sources: list[SourceFile]) -> ParseResult:
     return ParseResult(policy=policy, domain=domain, diagnostics=diagnostics)
 
 
+# A literal spelled ``!?name(w1,...,wn)`` with no spaces, every word starting
+# with an ASCII letter or ``_`` and the name not a variable: ``_parse_fragment``
+# reads it in this one match.
+_CANONICAL = re.compile(r"(!?)([a-z_]\w*)(?:\(([A-Za-z_]\w*(?:,[A-Za-z_]\w*)*)\))?")
+
+
 def _parse_fragment(text: str, what: str):
+    canonical = _CANONICAL.fullmatch(text)
+    if canonical is not None and (what == "literal" or not canonical[1]):
+        sign, name, args = canonical.groups()
+        atom = Atom(name, tuple(args.split(",")) if args else ())
+        return Literal(atom, not sign) if what == "literal" else atom
     tokens, diagnostics = _tokenize(text)
     if diagnostics:
         raise ValueError(f"cannot parse {what} {text!r}: {diagnostics[0].message}")
-    parser = _Parser(tokens)
+    parser = _Parser(tokens, text)
     try:
         if what == "literal":
             node = parser.parse_literal()
@@ -508,7 +535,7 @@ def _parse_fragment(text: str, what: str):
             node = parser.parse_atom()
     except _ParseError as exc:
         raise ValueError(f"cannot parse {what} {text!r}: {exc.message}") from exc
-    if parser.peek().kind is not _TokKind.EOF:
+    if parser.peek()[0] is not _TokKind.EOF:
         raise ValueError(f"trailing input after {what} in {text!r}")
     return node
 
@@ -522,7 +549,13 @@ def parse_ground_atom(text: str) -> Atom:
 
 
 def parse_ground_literal(text: str) -> Literal:
-    """Parse one ground literal of the form ``atom`` or ``!atom``."""
+    """Parse one ground literal of the form ``atom`` or ``!atom``.
+
+    The canonical spelling, ``!?name(c1,...,cn)`` with no spaces, each word
+    starting with an ASCII letter or ``_``, is read in one match; any other
+    text, and every error, goes through the tokenizer and the statement
+    parser, so its messages are theirs.
+    """
     literal = _parse_fragment(text, "literal")
     if not literal.atom.is_ground:
         raise ValueError(f"literal {text!r} contains variables")

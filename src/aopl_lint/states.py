@@ -119,5 +119,9 @@ def enumerate_states(
 
 
 def parse_pins(texts: Iterable[str]) -> list[Literal]:
-    """Parse pin arguments of the form ``atom`` or ``!atom``."""
+    """Parse pin arguments of the form ``atom`` or ``!atom``.
+
+    A pin spelled canonically, such as ``colonel(c)`` or ``!authorized(c,m)``,
+    takes one match; see ``parse_ground_literal``.
+    """
     return [parse_ground_literal(text) for text in texts]

@@ -15,7 +15,8 @@ accumulator by compact finding, record key or family key and counts states
 where this sweep keeps their sets; the tests require both to give the same
 states, findings, witnesses, families and verdicts, and each package count
 to equal the size of the matching set here.  The grounder at the end instantiates rules, preferences and
-constraints in separate loops with their own sort inference; the package's
+constraints in separate loops with their own sort inference and their own
+substitution of constants for variables (``_substitute``); the package's
 ``ground`` must give an equal ground policy.
 
 Three references work on the package's own integer forms instead: the
@@ -29,8 +30,9 @@ compact findings from its private tags.
 
 ``_tokenize`` at the end is the parser's character-at-a-time tokenizer,
 which builds a ``Position`` for every token; the package's ``_tokenize``
-reads the text with one compiled pattern instead and must give the same
-tokens and diagnostics.  It shares the parser's token kinds, punctuation and
+reads the text with one compiled pattern instead, into tuples that carry an
+offset, and must give the same tokens, with the positions its offsets give,
+and diagnostics.  It shares the parser's token kinds, punctuation and
 escape table.  Nothing else here reads a private name of the package.
 """
 
@@ -1073,6 +1075,18 @@ def _scope_variables(literals: Iterable[Literal]) -> tuple[str, ...]:
     return tuple(seen)
 
 
+def _substitute(node, binding: Mapping[str, str]):
+    """An ``Atom``, ``Literal``, ``Happening`` or ``HeadLiteral`` with each
+    variable that ``binding`` names replaced by its constant."""
+    if isinstance(node, Atom):
+        return Atom(node.predicate, tuple(binding.get(a, a) for a in node.args))
+    if isinstance(node, Literal):
+        return Literal(_substitute(node.atom, binding), node.positive)
+    if isinstance(node, Happening):
+        return Happening(_substitute(node.action, binding), node.positive)
+    return HeadLiteral(node.modality, _substitute(node.happening, binding), node.positive)
+
+
 def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
     """Instantiate a validated policy over its domain.
 
@@ -1119,8 +1133,8 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
                 GroundRule(
                     label=_ground_label(rule.label, variables, binding),
                     kind=rule.kind,
-                    head=rule.head.substitute(binding),
-                    condition=tuple(lit.substitute(binding) for lit in rule.condition),
+                    head=_substitute(rule.head, binding),
+                    condition=tuple(_substitute(lit, binding) for lit in rule.condition),
                     text=rule.text,
                 )
             )
@@ -1136,8 +1150,8 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
         for binding in _bindings(variables, var_sorts, domain):
             ground_state_constraints.append(
                 StateConstraint(
-                    body=tuple(lit.substitute(binding) for lit in constraint.body),
-                    head=constraint.head.substitute(binding) if constraint.head else None,
+                    body=tuple(_substitute(lit, binding) for lit in constraint.body),
+                    head=_substitute(constraint.head, binding) if constraint.head else None,
                 )
             )
 
@@ -1149,8 +1163,8 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
         for binding in _bindings(variables, var_sorts, domain):
             ground_exec_constraints.append(
                 ExecConstraint(
-                    action=constraint.action.substitute(binding),
-                    condition=tuple(lit.substitute(binding) for lit in constraint.condition),
+                    action=_substitute(constraint.action, binding),
+                    condition=tuple(_substitute(lit, binding) for lit in constraint.condition),
                 )
             )
 

@@ -1,5 +1,8 @@
 """Concrete syntax: tokenizing, statement parsing, recovery, multi-file merge."""
 
+import re
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +21,8 @@ from aopl_lint import (
     parse_ground_atom,
     parse_ground_literal,
 )
+from aopl_lint.one_state import load_state
+from aopl_lint.states import parse_pins
 import aopl_lint.parser as parser_module
 import reference
 
@@ -251,6 +256,64 @@ class TestFragments:
         with pytest.raises(ValueError):
             parse_ground_atom(text) if "!" not in text else parse_ground_literal(text)
 
+    def test_canonical_pins_and_state_lines_skip_the_tokenizer(self, mission_strict, monkeypatch):
+        calls = []
+        tokenize = parser_module._tokenize
+
+        def counting(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(parser_module, "_tokenize", counting)
+        parse_pins(["colonel(c)", "!observer(c)", "authorized(c,m)", "_x(y1,z_2)"])
+        parse_ground_atom("assume_comm(c,m)")
+        state, diags = load_state(mission_strict.ground, "colonel(c)\n!observer(c) % doc\n")
+        assert diags == [] and str(state) == "{colonel(c)}"
+        assert calls == []
+        parse_pins(["colonel( c )"])  # any other spelling goes through the tokens
+        assert calls == ["colonel( c )"]
+
+
+# Pieces of fragment text: canonical atoms and literals, signs, word starts
+# that are upper-case, ``_``, non-ASCII letters (``ǅ`` is title-case, not
+# upper-case) and digits that are not (``²``, ``Ⅷ``) or are (``٣``) decimals,
+# a space that is not ASCII, comments, empty and bare-comma argument lists and
+# trailing junk.
+_FRAGMENT_PIECES = [
+    "colonel(c)", "!observer(k1)", "fire(a1,m2)", "halt", "!", "-", "X", "Var", "_", "_k",
+    "x1", "a", "é", "ǅ", "²", "٣", "Ⅷ", "\xa0", " ", "\t", "% c", "(", ")", ",", "()",
+    "(,)", ".", ";", "junk",
+]
+_WORDS = st.sampled_from(["a", "x1", "_", "_k", "X", "Var", "é", "bé", "ǅ", "²a", "b٣", "٣", "Ⅷ", "1", ""])
+
+
+@st.composite
+def _fragments(draw):
+    """Piece soup, or the canonical shape ``!?name(w1,...,wn)`` over odd words."""
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from(_FRAGMENT_PIECES), max_size=6)))
+    text = draw(st.sampled_from(["", "!"])) + draw(_WORDS)
+    args = draw(st.lists(_WORDS, max_size=3))
+    return text + (f"({','.join(args)})" if args else "") + draw(st.sampled_from(["", " ", ")"]))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestFragmentsMatchTheTokenParser:
+    @given(_fragments())
+    @settings(max_examples=1000, deadline=None)
+    def test_random_fragments(self, text):
+        for parse in (parse_ground_literal, parse_ground_atom):
+            fast = _outcome(parse, text)
+            # A pattern that matches nothing sends every text through the tokens.
+            with mock.patch.object(parser_module, "_CANONICAL", re.compile("(?!)")):
+                assert fast == _outcome(parse, text)
+
 
 # Pieces that reach every branch of the tokenizer: word starts that are and
 # are not letters (``²`` is a digit but not a decimal, ``٣`` a non-ASCII
@@ -282,16 +345,22 @@ _PIECES = [
 ]
 
 
-def _tokens_and_diagnostics(tokenize, text):
-    tokens, diagnostics = tokenize(text)
-    stream = [(t.kind, t.value, t.position.line, t.position.column) for t in tokens]
+def _tokens_and_diagnostics(text):
+    """The package's tokens as (kind, value, line, column), positions derived
+    from their offsets in order as the parser derives them, and diagnostics."""
+    tokens, diagnostics = parser_module._tokenize(text)
+    position = parser_module._positions(text)
+    stream = []
+    for kind, value, offset in tokens:
+        at = position(offset)
+        stream.append((kind, value, at.line, at.column))
     return stream, diagnostics
 
 
 def _same_as_reference(text):
-    assert _tokens_and_diagnostics(parser_module._tokenize, text) == _tokens_and_diagnostics(
-        reference._tokenize, text
-    )
+    tokens, diagnostics = reference._tokenize(text)
+    expected = [(t.kind, t.value, t.position.line, t.position.column) for t in tokens]
+    assert _tokens_and_diagnostics(text) == (expected, diagnostics)
 
 
 class TestTokenizerMatchesReference:
@@ -311,10 +380,19 @@ class TestTokenizerMatchesReference:
             "a\r\nb\rc",
             "% only a comment",
             "",
+            ";\n#\n;;\n²²x\n\xa0\n",  # an error on every line
+            "a ;\r\nb #\r\n\"\\q\"\r\n;",  # CRLF line ends
+            '"a\\\nb\\q" ;\n # "c\\\n\\x\n;',  # escaped newlines in strings, then more errors
+            "a;\nb % no newline at the end",
         ],
     )
     def test_edge_cases(self, text):
         _same_as_reference(text)
+
+    @pytest.mark.parametrize("count", [255, 256, 257, 600])
+    def test_runs_of_comments(self, count):
+        # One match skips at most 256 comments in a row.
+        _same_as_reference("x\n" + "%c\n" * count + "a;\n%")
 
     def test_fixture_files(self):
         for path in sorted(DATA.iterdir()):
