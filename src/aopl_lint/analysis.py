@@ -30,6 +30,8 @@ from .states import DEFAULT_MAX_STATES, check_state_space, enumerate_states
 
 
 class IssueKind(Enum):
+    """The kinds of finding, in display order: contradictions first, coverage gaps last."""
+
     INCONSISTENCY = "inconsistency"
     OBLIGATION_CONFLICT = "obligation_conflict"
     MODALITY_CONFLICT = "modality_conflict"
@@ -37,14 +39,7 @@ class IssueKind(Enum):
     UNDERSPECIFIED = "underspecified"
 
 
-# Display order: contradictions first, coverage gaps last.
-KIND_ORDER = {
-    IssueKind.INCONSISTENCY: 0,
-    IssueKind.OBLIGATION_CONFLICT: 1,
-    IssueKind.MODALITY_CONFLICT: 2,
-    IssueKind.AMBIGUITY: 3,
-    IssueKind.UNDERSPECIFIED: 4,
-}
+KIND_ORDER = {kind: i for i, kind in enumerate(IssueKind)}
 
 
 class IssueRecord(Frozen):
@@ -104,7 +99,7 @@ class IssueRecord(Frozen):
 
 # A finding is a compact tuple led by its kind's index in _KINDS; with the
 # state it fixes the IssueRecord, which _record builds only when needed.
-_KINDS = tuple(KIND_ORDER)
+_KINDS = tuple(IssueKind)
 _INCONSISTENCY, _OBLIGATION, _MODALITY, _AMBIGUITY, _UNDERSPECIFIED = range(5)
 _UNDECIDED: tuple[Outcome, ...] = (((), ()),)
 
@@ -350,22 +345,28 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
     free = check_state_space(base.ground, options.pins, options.max_states)
     index = base.index
     scopes = [relevant & free for relevant in index.relevant]
-    exec_conditions = index.exec_conditions
-    for need, forbid, action in exec_conditions:
+    conditions: dict[int, list[tuple[int, int]]] = {}  # per action, its exec conditions
+    for need, forbid, action in index.exec_conditions:
         scopes[action] |= (need | forbid) & free
+        conditions.setdefault(action, []).append((need, forbid))
+
+    def executable(action: int, mask: int) -> bool:
+        """True when none of the action's exec conditions holds in ``mask``."""
+        for need, forbid in conditions.get(action, ()):
+            if mask & need == need and not mask & forbid:
+                return False
+        return True
+
     memoised = [a for a, relevant in enumerate(index.relevant) if relevant & free != free]
+    direct = [a for a, relevant in enumerate(index.relevant) if relevant & free == free]
     grouped: dict[int, list[int]] = {}
     for action, component in zip(memoised, components([scopes[a] for a in memoised])):
         if component.bit_count() > COMPONENT_BITS:
             component = scopes[action]
         grouped.setdefault(component, []).append(action)
-    # Per table, with its actions and their exec conditions: [family bitmask,
-    # rank, witness, states, findings of the executable actions] per value of its bits.
-    tables = [
-        (bits, {}, actions, exec_conditions and [c for c in exec_conditions if c[2] in actions])
-        for bits, actions in grouped.items()
-    ]
-    direct = len(memoised) < len(scopes)  # some action's bits cover every unpinned one
+    # Per table, with its actions: [family bitmask, rank, witness, states,
+    # findings of the executable actions] per value of its bits.
+    tables = [(bits, {}, actions) for bits, actions in grouped.items()]
     found: dict[tuple[int, int], tuple[list, int]] = {}  # findings, families per relevant bits
     accum: _Accumulator = {}  # keyed by compact finding; each is one record key
     family_ids: dict[tuple, int] = {}
@@ -393,15 +394,12 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
         mask = state.mask
         rank = mask.bit_count()
         seen = 0
-        for bits, table, actions, conditions in tables:
+        for bits, table, actions in tables:
             entry = table.get(mask & bits)
             if entry is None:
                 entry = table[mask & bits] = [0, rank, state, 0, []]
-                blocked = conditions and [
-                    a for need, forbid, a in conditions if mask & need == need and not mask & forbid
-                ]
                 for action in actions:
-                    if action in blocked:
+                    if not executable(action, mask):
                         continue
                     key = action, mask & index.relevant[action]
                     if key not in found:
@@ -415,7 +413,7 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
             entry[3] += 1
             seen |= entry[0]
         if direct:
-            actions = [a for a in index.executable(mask) if index.relevant[a] & free == free]
+            actions = [a for a in direct if executable(a, mask)]
             if actions:
                 findings = detect_state(base, mask, actions)
                 for finding in findings:
@@ -423,14 +421,16 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
                 seen |= families(findings)
         seen_counts[seen] = seen_counts.get(seen, 0) + 1
     # The smallest witness over a partition of a finding's states is the smallest overall.
-    for _, table, _, _ in tables:
+    for _, table, _ in tables:
         for _, _, witness, states, findings in table.values():
             for finding in findings:
                 _accumulate(accum, finding, witness, witness, states)
     family_counts = [0] * len(family_ids)
     for seen, states in seen_counts.items():
-        for i in range(seen.bit_length()):
-            family_counts[i] += states * (seen >> i & 1)
+        while seen:
+            low = seen & -seen
+            family_counts[low.bit_length() - 1] += states
+            seen ^= low
 
     instances = sorted(
         (

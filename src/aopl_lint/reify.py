@@ -46,13 +46,14 @@ class Index(Frozen):
     of them; a pair has one action, so the slices partition both.
     ``relevant`` holds, per ground action, every state bit its findings
     read: the bodies in its slice and its authorization bits.
-    ``exec_conditions`` holds (masks, action index).  ``constraints`` holds
-    the state constraints whose body can hold and whose head can fail, split
-    into ``components`` of the bits they read: per component, its mask and
-    the sub-masks it accepts, as a frozenset for at most ``CHUNK_BITS`` bits
-    and else as ``ConstraintChecks``, where a missing or unsatisfiable head
-    needs a bit past the last state atom.  ``by_label`` maps each label to
-    its ground rule.
+    ``exec_conditions`` holds (masks, action index) per executability
+    constraint: a state that meets the masks cannot execute the action.
+    ``constraints`` holds the state constraints whose body can hold and whose
+    head can fail, split into ``components`` of the bits they read: per
+    component, its mask and the sub-masks it accepts, as a frozenset for at
+    most ``CHUNK_BITS`` bits and else as ``ConstraintChecks``, where a missing
+    or unsatisfiable head needs a bit past the last state atom.  ``by_label``
+    maps each label to its ground rule.
     """
 
     __slots__ = (
@@ -86,15 +87,6 @@ class Index(Frozen):
             return state.mask
         bits = self.bits
         return sum(bits[atom] for atom in state.true_atoms)
-
-    def executable(self, state: int) -> list[int]:
-        """Indexes of the actions no executability condition blocks."""
-        blocked = {
-            action
-            for need, forbid, action in self.exec_conditions
-            if state & need == need and not state & forbid
-        }
-        return [a for a in range(len(self.actions)) if a not in blocked]
 
     def failing(self, body: Iterable[Literal], state: int) -> tuple[Literal, ...]:
         """The literals of ``body`` that do not hold in ``state``."""

@@ -15,14 +15,14 @@ except ImportError:
     except ImportError:  # a build with OpenSSL's digests only
         from hashlib import sha256
 
-from .analysis import FamilyRecord, IssueKind, KIND_ORDER, SweepResult, collapse_families
+from .analysis import FamilyRecord, IssueKind, SweepResult, collapse_families
 from .diagnostics import Frozen, set_field
 
 TOOL_NAME = "aopl-lint"
 SCHEMA_VERSION = 1
 
 # The kinds' values in display order, as every report's counts list them.
-_KIND_VALUES = tuple(kind.value for kind in sorted(KIND_ORDER, key=KIND_ORDER.get))
+_KIND_VALUES = tuple(kind.value for kind in IssueKind)
 
 
 class AnalysisReport(Frozen):

@@ -5,8 +5,7 @@ atoms, filtered by the domain's state constraints.  Exhaustive enumeration is
 exponential, so callers can pin atoms to carve out a slice and must size the
 remainder with ``state_space_size`` before iterating blindly.  Assignments
 are int masks over the ground policy's index (``reify.Index``), which holds
-the constraints as tables of the sub-masks each component of them accepts,
-and also filters a state's executable actions (``Index.executable``).
+the constraints as tables of the sub-masks each component of them accepts.
 """
 
 from __future__ import annotations

@@ -44,9 +44,19 @@ def negated(item):
     return item.replace(positive=not item.positive)
 
 
+def executable(index, mask: int) -> list[int]:
+    """Indexes of the actions no executability condition of ``index`` blocks in ``mask``."""
+    blocked = {
+        action
+        for need, forbid, action in index.exec_conditions
+        if mask & need == need and not mask & forbid
+    }
+    return [a for a in range(len(index.actions)) if a not in blocked]
+
+
 def executable_actions(gp, state: WorldState) -> tuple:
-    """The ground actions ``Index.executable`` leaves in ``state``."""
-    return tuple(gp.action_atoms[a] for a in gp.index.executable(gp.index.mask(state)))
+    """The ground actions ``executable`` leaves in ``state``."""
+    return tuple(gp.action_atoms[a] for a in executable(gp.index, gp.index.mask(state)))
 
 
 def action_atom(gp, text: str):

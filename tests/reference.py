@@ -77,7 +77,7 @@ from aopl_lint.parser import _PUNCT, _STRING_ESCAPES, _TokKind
 from aopl_lint.reify import ReifiedBase
 from aopl_lint.states import check_pins, check_state_space
 
-from helpers import negated, satisfies
+from helpers import executable as unblocked_actions, negated, satisfies
 
 
 def _satisfies(state: WorldState, literal: Literal, sort_facts: frozenset[Atom]) -> bool:
@@ -804,7 +804,7 @@ def per_action_sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) 
         rank = mask.bit_count()
         split = executable.get(mask & exec_bits)
         if split is None:
-            actions = index.executable(mask)
+            actions = unblocked_actions(index, mask)
             split = executable[mask & exec_bits] = (
                 [(a, memos[a], index.relevant[a]) for a in actions if memos[a] is not None],
                 [a for a in actions if memos[a] is None],

@@ -77,6 +77,17 @@ class TestAnalyze:
         assert out.count("answer sets in the witness state: 2 total, 1 permitting") == 2
         assert out.count("    seen in 2 states\n") == 4
 
+    def test_obligation_to_refrain_from_a_permitted_action(self, capsys, tmp_path):
+        path = tmp_path / "refrain.aopl"
+        path.write_text(
+            "action go.\nrule p1: permitted(go).\nrule o1: obl(-go).\n", encoding="utf-8"
+        )
+        assert main(["analyze", str(path)]) == 1
+        assert (
+            "    go: the policy obligates refraining from an action that is explicitly "
+            "permitted; urgency 2.\n"
+        ) in capsys.readouterr().out
+
     def test_pins_slice_the_space(self, capsys):
         assert main(["analyze", "--pin", "!colonel(c)", DOM, STRICT]) == 1
         out = capsys.readouterr().out
@@ -262,6 +273,20 @@ class TestParseErrors:
         assert main(["analyze", str(bad)]) == 2
         assert "expected ':'" in capsys.readouterr().err
 
+    def test_a_string_where_a_statement_starts_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.aopl"
+        bad.write_text('fluent f.\n"x".\n', encoding="utf-8")
+        assert main(["analyze", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: 2:1: expected a statement keyword\n"
+
+    def test_an_exec_constraint_on_a_fluent_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.aopl"
+        bad.write_text("fluent f.\nimpossible_exec f.\n", encoding="utf-8")
+        assert main(["analyze", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            "error: executability constraint target f is not an action\n"
+        )
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["analyze", "/nonexistent/x.aopl"]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -383,6 +408,18 @@ class TestEmitAsp:
             encoding="utf-8"
         )
         assert out == golden
+
+    def test_a_preference_with_an_empty_stronger_body_is_a_fact(self, capsys, tmp_path):
+        path = tmp_path / "prefer.aopl"
+        path.write_text(
+            "fluent f.\naction go.\naction stop.\n"
+            "rule d1: normally permitted(go).\n"
+            "rule d2: normally permitted(stop) if f.\n"
+            "prefer q1: d1 > d2.\n",
+            encoding="utf-8",
+        )
+        assert main(["emit-asp", "--variant", "lp", str(path)]) == 0
+        assert "% q1\nab(d2).\n" in capsys.readouterr().out
 
     def test_output_file(self, tmp_path):
         target = tmp_path / "prog.lp"

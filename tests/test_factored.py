@@ -250,6 +250,22 @@ def test_sweep_matches_the_per_action_sweep_on_mission_two_by_three():
     assert got == reference.per_action_sweep(base)
 
 
+def test_sweep_counts_states_per_family_across_a_thousand_families():
+    # Each state that fails rx's body is its own case-2 gap family, and y's
+    # findings fire in every state, so a state's fired families span ids 0 to
+    # about 1,000.
+    fluents = [f"f{i}" for i in range(10)]
+    base = base_from(
+        "".join(f"fluent {f}.\n" for f in fluents)
+        + "action x.\naction y.\n"
+        + f"rule rx: permitted(x) if {', '.join(fluents)}.\n"
+        + "rule ry: obl(y).\n"
+    )
+    got = sweep(base)
+    assert len(got.family_counts) > 1000
+    assert got == reference.per_action_sweep(base)
+
+
 @pytest.mark.parametrize("split", [False, True])
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_sweep_detects_as_often_as_the_per_action_sweep(fixture, split, request, monkeypatch):
