@@ -50,27 +50,23 @@ def mangle_label(label: str) -> str:
     return label
 
 
+# Classical negation as each variant spells it: ``rei`` writes literals as
+# terms, ``lp`` as classical literals.
+_TERM, _CLASSICAL = "neg({})", "-{}"
+
+
 def _happening_term(happening: Happening) -> str:
     term = str(happening.action)
     return term if happening.positive else f"neg({term})"
 
 
-def _head_term(head: HeadLiteral) -> str:
+def _head(head: HeadLiteral, negation: str) -> str:
     inner = f"{head.modality.value}({_happening_term(head.happening)})"
-    return inner if head.positive else f"neg({inner})"
+    return inner if head.positive else negation.format(inner)
 
 
-def _head_classical(head: HeadLiteral) -> str:
-    inner = f"{head.modality.value}({_happening_term(head.happening)})"
-    return inner if head.positive else f"-{inner}"
-
-
-def _literal_term(literal: Literal) -> str:
-    return str(literal.atom) if literal.positive else f"neg({literal.atom})"
-
-
-def _literal_classical(literal: Literal) -> str:
-    return str(literal.atom) if literal.positive else f"-{literal.atom}"
+def _literal(literal: Literal, negation: str) -> str:
+    return str(literal.atom) if literal.positive else negation.format(literal.atom)
 
 
 def _emit_lp(base: ReifiedBase, lines: list[str]) -> None:
@@ -81,16 +77,16 @@ def _emit_lp(base: ReifiedBase, lines: list[str]) -> None:
             stronger_body = by_label[rule.preferred].condition
             head = f"ab({mangle_label(rule.dispreferred)})"
             if stronger_body:
-                body = ", ".join(_literal_classical(lit) for lit in stronger_body)
+                body = ", ".join(_literal(lit, _CLASSICAL) for lit in stronger_body)
                 lines.append(f"{head} :- {body}.")
             else:
                 lines.append(f"{head}.")
             continue
-        head = _head_classical(rule.head)
-        parts = [_literal_classical(lit) for lit in rule.condition]
+        head = _head(rule.head, _CLASSICAL)
+        parts = [_literal(lit, _CLASSICAL) for lit in rule.condition]
         if rule.kind is RuleKind.DEFEASIBLE:
             parts.append(f"not ab({mangle_label(rule.label)})")
-            parts.append(f"not {_head_classical(rule.head.opposite())}")
+            parts.append(f"not {_head(rule.head.opposite(), _CLASSICAL)}")
         if parts:
             lines.append(f"{head} :- {', '.join(parts)}.")
         else:
@@ -104,9 +100,9 @@ def _emit_rei(base: ReifiedBase, lines: list[str]) -> None:
         lines.append(f"rule({label}).")
         lines.append(f"type({label}, {rule.kind.value}).")
         if rule.head is not None:
-            lines.append(f"head({label}, {_head_term(rule.head)}).")
+            lines.append(f"head({label}, {_head(rule.head, _TERM)}).")
         for member in rule.condition:
-            lines.append(f"mbr(b({label}), {_literal_term(member)}).")
+            lines.append(f"mbr(b({label}), {_literal(member, _TERM)}).")
         if rule.kind is RuleKind.PREFERENCE:
             lines.append(
                 f"prefer({mangle_label(rule.preferred)}, {mangle_label(rule.dispreferred)})."
@@ -139,8 +135,8 @@ def emit_asp(
         lines.append("% state")
         for lit in state_literals(base, state):
             if variant == "lp":
-                lines.append(f"{_literal_classical(lit)}.")
+                lines.append(f"{_literal(lit, _CLASSICAL)}.")
             else:
-                lines.append(f"holds({_literal_term(lit)}).")
+                lines.append(f"holds({_literal(lit, _TERM)}).")
 
     return "".join(line + "\n" for line in lines)

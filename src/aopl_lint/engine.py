@@ -78,9 +78,6 @@ class WorldState(Frozen):
     def literals(self) -> tuple[Literal, ...]:
         return tuple(Literal(a, a in self.true_atoms) for a in self.universe)
 
-    def positive_count(self) -> int:
-        return self.mask.bit_count()
-
     def __str__(self) -> str:
         return self._text
 

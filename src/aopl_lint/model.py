@@ -492,7 +492,7 @@ def validate(policy: Policy, domain: DomainSpec) -> list[Diagnostic]:
         if r.kind is RuleKind.PREFERENCE and r.preferred and r.dispreferred
     }
     for a, b in sorted(pref_pairs):
-        if a is not None and b is not None and a < b and (b, a) in pref_pairs:
+        if a < b and (b, a) in pref_pairs:
             warn(f"mutual preference between {a} and {b} disables both rules")
 
     out = sort_diagnostics(out)

@@ -7,8 +7,10 @@ end of line.  The tokenizer reads the text with one compiled pattern, one
 token per match with the whitespace and comments before it, into
 ``(kind, value, offset)`` tuples; a ``Position`` is derived from an offset,
 by a cursor that only moves forward, for statement positions and diagnostics
-alone.  A ground literal in its canonical spelling is read in one match,
-without tokens; see ``parse_ground_literal``.
+alone.  A word that starts with a digit that is not a decimal, such as ``²``,
+gives one unexpected-character error for each character before its first
+letter or ``_``, and the word resumes there.  A ground literal in its canonical
+spelling is read in one match, without tokens; see ``parse_ground_literal``.
 
 Statement forms::
 
@@ -29,9 +31,13 @@ Identifiers starting with an upper-case letter are variables; everything else
 is a constant, predicate, sort, or label name.  A ``where V: sort`` suffix on
 a rule pins variable sorts that predicate positions do not determine.
 
+Every statement has one frame: its keyword, for ``rule``, ``prefer`` and
+``text`` a ``label:`` prefix, a body that each form parses on its own, and the
+closing period; a statement's node is kept only once its period is read.
 Errors never abort the whole parse: the parser records a diagnostic and
 resynchronizes at the next period, so one bad statement yields exactly one
-diagnostic.  A parse with errors returns no AST.
+diagnostic.  A token is read only after it is checked, so the period that
+ends a bad statement is never skipped.  A parse with errors returns no AST.
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ _PREDICATE_KEYWORDS = {
     "fluent": PredicateKind.FLUENT,
     "action": PredicateKind.ACTION,
 }
+_LABELLED = ("rule", "prefer", "text")
 
 
 class _TokKind:
@@ -185,18 +192,16 @@ def _tokenize(text: str) -> tuple[list[tuple[str, str, int]], list[Diagnostic]]:
             else:
                 diagnostics.append(_error("unterminated string", at))
             tokens.append((_TokKind.STRING, value, start))
-        elif kind == "other":
-            diagnostics.append(_error(f"unexpected character {first!r}", position(start)))
         else:
-            # A word that starts with a digit that is not a decimal: every
-            # character before its first letter or ``_`` is unexpected.
-            here = position(start)
+            # An unexpected character.  A word that starts with a digit that is
+            # not a decimal, such as ``²``, loses every character before its
+            # first letter or ``_``, and the scan resumes there; resuming after
+            # each one would scan the rest of the word again for each.
             for at in range(start, pos):
                 if text[at].isalpha() or text[at] == "_":
                     pos = at
                     break
-                where = Position(here.line, here.column + at - start)
-                diagnostics.append(_error(f"unexpected character {text[at]!r}", where))
+                diagnostics.append(_error(f"unexpected character {text[at]!r}", position(at)))
 
     tokens.append((_TokKind.EOF, "", end))
     return tokens, diagnostics
@@ -267,9 +272,10 @@ class _Parser:
             raise _ParseError(f"expected {value!r}", offset)
         self.index += 1
 
-    def expect_ident(self, what: str) -> str:
+    def expect_ident(self, what: str, kinds: tuple[str, ...] = (_TokKind.IDENT,)) -> str:
+        """The next token's text, if its kind is one of ``kinds``."""
         kind, text, offset = self.tokens[self.index]
-        if kind is not _TokKind.IDENT:
+        if kind not in kinds:
             raise _ParseError(f"expected {what}", offset)
         self.index += 1
         return text
@@ -281,12 +287,12 @@ class _Parser:
             if kind is _TokKind.EOF or (kind is _TokKind.PUNCT and text == "."):
                 return
 
+    def condition(self) -> tuple[Literal, ...]:
+        """An optional ``if`` list of literals."""
+        return self.comma_list(self.parse_literal) if self.accept("if") else ()
+
     def parse_term(self) -> str:
-        kind, text, offset = self.tokens[self.index]
-        if kind is not _TokKind.IDENT and kind is not _TokKind.VARIABLE:
-            raise _ParseError("expected a constant or variable", offset)
-        self.index += 1
-        return text
+        return self.expect_ident("a constant or variable", (_TokKind.IDENT, _TokKind.VARIABLE))
 
     def parse_atom(self) -> Atom:
         name = self.expect_ident("a predicate name")
@@ -326,10 +332,7 @@ class _Parser:
         return HeadLiteral(modality, Happening(action, happening_positive), positive)
 
     def parse_where_entry(self) -> tuple[str, str]:
-        kind, var, offset = self.peek()
-        if kind is not _TokKind.VARIABLE:
-            raise _ParseError("expected a variable in where-clause", offset)
-        self.index += 1
+        var = self.expect_ident("a variable in where-clause", (_TokKind.VARIABLE,))
         self.expect_punct(":")
         return var, self.expect_ident("a sort name")
 
@@ -347,96 +350,62 @@ def _parse_statements(
     while parser.peek()[0] is not _TokKind.EOF:
         kind, keyword, offset = parser.peek()
         try:
+            # A token that is not a keyword stays unread: it may be the period
+            # that ``synchronize`` stops at.
             if kind is not _TokKind.IDENT:
                 raise _ParseError("expected a statement keyword", offset)
+            parser.index += 1
+            if keyword in _LABELLED:
+                position = parser.position(offset)
+                label = parser.expect_ident("a rule label")
+                parser.expect_punct(":")
             if keyword == "sorts":
-                parser.next()
                 name = parser.expect_ident("a sort name")
                 parser.expect_punct(":")
                 members = parser.comma_list(lambda: parser.expect_ident("a constant"))
-                parser.expect_punct(".")
-                sorts.append(SortDecl(name, members))
+                into, node = sorts, SortDecl(name, members)
             elif keyword in _PREDICATE_KEYWORDS:
-                parser.next()
                 name = parser.expect_ident("a predicate name")
                 arg_sorts: tuple[str, ...] = ()
                 if parser.at_punct("("):
-                    parser.next()
+                    parser.index += 1
                     arg_sorts = parser.comma_list(lambda: parser.expect_ident("a sort name"))
                     parser.expect_punct(")")
-                parser.expect_punct(".")
-                predicates.append(PredicateDecl(name, _PREDICATE_KEYWORDS[keyword], arg_sorts))
+                into, node = predicates, PredicateDecl(name, _PREDICATE_KEYWORDS[keyword], arg_sorts)
             elif keyword == "constraint":
-                parser.next()
                 head = parser.parse_literal()
-                body: tuple[Literal, ...] = ()
-                if parser.accept("if"):
-                    body = parser.comma_list(parser.parse_literal)
-                parser.expect_punct(".")
-                state_constraints.append(StateConstraint(body=body, head=head))
+                into, node = state_constraints, StateConstraint(parser.condition(), head)
             elif keyword == "impossible":
-                parser.next()
-                body = parser.comma_list(parser.parse_literal)
-                parser.expect_punct(".")
-                state_constraints.append(StateConstraint(body=body, head=None))
+                into, node = state_constraints, StateConstraint(parser.comma_list(parser.parse_literal))
             elif keyword == "impossible_exec":
-                parser.next()
                 action = parser.parse_atom()
-                condition: tuple[Literal, ...] = ()
-                if parser.accept("if"):
-                    condition = parser.comma_list(parser.parse_literal)
-                parser.expect_punct(".")
-                exec_constraints.append(ExecConstraint(action, condition))
+                into, node = exec_constraints, ExecConstraint(action, parser.condition())
             elif keyword == "rule":
-                position = parser.position(offset)
-                parser.next()
-                label = parser.expect_ident("a rule label")
-                parser.expect_punct(":")
                 kind = RuleKind.DEFEASIBLE if parser.accept("normally") else RuleKind.STRICT
                 head = parser.parse_head()
-                condition = ()
-                where: tuple[tuple[str, str], ...] = ()
-                if parser.accept("if"):
-                    condition = parser.comma_list(parser.parse_literal)
-                if parser.accept("where"):
-                    where = parser.comma_list(parser.parse_where_entry)
-                parser.expect_punct(".")
-                rules.append(
-                    (PolicyRule(label, kind, head=head, condition=condition, where=where), position)
-                )
+                condition = parser.condition()
+                where = parser.comma_list(parser.parse_where_entry) if parser.accept("where") else ()
+                rule = PolicyRule(label, kind, head=head, condition=condition, where=where)
+                into, node = rules, (rule, position)
             elif keyword == "prefer":
-                position = parser.position(offset)
-                parser.next()
-                label = parser.expect_ident("a rule label")
-                parser.expect_punct(":")
                 preferred = parser.expect_ident("a defeasible rule label")
                 parser.expect_punct(">")
                 dispreferred = parser.expect_ident("a defeasible rule label")
-                parser.expect_punct(".")
-                rules.append(
-                    (
-                        PolicyRule(
-                            label,
-                            RuleKind.PREFERENCE,
-                            preferred=preferred,
-                            dispreferred=dispreferred,
-                        ),
-                        position,
-                    )
+                rule = PolicyRule(
+                    label, RuleKind.PREFERENCE, preferred=preferred, dispreferred=dispreferred
                 )
+                into, node = rules, (rule, position)
             elif keyword == "text":
-                position = parser.position(offset)
-                parser.next()
-                label = parser.expect_ident("a rule label")
-                parser.expect_punct(":")
+                # Checked before it is read, like the keyword above.
                 kind, string, at = parser.peek()
                 if kind is not _TokKind.STRING:
                     raise _ParseError("expected a quoted string", at)
-                parser.next()
-                parser.expect_punct(".")
-                texts.append((label, string, position))
+                parser.index += 1
+                into, node = texts, (label, string, position)
             else:
                 raise _ParseError(f"unknown statement keyword {keyword!r}", offset)
+            parser.expect_punct(".")
+            into.append(node)
         except _ParseError as exc:
             diagnostics.append(_error(exc.message, parser.position(exc.offset)))
             parser.synchronize()

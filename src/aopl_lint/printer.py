@@ -9,15 +9,16 @@ from __future__ import annotations
 
 from .model import (
     DomainSpec,
-    HeadLiteral,
     Literal,
     Policy,
     PolicyRule,
     PredicateDecl,
     RuleKind,
 )
+from .parser import _STRING_ESCAPES
 
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t"}
+# The parser's escapes read backwards, so that printed strings parse back.
+_ESCAPES = {value: "\\" + escape for escape, value in _STRING_ESCAPES.items()}
 
 
 def _quote(text: str) -> str:
@@ -28,17 +29,13 @@ def _literals(literals: tuple[Literal, ...]) -> str:
     return ", ".join(str(lit) for lit in literals)
 
 
-def _head(head: HeadLiteral) -> str:
-    return str(head)
-
-
 def _rule_line(rule: PolicyRule) -> str:
     if rule.kind is RuleKind.PREFERENCE:
         return f"prefer {rule.label}: {rule.preferred} > {rule.dispreferred}."
     parts = [f"rule {rule.label}:"]
     if rule.kind is RuleKind.DEFEASIBLE:
         parts.append("normally")
-    parts.append(_head(rule.head))
+    parts.append(str(rule.head))
     line = " ".join(parts)
     if rule.condition:
         line += f" if {_literals(rule.condition)}"

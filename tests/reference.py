@@ -33,7 +33,13 @@ which builds a ``Position`` for every token; the package's ``_tokenize``
 reads the text with one compiled pattern instead, into tuples that carry an
 offset, and must give the same tokens, with the positions its offsets give,
 and diagnostics.  It shares the parser's token kinds, punctuation and
-escape table.  Nothing else here reads a private name of the package.
+escape table.  After it comes the statement parser that wrote out each
+statement's keyword, closing period and append in its own branch, with the
+three ``_Parser`` methods that have since been folded into ``expect_ident``;
+it runs on the package's ``_Parser`` and its error, and must give the same
+statements and diagnostics as the package's ``_parse_statements``, which reads
+the keyword and expects the period once for every form.  Nothing else here
+reads a private name of the package.
 """
 
 from __future__ import annotations
@@ -67,13 +73,17 @@ from aopl_lint.model import (
     Modality,
     Policy,
     PolicyRule,
+    PredicateDecl,
     PredicateKind,
     RuleKind,
+    SortDecl,
     StateConstraint,
     is_variable,
     validate,
 )
-from aopl_lint.parser import _PUNCT, _STRING_ESCAPES, _TokKind
+from aopl_lint.parser import (
+    _PREDICATE_KEYWORDS, _PUNCT, _STRING_ESCAPES, _ParseError, _Parser, _TokKind,
+)
 from aopl_lint.reify import ReifiedBase
 from aopl_lint.states import check_pins, check_state_space
 
@@ -625,7 +635,7 @@ class SetSweep:
 
 
 def _witness_rank(state: WorldState) -> tuple[int, str]:
-    return (state.positive_count(), str(state))
+    return (len(state.true_atoms), str(state))
 
 
 # Accumulator entry per record key: [record, states seen, witness rank].
@@ -1281,3 +1291,140 @@ def _tokenize(text: str) -> tuple[list[_Token], list[Diagnostic]]:
     end = Position(line, col)
     tokens.append(_Token(_TokKind.EOF, "", end))
     return tokens, diagnostics
+
+
+class _OldParser(_Parser):
+    """The package's statement parser with its ``expect_ident``, ``parse_term``
+    and ``parse_where_entry`` as they were before ``expect_ident`` took the
+    token kinds it accepts."""
+
+    def __init__(self, parser: _Parser) -> None:
+        self.tokens, self.index, self.position = parser.tokens, parser.index, parser.position
+
+    def expect_ident(self, what: str) -> str:
+        kind, text, offset = self.tokens[self.index]
+        if kind is not _TokKind.IDENT:
+            raise _ParseError(f"expected {what}", offset)
+        self.index += 1
+        return text
+
+    def parse_term(self) -> str:
+        kind, text, offset = self.tokens[self.index]
+        if kind is not _TokKind.IDENT and kind is not _TokKind.VARIABLE:
+            raise _ParseError("expected a constant or variable", offset)
+        self.index += 1
+        return text
+
+    def parse_where_entry(self) -> tuple[str, str]:
+        kind, var, offset = self.peek()
+        if kind is not _TokKind.VARIABLE:
+            raise _ParseError("expected a variable in where-clause", offset)
+        self.index += 1
+        self.expect_punct(":")
+        return var, self.expect_ident("a sort name")
+
+
+def _parse_statements(package_parser: _Parser, diagnostics: list[Diagnostic]):
+    """The statement parser that spelled out each statement's keyword, closing
+    period and append; a stand-in for the package's ``_parse_statements``."""
+    parser = _OldParser(package_parser)
+    sorts: list = []
+    predicates: list = []
+    state_constraints: list = []
+    exec_constraints: list = []
+    rules: list = []
+    texts: list = []  # label, text, position
+
+    while parser.peek()[0] is not _TokKind.EOF:
+        kind, keyword, offset = parser.peek()
+        try:
+            if kind is not _TokKind.IDENT:
+                raise _ParseError("expected a statement keyword", offset)
+            if keyword == "sorts":
+                parser.next()
+                name = parser.expect_ident("a sort name")
+                parser.expect_punct(":")
+                members = parser.comma_list(lambda: parser.expect_ident("a constant"))
+                parser.expect_punct(".")
+                sorts.append(SortDecl(name, members))
+            elif keyword in _PREDICATE_KEYWORDS:
+                parser.next()
+                name = parser.expect_ident("a predicate name")
+                arg_sorts: tuple[str, ...] = ()
+                if parser.at_punct("("):
+                    parser.next()
+                    arg_sorts = parser.comma_list(lambda: parser.expect_ident("a sort name"))
+                    parser.expect_punct(")")
+                parser.expect_punct(".")
+                predicates.append(PredicateDecl(name, _PREDICATE_KEYWORDS[keyword], arg_sorts))
+            elif keyword == "constraint":
+                parser.next()
+                head = parser.parse_literal()
+                body: tuple[Literal, ...] = ()
+                if parser.accept("if"):
+                    body = parser.comma_list(parser.parse_literal)
+                parser.expect_punct(".")
+                state_constraints.append(StateConstraint(body=body, head=head))
+            elif keyword == "impossible":
+                parser.next()
+                body = parser.comma_list(parser.parse_literal)
+                parser.expect_punct(".")
+                state_constraints.append(StateConstraint(body=body, head=None))
+            elif keyword == "impossible_exec":
+                parser.next()
+                action = parser.parse_atom()
+                condition: tuple[Literal, ...] = ()
+                if parser.accept("if"):
+                    condition = parser.comma_list(parser.parse_literal)
+                parser.expect_punct(".")
+                exec_constraints.append(ExecConstraint(action, condition))
+            elif keyword == "rule":
+                position = parser.position(offset)
+                parser.next()
+                label = parser.expect_ident("a rule label")
+                parser.expect_punct(":")
+                kind = RuleKind.DEFEASIBLE if parser.accept("normally") else RuleKind.STRICT
+                head = parser.parse_head()
+                condition = ()
+                where: tuple[tuple[str, str], ...] = ()
+                if parser.accept("if"):
+                    condition = parser.comma_list(parser.parse_literal)
+                if parser.accept("where"):
+                    where = parser.comma_list(parser.parse_where_entry)
+                parser.expect_punct(".")
+                rules.append(
+                    (PolicyRule(label, kind, head=head, condition=condition, where=where), position)
+                )
+            elif keyword == "prefer":
+                position = parser.position(offset)
+                parser.next()
+                label = parser.expect_ident("a rule label")
+                parser.expect_punct(":")
+                preferred = parser.expect_ident("a defeasible rule label")
+                parser.expect_punct(">")
+                dispreferred = parser.expect_ident("a defeasible rule label")
+                parser.expect_punct(".")
+                rule = PolicyRule(
+                    label, RuleKind.PREFERENCE, preferred=preferred, dispreferred=dispreferred
+                )
+                rules.append((rule, position))
+            elif keyword == "text":
+                position = parser.position(offset)
+                parser.next()
+                label = parser.expect_ident("a rule label")
+                parser.expect_punct(":")
+                kind, string, at = parser.peek()
+                if kind is not _TokKind.STRING:
+                    raise _ParseError("expected a quoted string", at)
+                parser.next()
+                parser.expect_punct(".")
+                texts.append((label, string, position))
+            else:
+                raise _ParseError(f"unknown statement keyword {keyword!r}", offset)
+        except _ParseError as exc:
+            diagnostics.append(
+                Diagnostic(Severity.ERROR, exc.message, position=parser.position(exc.offset))
+            )
+            parser.synchronize()
+
+    return sorts, predicates, state_constraints, exec_constraints, rules, texts

@@ -504,7 +504,6 @@ READS = {
     "repr": repr,
     "str": str,
     "true_atoms": lambda state: state.true_atoms,
-    "positive_count": lambda state: state.positive_count(),
     "literals": lambda state: state.literals(),
     "pickle": lambda state: pickle.loads(pickle.dumps(state)),
 }

@@ -398,3 +398,78 @@ class TestTokenizerMatchesReference:
         for path in sorted(DATA.iterdir()):
             if path.is_file():
                 _same_as_reference(path.read_text(encoding="utf-8"))
+
+
+# Pieces of statement text: every keyword, labels, terms, punctuation, strings
+# with good and bad escapes, a digit that is not a decimal, comments, and
+# whole statements, so that some soups parse without errors.
+_STATEMENT_PIECES = [
+    "sorts", "static", "fluent", "action", "constraint", "impossible", "impossible_exec",
+    "rule", "prefer", "text", "normally", "if", "where", "permitted", "obl", "bogus",
+    "r1", "d2", "s", "c", "X", "p(X)", "q(c, d)", "go", *".,:()>!-", ";",
+    '"t"', '"\\q"', '"', "²", "²a", "% note\n", "\n",
+    "rule r1:", "prefer p1:", "text r1:", "text d2:",
+    "sorts s: c, d.", "fluent p(s).", "action go(s).", "rule r1: permitted(go(X)) if p(X).",
+    "rule d2: normally !permitted(go(X)) where X: s.", "prefer r3: r1 > d2.", 'text r1: "t".',
+    "impossible_exec go(X) if !p(X).", "constraint p(c) if !p(d).",
+]
+
+
+def _parsed(text):
+    result = parse(text)
+    return result.policy, result.domain, [str(d) for d in result.diagnostics]
+
+
+def _parsed_by_reference(text):
+    with mock.patch.object(parser_module, "_parse_statements", reference._parse_statements):
+        return _parsed(text)
+
+
+class TestStatementsMatchTheReference:
+    @given(st.lists(st.sampled_from(_STATEMENT_PIECES), max_size=24).map(" ".join))
+    @settings(max_examples=1000, deadline=None)
+    def test_random_statement_soups(self, text):
+        assert _parsed(text) == _parsed_by_reference(text)
+
+    @pytest.mark.parametrize(
+        "text, messages",
+        [
+            # A node is kept only once its period is read.
+            ("fluent prefer\n", ["error: 2:1: expected '.'"]),
+            # The string is checked before it is read, so the period still ends the statement.
+            (
+                "text r1: .\naction rule.\n",
+                ["error: 1:10: expected a quoted string", "error: reserved name used as predicate: rule"],
+            ),
+            (
+                "fluent ²3ab.\n",
+                [
+                    "error: reserved name used as predicate: ab",
+                    "error: 1:9: unexpected character '3'",
+                    "error: 1:8: unexpected character '²'",
+                ],
+            ),
+        ],
+    )
+    def test_recovery_edge_cases(self, text, messages):
+        assert _parsed(text) == _parsed_by_reference(text) == (None, None, messages)
+
+    def test_fixture_files(self):
+        for path in sorted(DATA.iterdir()):
+            if path.is_file():
+                text = path.read_text(encoding="utf-8")
+                assert _parsed(text) == _parsed_by_reference(text)
+
+    def test_a_run_of_digits_that_are_not_decimals_is_read_in_one_match(self, monkeypatch):
+        calls = []
+        pattern = parser_module._TOKEN
+
+        class Counting:
+            def match(self, text, pos):
+                calls.append(pos)
+                return pattern.match(text, pos)
+
+        monkeypatch.setattr(parser_module, "_TOKEN", Counting())
+        tokens, diagnostics = parser_module._tokenize("²" * 500 + "x")
+        assert len(diagnostics) == 500 and [value for _, value, _ in tokens] == ["x", ""]
+        assert calls == [0, 500]
