@@ -118,7 +118,7 @@ def detect_state(base: ReifiedBase, state: int, actions: Iterable[int]) -> list[
     findings: list[tuple] = []
     append = findings.append
     for action in actions:
-        groups = factor_rules(*index.slices[action], state)[1]
+        groups = factor_rules(*index.slices[action], state)
         permitted, obl_do, obl_not, auth_rules, auth_mask = index.actions[action]
         perm = groups.get(permitted, _UNDECIDED)
         do = groups.get(obl_do, _UNDECIDED)
@@ -158,7 +158,7 @@ def _stats(base: ReifiedBase, state: WorldState, permitted: int | None) -> Ambig
     ``permitted`` indexes a's permitted(a) pair; None when a is not a ground action.
     """
     index = base.index
-    groups = factor(base, index.mask(state))[1]
+    groups = factor(base, index.mask(state))
     outcomes = groups.get(permitted, _UNDECIDED)
     n = 1
     for group in groups.values():
@@ -210,24 +210,9 @@ def _identity(base: ReifiedBase, finding: tuple) -> tuple:
     return _KINDS[tag], action, labels, pos_support, neg_support, missing, pairs, urgency, case
 
 
-def _shape(base: ReifiedBase, finding: tuple) -> tuple:
-    """What fixes a finding's ``_family_key``: its kind, urgency and rules' base
-    labels, which fix their heads and condition predicates, or a case-1 gap's
-    action predicate.  A case-2 gap, whose ``missing`` reads the state, is its own.
-    """
-    tag = finding[0]
-    if tag == _AMBIGUITY:
-        return tag, tuple(map(_strip_binding, finding[2])), tuple(map(_strip_binding, finding[3]))
-    if tag == _UNDERSPECIFIED:
-        return (tag, base.ground.action_atoms[finding[1]].predicate) if finding[2] == 1 else finding
-    urgency = finding[2] if tag == _MODALITY else 0
-    r1, r2 = finding[-2:]  # r2 is None for an obligation on an open permission
-    return tag, urgency, _strip_binding(r1), r2 and _strip_binding(r2)
-
-
-def _record(base: ReifiedBase, finding: tuple, state: WorldState) -> IssueRecord:
-    """The IssueRecord a finding stands for, witnessed by ``state``."""
-    kind, action, labels, *fields, case = _identity(base, finding)
+def _record(base: ReifiedBase, finding: tuple, identity: tuple, state: WorldState) -> IssueRecord:
+    """The IssueRecord of a finding and its ``_identity``, witnessed by ``state``."""
+    kind, action, labels, *fields, case = identity
     stats = None
     if finding[0] == _AMBIGUITY:
         stats = _stats(base, state, base.index.actions[finding[1]][0])
@@ -336,8 +321,8 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
     memoised on those bits unless the bits cover every unpinned one.  Actions
     whose bits or exec conditions overlap share a table on their ``components``
     (split per action above ``COMPONENT_BITS`` bits); an entry holds their
-    findings and counts and ranks its states.  A family key is derived once
-    per ``_shape``, and once per finding only for a case-2 gap.
+    findings and counts and ranks its states.  A finding's ``_identity`` and
+    family key are derived once, when the sweep first meets it.
     Sweeping a partition of the state space and merging the results equals
     sweeping the whole space, so callers may split the work freely.
     Pinning every state atom sweeps exactly one state.
@@ -370,21 +355,19 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
     found: dict[tuple[int, int], tuple[list, int]] = {}  # findings, families per relevant bits
     accum: _Accumulator = {}  # keyed by compact finding; each is one record key
     family_ids: dict[tuple, int] = {}
-    family_of: dict[tuple, tuple] = {}  # compact finding -> family id, family key
-    shapes: dict[tuple, tuple] = {}  # the same per _shape
+    family_of: dict[tuple, tuple] = {}  # compact finding -> family id, identity, family key
     seen_counts: dict[int, int] = {}  # states per set of families fired, as a bitmask
 
     def families(findings: list[tuple]) -> int:
-        """The findings' family ids as a bitmask; a family key is derived once per shape."""
+        """The findings' family ids as a bitmask."""
         fired = 0
         for finding in findings:
             entry = family_of.get(finding)
             if entry is None:
-                shape = _shape(base, finding)
-                if shape not in shapes:
-                    key = _family_key(*_identity(base, finding))
-                    shapes[shape] = family_ids.setdefault(key, len(family_ids)), key
-                entry = family_of[finding] = shapes[shape]
+                identity = _identity(base, finding)
+                key = _family_key(*identity)
+                family = family_ids.setdefault(key, len(family_ids))
+                entry = family_of[finding] = family, identity, key
             fired |= 1 << entry[0]
         return fired
 
@@ -434,8 +417,9 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
 
     instances = sorted(
         (
-            InstanceRecord(_record(base, finding, witness), states, family_of[finding][1])
+            InstanceRecord(_record(base, finding, identity, witness), states, key)
             for finding, (witness, _, states, _) in accum.items()
+            for _, identity, key in (family_of[finding],)
         ),
         key=lambda instance: instance.record.key(),
     )
@@ -541,16 +525,17 @@ def collapse_families(result: SweepResult) -> tuple[FamilyRecord, ...]:
         # A family's states may overlap across members; the sweep counted them.
         _accumulate(accum, instance.family, record, record.witness_state, 0)
 
+    # The representative's strings are its record key's; its base labels, its family key's.
     families = [
         FamilyRecord(
             kind=record.kind,
-            action=str(record.action),
-            base_labels=tuple(_strip_binding(l) for l in record.rule_labels),
+            action=action,
+            base_labels=key[2],
             instance_labels=record.rule_labels,
             rule_texts=record.rule_texts,
-            pos_support=tuple(str(l) for l in record.pos_support),
-            neg_support=tuple(str(l) for l in record.neg_support),
-            missing=tuple((r, tuple(str(l) for l in lits)) for r, lits in record.missing),
+            pos_support=pos_support,
+            neg_support=neg_support,
+            missing=missing,
             pairs=record.pairs,
             urgency=record.urgency,
             stats=(record.stats.n, record.stats.n_p, record.stats.n_np)
@@ -562,6 +547,7 @@ def collapse_families(result: SweepResult) -> tuple[FamilyRecord, ...]:
             instance_count=count,
         )
         for key, (record, _, _, count) in accum.items()
+        for _, action, _, pos_support, neg_support, missing, *_ in (record.key(),)
     ]
     families.sort(
         key=lambda f: (

@@ -101,11 +101,10 @@ def state_literals(base: ReifiedBase, state: WorldState) -> tuple[Literal, ...]:
 # One outcome of a complementary head pair: the labels firing its positive
 # head, then the labels firing its negative head, each in base rule order.
 Outcome = tuple[tuple[str, ...], tuple[str, ...]]
-Factored = tuple[frozenset[str], dict[int, tuple[Outcome, ...]]]  # see ``factor``
 
 
-def factor(base: ReifiedBase, state: int) -> Factored:
-    """The defeated rules and the stable outcomes of each complementary pair.
+def factor(base: ReifiedBase, state: int) -> dict[int, tuple[Outcome, ...]]:
+    """The stable outcomes of each complementary pair.
 
     A pair appears when a strict rule fires or a defeasible rule applies on
     it; any other pair has the one empty outcome.  A defeasible rule fires
@@ -118,7 +117,7 @@ def factor(base: ReifiedBase, state: int) -> Factored:
     return factor_rules(base.index.rules, base.index.prefers, state)
 
 
-def factor_rules(rules: tuple, prefers: tuple, state: int) -> Factored:
+def factor_rules(rules: tuple, prefers: tuple, state: int) -> dict[int, tuple[Outcome, ...]]:
     """``factor`` on some ``Index.rules`` and ``Index.prefers`` entries, such as a slice."""
     ab = frozenset(
         weaker for need, forbid, weaker in prefers if state & need == need and not state & forbid
@@ -146,7 +145,7 @@ def factor_rules(rules: tuple, prefers: tuple, state: int) -> Factored:
             groups[pair] = ((tuple(pos), ()), ((), tuple(neg)))
         else:
             groups[pair] = ((tuple(pos), tuple(neg)),)
-    return ab, groups
+    return groups
 
 
 class AmbiguityStats(Frozen):

@@ -92,10 +92,6 @@ class Atom(Frozen):
     def is_ground(self) -> bool:
         return not any(is_variable(a) for a in self.args)
 
-    def variables(self) -> tuple[str, ...]:
-        """Variables in argument order, first occurrence only."""
-        return variables_of((self,))
-
     def __str__(self) -> str:
         if not self.args:
             return self.predicate

@@ -12,7 +12,7 @@ from typing import Iterable
 
 from .analysis import (
     _AMBIGUITY, _INCONSISTENCY, _MODALITY, _OBLIGATION, _UNDECIDED, _UNDERSPECIFIED,
-    AuthorizationClass, Compliance, IssueKind, IssueRecord, _record, _stats,
+    AuthorizationClass, Compliance, IssueKind, IssueRecord, _identity, _record, _stats,
     detect_state,
 )
 from .diagnostics import Diagnostic, Severity
@@ -86,7 +86,7 @@ def _view(
     else:
         return []
     records = [
-        _record(base, finding, state)
+        _record(base, finding, _identity(base, finding), state)
         for finding in detect_state(base, base.index.mask(state), chosen)
         if finding[0] == kind
     ]
@@ -181,7 +181,7 @@ def _action_pairs(
 ) -> dict[Atom, tuple[tuple[Outcome, ...], ...]]:
     """Per ground action, the outcomes of its permitted, obl(a) and obl(-a) pairs."""
     index = base.index
-    groups = factor(base, index.mask(state))[1]
+    groups = factor(base, index.mask(state))
     return {
         action: tuple(groups.get(pair, _UNDECIDED) for pair in entry[:3])
         for action, entry in zip(base.ground.action_atoms, index.actions)

@@ -21,20 +21,17 @@ from .parser import parse_ground_literal
 DEFAULT_MAX_STATES = 1 << 20
 
 
-def satisfies_constraints(gp: GroundPolicy, state: WorldState | int) -> bool:
+def satisfies_constraints(gp: GroundPolicy, mask: int) -> bool:
     """True when the state violates no state constraint.
 
-    ``state`` is a WorldState over ``gp.state_atoms`` or its int mask, which
-    reads the assignment as a binary numeral in declaration order:
-    ``gp.state_atoms[i]`` is bit ``n - 1 - i``, so the first declared atom is
-    the most significant.  ``gp.index.mask(state)`` builds it; see
-    ``reify.Index`` for the constraint tables.
+    ``mask`` is the state as an int, which reads the assignment as a binary
+    numeral in declaration order: ``gp.state_atoms[i]`` is bit ``n - 1 - i``,
+    so the first declared atom is the most significant.  A WorldState over
+    ``gp.state_atoms`` holds it as ``state.mask``, and ``gp.index.mask(state)``
+    builds it; see ``reify.Index`` for the constraint tables.
     """
-    index = gp.index
-    if not isinstance(state, int):
-        state = index.mask(state)
-    for component, accepted in index.constraints:
-        if state & component not in accepted:
+    for component, accepted in gp.index.constraints:
+        if mask & component not in accepted:
             return False
     return True
 

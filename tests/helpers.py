@@ -66,14 +66,19 @@ def action_atom(gp, text: str):
     raise KeyError(text)
 
 
-def bench_workloads():
-    """The benchmark's workload generator, ``perfbench/workloads.py``, loaded read-only."""
-    name = "perfbench_workloads"
-    if name not in sys.modules:  # its dataclasses look their module up by name
-        spec = importlib.util.spec_from_file_location(name, BENCH / "workloads.py")
+def bench_module(stem: str):
+    """A module of the benchmark, ``perfbench/STEM.py``, loaded read-only."""
+    name = f"perfbench_{stem}"
+    if name not in sys.modules:  # dataclasses look their module up by name
+        spec = importlib.util.spec_from_file_location(name, BENCH / f"{stem}.py")
         module = sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     return sys.modules[name]
+
+
+def bench_workloads():
+    """The benchmark's workload generator, ``perfbench/workloads.py``."""
+    return bench_module("workloads")
 
 
 def bench_case(name: str, seed: int = 1):

@@ -80,6 +80,7 @@ from aopl_lint.model import (
     StateConstraint,
     is_variable,
     validate,
+    variables_of,
 )
 from aopl_lint.parser import (
     _PREDICATE_KEYWORDS, _PUNCT, _STRING_ESCAPES, _ParseError, _Parser, _TokKind,
@@ -218,7 +219,12 @@ def answer_sets(base: ReifiedBase, state: WorldState) -> list[AnswerSet]:
     Expands the package's factored form, the cross product of every pair's
     outcomes, into models sorted by canonical atom strings.
     """
-    ab_rules, groups = factor(base, base.index.mask(state))
+    mask = base.index.mask(state)
+    groups = factor(base, mask)
+    ab_rules = frozenset(
+        weaker for need, forbid, weaker in base.index.prefers
+        if mask & need == need and not mask & forbid
+    )
     sort_facts = frozenset(base.ground.sort_facts)
     satisfied = frozenset(
         rule.label
@@ -735,7 +741,7 @@ def detect_state(base: ReifiedBase, state: int, actions: Iterable[int]) -> list[
     index = base.index
     findings: list[tuple] = []
     for action in actions:
-        groups = factor_rules(*index.slices[action], state)[1]
+        groups = factor_rules(*index.slices[action], state)
         permitted, obl_do, obl_not, auth_rules, auth_mask = index.actions[action]
         for pair in (permitted, obl_do, obl_not):
             for pos, neg in groups.get(pair, ()):
@@ -771,7 +777,7 @@ def detect_state(base: ReifiedBase, state: int, actions: Iterable[int]) -> list[
 
 def _package_record(base: ReifiedBase, finding: tuple, state: WorldState) -> IssueRecord:
     """The package's IssueRecord for a compact finding, witnessed by ``state``."""
-    return analysis._record(base, finding, state)
+    return analysis._record(base, finding, analysis._identity(base, finding), state)
 
 
 def per_action_sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepResult:
@@ -1079,7 +1085,7 @@ def _constraint_scope_sorts(
 def _scope_variables(literals: Iterable[Literal]) -> tuple[str, ...]:
     seen: list[str] = []
     for lit in literals:
-        for var in lit.atom.variables():
+        for var in variables_of((lit.atom,)):
             if var not in seen:
                 seen.append(var)
     return tuple(seen)

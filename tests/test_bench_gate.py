@@ -4,15 +4,18 @@
 call per assignment and one ``enumerate_states`` item drawn by the sweep per
 examined state, and compares them, the ground sizes and the distinct causes
 with each workload's closed forms.  A sweep that stops making exactly those
-calls fails here as well as in the benchmark.  ``perfbench/`` is only read.
+calls fails here as well as in the benchmark, and so does a package change
+that breaks the benchmark's traced pipeline.  ``perfbench/`` is only read.
 """
+
+import sys
 
 import pytest
 
 import aopl_lint
 from aopl_lint import collapse_families, sweep
 
-from helpers import bench_case, bench_workloads
+from helpers import bench_case, bench_module, bench_workloads
 
 WORKLOADS = sorted(bench_workloads().GENERATORS)
 
@@ -53,3 +56,25 @@ def test_the_sweep_makes_the_calls_the_benchmark_counts(name, monkeypatch):
     causes = {(kind, act, tuple(labels), *rest) for kind, act, labels, *rest in expected["causes"]}
     assert {cause(family) for family in collapse_families(result)} == causes
 
+
+@pytest.fixture(scope="module")
+def bench():
+    """perfbench's ``run`` and ``spans`` modules; ``run`` imports ``workloads`` by that name."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, "workloads", bench_workloads())
+        run = bench_module("run")
+    return run, bench_module("spans")
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_the_benchmarks_traced_pipeline_passes_its_checks(name, bench, tmp_path):
+    run, spans = bench
+    workload = bench_workloads().generate(name, 1)
+    pipeline = run.Pipeline([str(path) for path in workload.write(tmp_path)], workload.pins)
+    untraced = pipeline.run()
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        traced = pipeline.run()
+    assert (traced["text"], traced["json"]) == (untraced["text"], untraced["json"])
+    run.check_counters(run.layer_values(tracer, traced), workload.expected)
+    run.check_outcome(traced, workload.expected)

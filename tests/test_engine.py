@@ -263,10 +263,10 @@ def assert_slices_factor_exactly(base):
         prefer for prefer in index.prefers if prefer[2] in labels
     )
     for state in range(1 << len(index.bits)):
-        whole = factor(base, state)[1]
+        whole = factor(base, state)
         for action, (own, defeats) in enumerate(index.slices):
             pairs = set(index.actions[action][:3])
-            part = factor_rules(own, defeats, state)[1]
+            part = factor_rules(own, defeats, state)
             assert set(part) == pairs & set(whole), (action, state)
             assert all(part[pair] == whole[pair] for pair in part), (action, state)
 

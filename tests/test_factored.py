@@ -397,13 +397,12 @@ def assert_same_states_under_every_layout(gp):
 
 
 def assert_same_filters(gp):
-    """Both forms of the constraint check and the exec filter, on every assignment."""
+    """The constraint check on each assignment's mask and the exec filter."""
     atoms = gp.state_atoms
     for values in product((False, True), repeat=len(atoms)):
         state = WorldState(atoms, frozenset(a for a, v in zip(atoms, values) if v))
         mask = sum(1 << i for i, v in enumerate(reversed(values)) if v)
         verdict = reference.satisfies_constraints(gp, state)
-        assert satisfies_constraints(gp, state) is verdict, str(state)
         assert satisfies_constraints(gp, mask) is verdict, str(state)
         assert reference.satisfies_constraint_checks(gp, mask) is verdict, str(state)
         assert executable_actions(gp, state) == reference.executable_actions(gp, state)
@@ -592,61 +591,25 @@ def test_constraint_tables_of_the_shift_rota():
     assert_same_constraint_checks(base.ground)
 
 
-def assert_shapes_fix_families(base, options=SweepOptions()) -> list[tuple]:
-    """Every compact finding the sweep meets, after checking that findings of
-    one ``_shape`` have one family key; the sweep derives it once per shape."""
-    met: list[tuple] = []
-    original = analysis.detect_state
-
-    def recording(base, state, actions):
-        findings = original(base, state, actions)
-        met.extend(findings)
-        return findings
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analysis, "detect_state", recording)
-        sweep(base, options)
-    keys: dict[tuple, tuple] = {}
-    for finding in met:
-        key = analysis._family_key(*analysis._identity(base, finding))
-        assert keys.setdefault(analysis._shape(base, finding), key) == key, finding
-    return met
-
-
-@given(st.one_of(domain_and_policy(), tied_components()))
-@settings(max_examples=100, deadline=None)
-def test_a_findings_shape_fixes_its_family_on_generated_policies(pair):
-    base = reify(ground(*pair))
-    assume(len(base.ground.state_atoms) <= 8)
-    assert_shapes_fix_families(base)
-
-
-def test_a_findings_shape_fixes_its_family_on_the_corpus():
-    for policy, domain in corpus():
-        assert_shapes_fix_families(reify(ground(policy, domain)))
+@pytest.mark.parametrize("name", sorted(bench_workloads().GENERATORS))
+def test_sweep_matches_the_reference_on_the_bench_workloads(name):
+    assert_same_sweep(*bench_case(name)[:2])
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
-def test_a_findings_shape_fixes_its_family_on_fixtures(fixture, request):
-    assert_shapes_fix_families(request.getfixturevalue(fixture))
+def test_the_sweep_derives_each_identity_once_on_fixtures(fixture, request, monkeypatch):
+    base = request.getfixturevalue(fixture)
+    met = []
+    identity = analysis._identity
 
+    def counting(base, finding):
+        met.append(finding)
+        return identity(base, finding)
 
-@pytest.mark.parametrize("name", sorted(bench_workloads().GENERATORS))
-def test_a_findings_shape_fixes_its_family_on_the_bench_workloads(name):
-    base, options, _ = bench_case(name)
-    assert assert_shapes_fix_families(base, options)
-
-
-def test_a_shape_tells_repeated_base_labels_from_one(repeated_rules):
-    # Per thing, three ambiguities: d1 at either place, or at both.  The two
-    # with d1 once share a shape, and the one with d1 twice has another.
-    met = assert_shapes_fix_families(repeated_rules)
-    ambiguities = {f for f in met if f[0] == analysis._AMBIGUITY}
-    assert len(ambiguities) == 6
-    shapes = {analysis._shape(repeated_rules, f) for f in ambiguities}
-    assert sorted(s[1:] for s in shapes) == [(("d1",), ("d2",)), (("d1", "d1"), ("d2",))]
-    modality = {analysis._shape(repeated_rules, f) for f in met if f[0] == analysis._MODALITY}
-    assert modality == {(analysis._MODALITY, 1, "o1", "d2")}
+    monkeypatch.setattr(analysis, "_identity", counting)
+    instances = sweep(base).instances
+    assert instances
+    assert len(met) == len(set(met)) == len(instances)
 
 
 @given(pinned_ground_policy(), st.data())

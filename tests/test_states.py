@@ -173,7 +173,7 @@ class TestConstraints:
         # 4 atoms, minus the 7 assignments where some commander is both.
         assert len(states) == 9
         bad = make_state(base.ground, "colonel(c1)", "observer(c1)")
-        assert not satisfies_constraints(base.ground, bad)
+        assert not satisfies_constraints(base.ground, bad.mask)
 
     def test_conditional_constraint_with_head(self):
         base = base_from(
@@ -182,9 +182,9 @@ class TestConstraints:
             "rule r1: permitted(go).\n"
         )
         gp = base.ground
-        assert satisfies_constraints(gp, make_state(gp, "raining", "wet"))
-        assert satisfies_constraints(gp, make_state(gp, "wet"))
-        assert not satisfies_constraints(gp, make_state(gp, "raining"))
+        assert satisfies_constraints(gp, make_state(gp, "raining", "wet").mask)
+        assert satisfies_constraints(gp, make_state(gp, "wet").mask)
+        assert not satisfies_constraints(gp, make_state(gp, "raining").mask)
         assert len(list(enumerate_states(gp))) == 3
 
     def test_sort_atoms_in_constraints(self):
@@ -205,7 +205,7 @@ class TestConstraints:
         gp = base.ground
         # The first constraint never fires; the second rejects g(a1).
         assert [str(s) for s in enumerate_states(gp)] == ["{}", "{f(a1)}"]
-        assert not satisfies_constraints(gp, make_state(gp, "g(a1)"))
+        assert not satisfies_constraints(gp, make_state(gp, "g(a1)").mask)
         assert [str(a) for a in executable_actions(gp, make_state(gp))] == ["go"]
 
 
