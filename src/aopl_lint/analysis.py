@@ -330,14 +330,13 @@ def sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) -> SweepRes
     free = check_state_space(base.ground, options.pins, options.max_states)
     index = base.index
     scopes = [relevant & free for relevant in index.relevant]
-    conditions: dict[int, list[tuple[int, int]]] = {}  # per action, its exec conditions
-    for need, forbid, action in index.exec_conditions:
-        scopes[action] |= (need | forbid) & free
-        conditions.setdefault(action, []).append((need, forbid))
+    for action, conditions in enumerate(index.exec_conditions):
+        for need, forbid in conditions:
+            scopes[action] |= (need | forbid) & free
 
     def executable(action: int, mask: int) -> bool:
         """True when none of the action's exec conditions holds in ``mask``."""
-        for need, forbid in conditions.get(action, ()):
+        for need, forbid in index.exec_conditions[action]:
             if mask & need == need and not mask & forbid:
                 return False
         return True

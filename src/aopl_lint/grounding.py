@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain, product
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .diagnostics import Frozen, has_errors, set_field
 from .model import (
@@ -30,9 +30,7 @@ from .model import (
     variable_sorts,
     variables_of,
 )
-
-if TYPE_CHECKING:
-    from .reify import Index
+from .reify import Index
 
 
 class GroundingError(Exception):
@@ -65,8 +63,8 @@ class GroundPolicy(Frozen):
     order and defines the state space; ``action_atoms`` lists the ground
     actions in declaration order.  ``sort_facts`` are the ground sort
     membership atoms referenced by rule or constraint conditions; they are
-    true in every state.  ``index`` is the policy in integer form
-    (``reify.Index``), built once on first use.
+    true in every state.  ``index`` is the policy in integer form,
+    ``reify.Index(self)``, built once on first use.
     """
 
     __slots__ = (
@@ -91,9 +89,7 @@ class GroundPolicy(Frozen):
 
     @cached_property
     def index(self) -> Index:
-        from .reify import _build_index  # reify imports this module
-
-        return _build_index(self)
+        return Index(self)
 
 
 def _ground_label(base: str, variables: tuple[str, ...], binding: Mapping[str, str]) -> str:

@@ -140,33 +140,44 @@ def _positions(text: str) -> Callable[[int], Position]:
     return position
 
 
-def _unescape(
-    text: str, start: int, end: int, position: Callable[[int], Position],
-    diagnostics: list[Diagnostic],
-) -> str:
+# Parse errors kept per file; past this many they are only counted.
+MAX_PARSE_ERRORS = 100
+
+
+class _Errors(list):
+    """A file's first ``MAX_PARSE_ERRORS`` parse errors, and in ``dropped`` the
+    count of the rest, for which no ``Diagnostic`` or ``Position`` is built."""
+
+    def __init__(self, text: str) -> None:
+        super().__init__()
+        self.position = _positions(text)
+        self.dropped = 0
+
+    def add(self, message: str, offset: int) -> None:
+        if len(self) < MAX_PARSE_ERRORS:
+            self.append(Diagnostic(Severity.ERROR, message, position=self.position(offset)))
+        else:
+            self.dropped += 1
+
+
+def _unescape(text: str, start: int, end: int, errors: _Errors) -> str:
     """The value of the string body ``text[start:end]``, reporting unknown escapes."""
 
     def escape(match: re.Match) -> str:
         escaped = match.group(1)
         if escaped in _STRING_ESCAPES:
             return _STRING_ESCAPES[escaped]
-        offset = start + match.start() + 1
-        diagnostics.append(_error("unknown string escape", position(offset)))
+        errors.add("unknown string escape", start + match.start() + 1)
         return ""
 
     return _ESCAPE.sub(escape, text[start:end])
 
 
-def _error(message: str, position: Position) -> Diagnostic:
-    return Diagnostic(Severity.ERROR, message, position=position)
-
-
-def _tokenize(text: str) -> tuple[list[tuple[str, str, int]], list[Diagnostic]]:
+def _tokenize(text: str) -> tuple[list[tuple[str, str, int]], _Errors]:
     """The ``(kind, value, offset)`` tokens of ``text``, ending in EOF, and its
-    diagnostics."""
+    errors."""
     tokens: list[tuple[str, str, int]] = []
-    diagnostics: list[Diagnostic] = []
-    position = _positions(text)
+    errors = _Errors(text)
     match = _TOKEN.match
     pos, end = 0, len(text)
     while pos < end:
@@ -183,14 +194,13 @@ def _tokenize(text: str) -> tuple[list[tuple[str, str, int]], list[Diagnostic]]:
         elif kind == "punct":
             tokens.append((_TokKind.PUNCT, first, start))
         elif kind == "string":
-            at = position(start)
             value = text[start + 1 : pos]
             if "\\" in value:
-                value = _unescape(text, start + 1, pos, position, diagnostics)
+                value = _unescape(text, start + 1, pos, errors)
             if text.startswith('"', pos):
                 pos += 1
             else:
-                diagnostics.append(_error("unterminated string", at))
+                errors.add("unterminated string", start)
             tokens.append((_TokKind.STRING, value, start))
         else:
             # An unexpected character.  A word that starts with a digit that is
@@ -201,10 +211,10 @@ def _tokenize(text: str) -> tuple[list[tuple[str, str, int]], list[Diagnostic]]:
                 if text[at].isalpha() or text[at] == "_":
                     pos = at
                     break
-                diagnostics.append(_error(f"unexpected character {text[at]!r}", position(at)))
+                errors.add(f"unexpected character {text[at]!r}", at)
 
     tokens.append((_TokKind.EOF, "", end))
-    return tokens, diagnostics
+    return tokens, errors
 
 
 class ParseResult(Frozen):
@@ -338,7 +348,7 @@ class _Parser:
 
 
 def _parse_statements(
-    parser: _Parser, diagnostics: list[Diagnostic]
+    parser: _Parser, errors: _Errors
 ) -> tuple[list[SortDecl], list[PredicateDecl], list[StateConstraint], list[ExecConstraint], list[tuple[PolicyRule, Position]], list[tuple[str, str, Position]]]:
     sorts: list[SortDecl] = []
     predicates: list[PredicateDecl] = []
@@ -407,7 +417,7 @@ def _parse_statements(
             parser.expect_punct(".")
             into.append(node)
         except _ParseError as exc:
-            diagnostics.append(_error(exc.message, parser.position(exc.offset)))
+            errors.add(exc.message, exc.offset)
             parser.synchronize()
 
     return sorts, predicates, state_constraints, exec_constraints, rules, texts
@@ -429,17 +439,23 @@ def parse_files(sources: list[SourceFile]) -> ParseResult:
 
     Domain declarations and policy statements may be split across files in
     any way; rule labels and text statements resolve across file boundaries.
-    With more than one file, parse diagnostics name their file.
+    With more than one file, parse diagnostics name their file.  A file keeps
+    its first ``MAX_PARSE_ERRORS`` parse errors, and one error after every
+    other diagnostic names it and counts the rest.
     """
     diagnostics: list[Diagnostic] = []
+    overflow: list[Diagnostic] = []
     merged: tuple[list, ...] = ([], [], [], [], [], [])
     for source in sources:
-        tokens, local = _tokenize(source.text)
-        for into, part in zip(merged, _parse_statements(_Parser(tokens, source.text), local)):
+        tokens, errors = _tokenize(source.text)
+        for into, part in zip(merged, _parse_statements(_Parser(tokens, source.text), errors)):
             into.extend(part)
+        if errors.dropped:
+            message = f"{source.path}: {errors.dropped} more parse errors not shown"
+            overflow.append(Diagnostic(Severity.ERROR, message))
         if len(sources) > 1:
-            local = [d.replace(message=f"{source.path}: {d.message}") for d in local]
-        diagnostics.extend(local)
+            errors = [d.replace(message=f"{source.path}: {d.message}") for d in errors]
+        diagnostics.extend(errors)
     sorts, predicates, state_cs, exec_cs, rule_stmts, text_stmts = merged
 
     positions: dict[str, Position] = {}
@@ -460,7 +476,7 @@ def parse_files(sources: list[SourceFile]) -> ParseResult:
             idx = by_label[label]
             rules[idx] = rules[idx].replace(text=text)
             continue
-        diagnostics.append(_error(problem, position))
+        diagnostics.append(Diagnostic(Severity.ERROR, problem, position=position))
 
     policy = Policy(tuple(rules))
     domain = DomainSpec(
@@ -475,7 +491,7 @@ def parse_files(sources: list[SourceFile]) -> ParseResult:
             diag = diag.replace(position=positions[diag.rule_label])
         diagnostics.append(diag)
 
-    diagnostics = sort_diagnostics(diagnostics)
+    diagnostics = sort_diagnostics(diagnostics) + overflow
     if has_errors(diagnostics):
         return ParseResult(policy=None, domain=None, diagnostics=diagnostics)
     return ParseResult(policy=policy, domain=domain, diagnostics=diagnostics)

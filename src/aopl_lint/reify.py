@@ -20,15 +20,15 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 from .diagnostics import Frozen, set_field
-from .grounding import GroundPolicy, GroundRule
 from .model import Atom, Literal, Modality, RuleKind
 
 if TYPE_CHECKING:
     from .engine import WorldState
+    from .grounding import GroundPolicy, GroundRule
 
 
-class Index(Frozen):
-    """A ground policy in integer form, shared across states.
+class Index:
+    """A ground policy in integer form, built by ``Index(gp)`` and shared across states.
 
     A state is an int read as a binary numeral over ``state_atoms`` in
     declaration order: the first declared atom is the most significant bit
@@ -46,14 +46,15 @@ class Index(Frozen):
     of them; a pair has one action, so the slices partition both.
     ``relevant`` holds, per ground action, every state bit its findings
     read: the bodies in its slice and its authorization bits.
-    ``exec_conditions`` holds (masks, action index) per executability
-    constraint: a state that meets the masks cannot execute the action.
-    ``constraints`` holds the state constraints whose body can hold and whose
-    head can fail, split into ``components`` of the bits they read: per
-    component, its mask and the sub-masks it accepts, as a frozenset for at
-    most ``CHUNK_BITS`` bits and else as ``ConstraintChecks``, where a missing
-    or unsatisfiable head needs a bit past the last state atom.  ``by_label``
-    maps each label to its ground rule.
+    ``exec_conditions`` holds, per ground action, the masks of its
+    executability constraints in domain order, leaving out those whose
+    condition can never hold: a state that meets any of them cannot execute
+    the action.  ``constraints`` holds the state constraints whose body can
+    hold and whose head can fail, split into ``components`` of the bits they
+    read: per component, its mask and the sub-masks it accepts, as a
+    frozenset for at most ``COMPONENT_BITS`` bits and else as
+    ``ConstraintChecks``, where a missing or unsatisfiable head needs a bit
+    past the last state atom.  ``by_label`` maps each label to its ground rule.
     """
 
     __slots__ = (
@@ -61,25 +62,77 @@ class Index(Frozen):
         "exec_conditions", "constraints", "by_label", "sort_facts",
     )
 
-    def __init__(
-        self, bits: dict[Atom, int], rules: tuple[tuple[int, int, str, int, bool, bool], ...],
-        prefers: tuple[tuple[int, int, str], ...],
-        actions: tuple[tuple[int, int, int, tuple[GroundRule, ...], int], ...],
-        slices: tuple[tuple[tuple, tuple], ...], relevant: tuple[int, ...],
-        exec_conditions: tuple[tuple[int, int, int], ...],
-        constraints: tuple[tuple[int, frozenset[int] | ConstraintChecks], ...],
-        by_label: dict[str, GroundRule], sort_facts: frozenset[Atom],
-    ) -> None:
-        set_field(self, "bits", bits)
-        set_field(self, "rules", rules)
-        set_field(self, "prefers", prefers)
-        set_field(self, "actions", actions)
-        set_field(self, "slices", slices)
-        set_field(self, "relevant", relevant)
-        set_field(self, "exec_conditions", exec_conditions)
-        set_field(self, "constraints", constraints)
-        set_field(self, "by_label", by_label)
-        set_field(self, "sort_facts", sort_facts)
+    def __init__(self, gp: GroundPolicy) -> None:
+        self.bits = bits = state_bits(gp.state_atoms)
+        self.sort_facts = sort_facts = frozenset(gp.sort_facts)
+        bodies = {
+            rule.label: masks
+            for rule in gp.rules
+            if (masks := _body_masks(rule.condition, bits, sort_facts)) is not None
+        }
+        action_index = {action: i for i, action in enumerate(gp.action_atoms)}
+        authorizations: list[list[GroundRule]] = [[] for _ in gp.action_atoms]
+        slices: list[tuple[list, list]] = [([], []) for _ in gp.action_atoms]
+        relevant = [0] * len(gp.action_atoms)
+        action_of = {}
+        rules = []
+        for rule in gp.rules:
+            if (head := rule.head) is None:
+                continue
+            a = action_index[head.happening.action]
+            if head.modality is Modality.PERMITTED:
+                slot = 0
+                authorizations[a].append(rule)
+            else:
+                slot = 1 if head.happening.positive else 2
+            if (masks := bodies.get(rule.label)) is not None:
+                entry = (*masks, rule.label, 3 * a + slot, head.positive, rule.kind is RuleKind.STRICT)
+                rules.append(entry)
+                slices[a][0].append(entry)
+                relevant[a] |= masks[0] | masks[1]
+                action_of[rule.label] = a
+        prefers = []
+        for rule in gp.rules:
+            if rule.kind is RuleKind.PREFERENCE and rule.preferred in bodies:
+                prefers.append(entry := (*bodies[rule.preferred], rule.dispreferred))
+                if (a := action_of.get(rule.dispreferred)) is not None:
+                    slices[a][1].append(entry)
+                    relevant[a] |= entry[0] | entry[1]
+        actions = []
+        for a, auth in enumerate(authorizations):
+            mentioned = sum({bits.get(lit.atom, 0) for rule in auth for lit in rule.condition})
+            relevant[a] |= mentioned
+            actions.append((3 * a, 3 * a + 1, 3 * a + 2, tuple(auth), mentioned))
+        conditions: list[list[tuple[int, int]]] = [[] for _ in gp.action_atoms]
+        for constraint in gp.exec_constraints:
+            if (masks := _body_masks(constraint.condition, bits, sort_facts)) is not None:
+                conditions[action_index[constraint.action]].append(masks)
+        never = 1 << len(bits)
+        checks = []
+        for constraint in gp.state_constraints:
+            body = _body_masks(constraint.body, bits, sort_facts)
+            head = constraint.head and _body_masks((constraint.head,), bits, sort_facts)
+            if body is not None and head != (0, 0):
+                checks.append((*body, *(head or (never, 0))))
+        # The state bits each constraint reads: its masks without the never bit.
+        component_of = components([(c[0] | c[1] | c[2] | c[3]) % never for c in checks])
+        constraints = []
+        for component in dict.fromkeys(component_of):
+            group = ConstraintChecks(check for check, c in zip(checks, component_of) if c == component)
+            if component.bit_count() <= COMPONENT_BITS:
+                subs = [0]  # every sub-mask, in increasing order
+                while subs[-1] != component:
+                    subs.append((subs[-1] - component) & component)
+                group = frozenset(sub for sub in subs if sub in group)
+            constraints.append((component, group))
+        self.rules = tuple(rules)
+        self.prefers = tuple(prefers)
+        self.actions = tuple(actions)
+        self.slices = tuple((tuple(own), tuple(defeats)) for own, defeats in slices)
+        self.relevant = tuple(relevant)
+        self.exec_conditions = tuple(map(tuple, conditions))
+        self.constraints = tuple(constraints)
+        self.by_label = {rule.label: rule for rule in gp.rules}
 
     def mask(self, state: WorldState) -> int:
         """The state as an int over ``state_atoms``: its ``mask`` when it is over them."""
@@ -160,9 +213,8 @@ def _body_masks(
     return need, forbid
 
 
-# A constraint component of at most this many bits is stored as the sub-masks it accepts.
-CHUNK_BITS = 8
-# A sweep table holds an entry per value of its bits, so wider components are split.
+# A table holds an entry per value of its bits: the index tabulates a constraint
+# component of at most this many bits, and a sweep splits a wider one of actions.
 COMPONENT_BITS = 10
 
 
@@ -195,81 +247,3 @@ class ConstraintChecks(tuple):
 def state_bits(universe: tuple[Atom, ...]) -> dict[Atom, int]:
     """Each state atom's bit in a state's int mask; see ``Index``."""
     return {atom: 1 << i for i, atom in enumerate(reversed(universe))}
-
-
-def _build_index(gp: GroundPolicy) -> Index:
-    bits = state_bits(gp.state_atoms)
-    sort_facts = frozenset(gp.sort_facts)
-    bodies = {
-        rule.label: masks
-        for rule in gp.rules
-        if (masks := _body_masks(rule.condition, bits, sort_facts)) is not None
-    }
-    action_index = {action: i for i, action in enumerate(gp.action_atoms)}
-    authorizations: list[list[GroundRule]] = [[] for _ in gp.action_atoms]
-    slices: list[tuple[list, list]] = [([], []) for _ in gp.action_atoms]
-    relevant = [0] * len(gp.action_atoms)
-    action_of = {}
-    rules = []
-    for rule in gp.rules:
-        if (head := rule.head) is None:
-            continue
-        a = action_index[head.happening.action]
-        if head.modality is Modality.PERMITTED:
-            slot = 0
-            authorizations[a].append(rule)
-        else:
-            slot = 1 if head.happening.positive else 2
-        if (masks := bodies.get(rule.label)) is not None:
-            entry = (*masks, rule.label, 3 * a + slot, head.positive, rule.kind is RuleKind.STRICT)
-            rules.append(entry)
-            slices[a][0].append(entry)
-            relevant[a] |= masks[0] | masks[1]
-            action_of[rule.label] = a
-    prefers = []
-    for rule in gp.rules:
-        if rule.kind is RuleKind.PREFERENCE and rule.preferred in bodies:
-            prefers.append(entry := (*bodies[rule.preferred], rule.dispreferred))
-            if (a := action_of.get(rule.dispreferred)) is not None:
-                slices[a][1].append(entry)
-                relevant[a] |= entry[0] | entry[1]
-    actions = []
-    for a, auth in enumerate(authorizations):
-        mentioned = sum({bits.get(lit.atom, 0) for rule in auth for lit in rule.condition})
-        relevant[a] |= mentioned
-        actions.append((3 * a, 3 * a + 1, 3 * a + 2, tuple(auth), mentioned))
-    exec_conditions = tuple(
-        (*masks, action_index[constraint.action])
-        for constraint in gp.exec_constraints
-        if (masks := _body_masks(constraint.condition, bits, sort_facts)) is not None
-    )
-    never = 1 << len(bits)
-    checks = []
-    for constraint in gp.state_constraints:
-        body = _body_masks(constraint.body, bits, sort_facts)
-        head = constraint.head and _body_masks((constraint.head,), bits, sort_facts)
-        if body is not None and head != (0, 0):
-            checks.append((*body, *(head or (never, 0))))
-    # The state bits each constraint reads: its masks without the never bit.
-    component_of = components([(c[0] | c[1] | c[2] | c[3]) % never for c in checks])
-    constraints = []
-    for component in dict.fromkeys(component_of):
-        group = ConstraintChecks(check for check, c in zip(checks, component_of) if c == component)
-        if component.bit_count() <= CHUNK_BITS:
-            subs = [0]  # every sub-mask, in increasing order
-            while subs[-1] != component:
-                subs.append((subs[-1] - component) & component)
-            group = frozenset(sub for sub in subs if sub in group)
-        constraints.append((component, group))
-    return Index(
-        bits=bits,
-        rules=tuple(rules),
-        prefers=tuple(prefers),
-        actions=tuple(actions),
-        slices=tuple((tuple(own), tuple(defeats)) for own, defeats in slices),
-        relevant=tuple(relevant),
-        exec_conditions=exec_conditions,
-        constraints=tuple(constraints),
-        by_label={rule.label: rule for rule in gp.rules},
-        sort_facts=sort_facts,
-    )

@@ -46,12 +46,11 @@ def negated(item):
 
 def executable(index, mask: int) -> list[int]:
     """Indexes of the actions no executability condition of ``index`` blocks in ``mask``."""
-    blocked = {
-        action
-        for need, forbid, action in index.exec_conditions
-        if mask & need == need and not mask & forbid
-    }
-    return [a for a in range(len(index.actions)) if a not in blocked]
+    return [
+        a
+        for a, conditions in enumerate(index.exec_conditions)
+        if not any(mask & need == need and not mask & forbid for need, forbid in conditions)
+    ]
 
 
 def executable_actions(gp, state: WorldState) -> tuple:

@@ -793,8 +793,9 @@ def per_action_sweep(base: ReifiedBase, options: SweepOptions = SweepOptions()) 
     pinned = {pin.atom for pin in options.pins}
     free = sum(bit for atom, bit in index.bits.items() if atom not in pinned)
     exec_bits = 0
-    for need, forbid, _ in index.exec_conditions:
-        exec_bits |= need | forbid
+    for conditions in index.exec_conditions:
+        for need, forbid in conditions:
+            exec_bits |= need | forbid
     # Per action, unless its bits cover every free one: [findings, family bitmask,
     # rank, witness, states] per value of its relevant bits.
     memos = [{} if relevant & free != free else None for relevant in index.relevant]

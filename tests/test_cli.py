@@ -279,6 +279,20 @@ class TestParseErrors:
         assert main(["analyze", str(bad)]) == 2
         assert capsys.readouterr().err == "error: 2:1: expected a statement keyword\n"
 
+    @pytest.mark.parametrize(
+        "char, message", [(";", "unexpected character ';'"), (".", "expected a statement keyword")]
+    )
+    def test_an_error_dense_file_keeps_its_first_errors_and_counts_the_rest(
+        self, capsys, tmp_path, monkeypatch, char, message
+    ):
+        (tmp_path / "dense.aopl").write_text(char * 400_000, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["analyze", DOM, "dense.aopl"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            *(f"error: 1:{column}: dense.aopl: {message}" for column in range(1, 101)),
+            "error: dense.aopl: 399900 more parse errors not shown",
+        ]
+
     def test_an_exec_constraint_on_a_fluent_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.aopl"
         bad.write_text("fluent f.\nimpossible_exec f.\n", encoding="utf-8")

@@ -1,11 +1,17 @@
-"""Solver-ready text output: golden files, determinism, escaping."""
+"""Solver-ready text output: golden files, determinism, escaping, and the
+meaning of the ``lp`` program."""
 
 import pytest
+from hypothesis import assume, given, reject, settings
 
-from aopl_lint import emit_asp
+from aopl_lint import emit_asp, enumerate_states, ground, reify
 from aopl_lint.emit import POLICY_INDEPENDENT_RULES, mangle_label
 
+from corpus import corpus
 from helpers import DATA, base_from, make_state
+from oracle import OracleSizeError, stable_models
+from reference import answer_sets
+from strategies import domain_and_policy
 
 GOLDEN = DATA / "golden"
 
@@ -106,3 +112,93 @@ class TestTerms:
         base = base_from('action go.\nrule r1: permitted(go).\ntext r1: "say \\"hi\\"\\nplease".\n')
         text = emit_asp(base, variant="rei")
         assert 'text(r1, "say \\"hi\\"\\nplease").' in text
+
+
+def _split_top_level(body: str) -> list[str]:
+    """``body`` split at the commas outside parentheses."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(body):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 0:
+            parts.append(body[start:i].strip())
+            start = i + 1
+    return parts + [body[start:].strip()] if body else parts
+
+
+def lp_rules(program: str) -> list[tuple[str, tuple[str, ...], tuple[str, ...]]]:
+    """An ``lp`` program read back as (head, positive body, negative body) per
+    rule, over opaque atoms: ``-x`` is an atom of its own."""
+    rules = []
+    for line in program.splitlines():
+        if not line or line.startswith("%"):
+            continue
+        assert line.endswith("."), line
+        head, _, body = line[:-1].partition(" :- ")
+        parts = _split_top_level(body)
+        positive = tuple(part for part in parts if not part.startswith("not "))
+        negative = tuple(part[len("not ") :] for part in parts if part.startswith("not "))
+        rules.append((head, positive, negative))
+    return rules
+
+
+def lp_head(head) -> str:
+    """A deontic head as the ``lp`` variant spells it."""
+    action = str(head.happening.action)
+    term = f"{head.modality.value}({action if head.happening.positive else f'neg({action})'})"
+    return term if head.positive else f"-{term}"
+
+
+def consistent(atoms) -> bool:
+    return not any(f"-{atom}" in atoms for atom in atoms)
+
+
+def assert_lp_means_the_engine(base, max_guess_atoms=18):
+    """In every state, the deontic atoms of each answer set of the emitted
+    ``lp`` program are the heads of one of the engine's answer sets.
+
+    ``lp`` reads ``-`` as classical negation, so no answer set holds both ``x``
+    and ``-x``; the oracle treats ``-x`` as an opaque atom, so such models are
+    dropped, and so are the engine's models that hold a complementary head
+    pair (its reified form keeps them, as ``rei``'s ``neg(..)`` terms do).
+    """
+    for state in enumerate_states(base.ground):
+        program = lp_rules(emit_asp(base, "lp", state))
+        emitted = sorted(
+            sorted(atom for atom in model if atom.lstrip("-").startswith(("permitted(", "obl(")))
+            for model in stable_models(program, max_guess_atoms=max_guess_atoms)
+            if consistent(model)
+        )
+        engine = sorted(
+            heads
+            for model in answer_sets(base, state)
+            if consistent(heads := sorted(map(lp_head, model.heads)))
+        )
+        assert emitted == engine, str(state)
+
+
+class TestLpMeaning:
+    def test_the_reader_splits_bodies_at_top_level_commas(self):
+        program = "% r\nobl(neg(go(a,b))) :- f(a,b), -g, not ab(r(a,b)), not -obl(neg(go(a,b))).\nf(a,b).\n"
+        assert lp_rules(program) == [
+            ("obl(neg(go(a,b)))", ("f(a,b)", "-g"), ("ab(r(a,b))", "-obl(neg(go(a,b)))")),
+            ("f(a,b)", (), ()),
+        ]
+
+    @pytest.mark.parametrize("fixture", ["mission_strict", "mission_defeasible", "mission_ambiguous"])
+    def test_on_the_mission_fixtures(self, fixture, request):
+        assert_lp_means_the_engine(request.getfixturevalue(fixture))
+
+    def test_on_the_corpus(self):
+        for policy, domain in corpus():
+            assert_lp_means_the_engine(reify(ground(policy, domain)))
+
+    @given(domain_and_policy())
+    @settings(max_examples=200, deadline=None)
+    def test_on_generated_policies(self, pair):
+        base = reify(ground(*pair))
+        # The guess-and-check oracle is exponential in the ground policy.
+        assume(len(base.ground.state_atoms) <= 4 and len(base.ground.rules) <= 24)
+        try:
+            assert_lp_means_the_engine(base, max_guess_atoms=12)
+        except OracleSizeError:
+            reject()

@@ -1,7 +1,6 @@
 """The factored sweep, its families, detectors, classifiers and mask enumeration
 against the reference."""
 
-import importlib
 import pickle
 from itertools import combinations, product
 
@@ -29,7 +28,7 @@ from aopl_lint import (
     sweep,
 )
 from aopl_lint import analysis
-from aopl_lint.reify import components
+from aopl_lint.reify import Index, components
 from aopl_lint.states import check_pins, parse_pins
 
 import reference
@@ -175,8 +174,9 @@ def sweep_components(base, pins=()) -> dict[int, list[str]]:
     pinned = {pin.atom for pin in pins}
     free = sum(bit for atom, bit in index.bits.items() if atom not in pinned)
     scopes = [relevant & free for relevant in index.relevant]
-    for need, forbid, action in index.exec_conditions:
-        scopes[action] |= (need | forbid) & free
+    for action, conditions in enumerate(index.exec_conditions):
+        for need, forbid in conditions:
+            scopes[action] |= (need | forbid) & free
     memoised = [a for a, relevant in enumerate(index.relevant) if relevant & free != free]
     grouped: dict[int, list[str]] = {}
     for a, component in zip(memoised, components([scopes[a] for a in memoised])):
@@ -341,16 +341,14 @@ def test_classifiers_match_the_reference_on_fixtures(fixture, request):
 
 
 def test_a_base_is_indexed_once(monkeypatch):
-    # The package's ``reify`` attribute is the function, not the submodule.
-    reify_module = importlib.import_module("aopl_lint.reify")
     built = []
-    original = reify_module._build_index
+    original = Index.__init__
 
-    def counting(gp):
+    def counting(index, gp):
         built.append(gp)
-        return original(gp)
+        original(index, gp)
 
-    monkeypatch.setattr(reify_module, "_build_index", counting)
+    monkeypatch.setattr(Index, "__init__", counting)
     base = load_base("mission.dom", "mission_ambiguous.aopl")
     gp = base.ground
     sweep(base)
@@ -556,11 +554,11 @@ def test_constraint_tables_match_the_per_constraint_check_on_generated_policies(
 
 
 def test_constraint_tables_cover_every_kind_of_constraint():
-    # f(t0) .. f(t9) chain into one component of 10 bits, above the table
+    # f(t0) .. f(t10) chain into one component of 11 bits, above the table
     # cap.  Beside it: a headless constraint on g and h, or a body of sort
     # atoms alone on h and a head that can never hold on g.
-    constants = ", ".join(f"t{i}" for i in range(10))
-    chain = "".join(f"constraint f(t{i + 1}) if f(t{i}).\n" for i in range(9))
+    constants = ", ".join(f"t{i}" for i in range(11))
+    chain = "".join(f"constraint f(t{i + 1}) if f(t{i}).\n" for i in range(10))
     domain = f"sorts n: {constants}.\nfluent f(n). fluent g. fluent h.\naction go.\n" + chain
     never = StateConstraint((Literal(Atom("g"), True),), Literal(Atom("n", ("u",)), True))
     cases = [
@@ -573,7 +571,7 @@ def test_constraint_tables_cover_every_kind_of_constraint():
         gp = gp.replace(state_constraints=gp.state_constraints + added)
         tables = [c for c in gp.index.constraints if isinstance(c[1], frozenset)]
         [(wide, checks)] = [c for c in gp.index.constraints if c not in tables]
-        assert wide.bit_count() == 10 and len(checks) == 9
+        assert wide.bit_count() == 11 and len(checks) == 10
         assert sorted(component.bit_count() for component, _ in tables) == small
         assert_same_constraint_checks(gp)
     assert gp.sort_facts == (Atom("n", ("t0",)),)

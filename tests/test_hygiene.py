@@ -1,9 +1,11 @@
 """Source hygiene: no module under src/ or tests/ imports a name it never reads,
-and every module-level function or class under src/ is read or exported."""
+every module-level function or class under src/ is read or exported, and every
+method or property of a class under src/ is read."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,6 +74,32 @@ def dead_definitions(sources: dict[str, str]) -> list[tuple[str, int, str]]:
     )
 
 
+def _attribute_reads(tree: ast.AST) -> Counter:
+    """How often each attribute name is loaded in ``tree``."""
+    return Counter(
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def dead_methods(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) for every method or property, dunders aside, whose
+    name no attribute read of the modules outside its own body loads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    return sorted(
+        (module, method.lineno, method.name)
+        for module, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (method.name.startswith("__") and method.name.endswith("__"))
+        and reads[method.name] == _attribute_reads(method)[method.name]
+    )
+
+
 def test_the_scan_counts_exports_and_string_annotations_as_reads():
     source = (
         "import os.path\nfrom typing import Any, List\nfrom x import Quoted, Unused\n"
@@ -101,12 +129,33 @@ def test_the_definition_scan_ignores_reads_inside_the_definition_itself():
     assert dead_definitions(sources) == [("a", 4, "loop"), ("b", 3, "caller")]
 
 
-def test_every_definition_under_src_is_read_or_exported():
+def package_sources() -> dict[str, str]:
+    """Each module of the package by file name."""
     package = ROOT / "src" / "aopl_lint"
+    return {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+
+
+def test_every_definition_under_src_is_read_or_exported():
+    assert dead_definitions(package_sources()) == []
+
+
+def test_the_method_scan_ignores_reads_inside_the_method_itself():
     sources = {
-        path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))
+        "a": (
+            "class A:\n"
+            "    def used(self):\n        return self.helper()\n"
+            "    def helper(self):\n        return 1\n"
+            "    def loop(self):\n        return self.loop()\n"
+            "    @property\n    def size(self):\n        return 0\n"
+            "    def __len__(self):\n        return 0\n"
+        ),
+        "b": "def f(a):\n    return a.used(), a.size\n",
     }
-    assert dead_definitions(sources) == []
+    assert dead_methods(sources) == [("a", 6, "loop")]
+
+
+def test_every_method_under_src_is_read():
+    assert dead_methods(package_sources()) == []
 
 
 def dataclass_names(source: str) -> list[str]:

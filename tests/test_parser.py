@@ -173,6 +173,19 @@ class TestBadInput:
         assert diag.rule_label == "r1"
         assert diag.position is not None and diag.position.line == 2
 
+    def test_a_file_keeps_its_first_hundred_parse_errors(self):
+        messages = lambda src: [str(d) for d in parse(src).diagnostics]
+        semicolons = lambda n: [f"error: 1:{c}: unexpected character ';'" for c in range(1, n + 1)]
+        assert messages(";" * 100) == semicolons(100)
+        # The tokenizer reports first, so the parser's first error is the
+        # 100th and its second is only counted; validation errors are kept.
+        assert messages(";" * 99 + " . . rule r1: permitted(ghost).") == [
+            "error: 1:101: expected a statement keyword",
+            *semicolons(99),
+            "error: 1:105: rule r1: head action ghost is not a declared action",
+            "error: <string>: 1 more parse errors not shown",
+        ]
+
     def test_text_for_unknown_rule(self):
         result = parse('action go.\ntext r9: "who?".\n')
         assert any("text statement names unknown rule r9" in d.message for d in errors(result))
@@ -471,5 +484,6 @@ class TestStatementsMatchTheReference:
 
         monkeypatch.setattr(parser_module, "_TOKEN", Counting())
         tokens, diagnostics = parser_module._tokenize("²" * 500 + "x")
-        assert len(diagnostics) == 500 and [value for _, value, _ in tokens] == ["x", ""]
+        assert (len(diagnostics), diagnostics.dropped) == (100, 400)
+        assert [value for _, value, _ in tokens] == ["x", ""]
         assert calls == [0, 500]

@@ -1,6 +1,6 @@
 """Ground policies become fact bases without loss."""
 
-from aopl_lint import Modality, RuleKind, emit_asp, parse_ground_literal
+from aopl_lint import Atom, Modality, RuleKind, emit_asp, parse_ground_literal
 
 from helpers import base_from
 
@@ -120,3 +120,17 @@ class TestIndex:
             head = index.by_label[label].head
             slot = 0 if head.modality is Modality.PERMITTED else 1 if head.happening.positive else 2
             assert pair == actions[head.happening.action][slot]
+
+    def test_exec_conditions_are_kept_per_action_in_domain_order(self):
+        # stay's second condition needs the sort fact s(c) false, so it never holds.
+        base = base_from(
+            "sorts s: c.\nfluent f. fluent g.\naction go. action stay. action idle.\n"
+            "impossible_exec stay if g.\n"
+            "impossible_exec go if f, !g.\n"
+            "impossible_exec stay if !s(c).\n"
+            "impossible_exec go if g.\n"
+        )
+        index = base.index
+        f, g = index.bits[Atom("f")], index.bits[Atom("g")]
+        assert [str(action) for action in base.ground.action_atoms] == ["go", "stay", "idle"]
+        assert index.exec_conditions == (((f, g), (g, 0)), ((g, 0),), ())

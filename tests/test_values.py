@@ -39,7 +39,7 @@ from aopl_lint.model import (
     StateConstraint,
 )
 from aopl_lint.parser import ParseResult
-from aopl_lint.reify import Index, ReifiedBase
+from aopl_lint.reify import ReifiedBase
 from aopl_lint.report import AnalysisReport
 from aopl_lint.states import DEFAULT_MAX_STATES
 
@@ -49,8 +49,9 @@ REQUIRED = inspect.Parameter.empty
 NEW_LIST = "a new list"
 
 # Every field and its default, as each type declared them when it was a
-# frozen dataclass, less the fields removed since (``GroundRule.base_label``,
-# ``Index.pairs`` and ``GroundPolicy.head_universe``).
+# frozen dataclass, less the fields removed since (``GroundRule.base_label``
+# and ``GroundPolicy.head_universe``).  ``reify.Index`` is no longer a value
+# type: a ground policy builds it once, and nothing compares or copies one.
 FIELDS = {
     Position: {"line": REQUIRED, "column": REQUIRED},
     SourceFile: {"path": REQUIRED, "text": REQUIRED},
@@ -74,13 +75,6 @@ FIELDS = {
         "dispreferred": None,
         "text": None,
     },
-    Index: dict.fromkeys(
-        (
-            "bits rules prefers actions slices relevant exec_conditions constraints "
-            "by_label sort_facts"
-        ).split(),
-        REQUIRED,
-    ),
     ReifiedBase: {"display": REQUIRED, "ground": REQUIRED},
     IssueRecord: {
         "kind": REQUIRED,
