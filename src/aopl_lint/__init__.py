@@ -22,7 +22,7 @@ from .analysis import (
 )
 from .diagnostics import Diagnostic, Position, Severity, SourceFile
 from .engine import AmbiguityStats, WorldState
-from .grounding import GroundPolicy, GroundRule, GroundingError, ground
+from .grounding import GroundPolicy, GroundingError, ground
 from .model import (
     Atom,
     DomainSpec,
@@ -79,7 +79,6 @@ __all__ = [
     "ExecConstraint",
     "FamilyRecord",
     "GroundPolicy",
-    "GroundRule",
     "GroundingError",
     "Happening",
     "HeadLiteral",

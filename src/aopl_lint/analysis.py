@@ -177,10 +177,10 @@ def _identity(base: ReifiedBase, finding: tuple) -> tuple:
     They are, in ``IssueRecord`` order: kind, action, rule labels, supports,
     missing, pairs, urgency and case.
     """
-    index = base.index
+    index, by_label = base.index, base.ground.by_label
     tag = finding[0]
     if tag == _INCONSISTENCY:  # the pair of its first rule's head
-        action = index.by_label[finding[2]].head.happening
+        action = by_label[finding[2]].head.happening
     else:
         action = Happening(base.ground.action_atoms[finding[1]], True)
     pos_support = neg_support = missing = pairs = ()
@@ -205,8 +205,8 @@ def _identity(base: ReifiedBase, finding: tuple) -> tuple:
         else:
             _, _, r1, r2 = finding
         labels = (r1,) if r2 is None else (r1, r2)
-        pos_support = index.by_label[r1].condition
-        neg_support = index.by_label[r2].condition if r2 is not None else ()
+        pos_support = by_label[r1].condition
+        neg_support = by_label[r2].condition if r2 is not None else ()
     return _KINDS[tag], action, labels, pos_support, neg_support, missing, pairs, urgency, case
 
 

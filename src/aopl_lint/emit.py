@@ -70,7 +70,7 @@ def _literal(literal: Literal, negation: str) -> str:
 
 
 def _emit_lp(base: ReifiedBase, lines: list[str]) -> None:
-    by_label = base.ground.rule_map()
+    by_label = base.ground.by_label
     for rule in sorted(base.ground.rules, key=lambda r: r.label):
         lines.append(f"% {rule.label}")
         if rule.kind is RuleKind.PREFERENCE:

@@ -22,6 +22,7 @@ from .model import (
     HeadLiteral,
     Literal,
     Policy,
+    PolicyRule,
     PredicateKind,
     RuleKind,
     StateConstraint,
@@ -37,34 +38,18 @@ class GroundingError(Exception):
     """Raised when a policy/domain pair cannot be grounded."""
 
 
-class GroundRule(Frozen):
-    """One ground instance of a policy statement, labelled as the module docstring says."""
-
-    __slots__ = ("label", "kind", "head", "condition", "preferred", "dispreferred", "text")
-
-    def __init__(
-        self, label: str, kind: RuleKind, head: HeadLiteral | None = None,
-        condition: tuple[Literal, ...] = (), preferred: str | None = None,
-        dispreferred: str | None = None, text: str | None = None,
-    ) -> None:
-        set_field(self, "label", label)
-        set_field(self, "kind", kind)
-        set_field(self, "head", head)
-        set_field(self, "condition", condition)
-        set_field(self, "preferred", preferred)
-        set_field(self, "dispreferred", dispreferred)
-        set_field(self, "text", text)
-
-
 class GroundPolicy(Frozen):
     """A fully instantiated policy together with its ground domain.
 
-    ``state_atoms`` lists the ground static and fluent atoms in declaration
-    order and defines the state space; ``action_atoms`` lists the ground
-    actions in declaration order.  ``sort_facts`` are the ground sort
-    membership atoms referenced by rule or constraint conditions; they are
-    true in every state.  ``index`` is the policy in integer form,
-    ``reify.Index(self)``, built once on first use.
+    ``rules`` holds the ground instances of the policy's statements in
+    statement order, each a ``PolicyRule`` with no ``where`` and a label as
+    the module docstring says.  ``state_atoms`` lists the ground static and
+    fluent atoms in declaration order and defines the state space;
+    ``action_atoms`` lists the ground actions in declaration order.
+    ``sort_facts`` are the ground sort membership atoms referenced by rule or
+    constraint conditions; they are true in every state.  Two views are built
+    once, on first use: ``by_label`` maps each ground label to its rule, and
+    ``index`` is the policy in integer form, ``reify.Index(self)``.
     """
 
     __slots__ = (
@@ -73,7 +58,7 @@ class GroundPolicy(Frozen):
     )
 
     def __init__(
-        self, rules: tuple[GroundRule, ...], state_atoms: tuple[Atom, ...],
+        self, rules: tuple[PolicyRule, ...], state_atoms: tuple[Atom, ...],
         action_atoms: tuple[Atom, ...], state_constraints: tuple[StateConstraint, ...] = (),
         exec_constraints: tuple[ExecConstraint, ...] = (), sort_facts: tuple[Atom, ...] = (),
     ) -> None:
@@ -84,8 +69,9 @@ class GroundPolicy(Frozen):
         set_field(self, "exec_constraints", exec_constraints)
         set_field(self, "sort_facts", sort_facts)
 
-    def rule_map(self) -> dict[str, GroundRule]:
-        return {r.label: r for r in self.rules}
+    @cached_property
+    def by_label(self) -> dict[str, PolicyRule]:
+        return {rule.label: rule for rule in self.rules}
 
     @cached_property
     def index(self) -> Index:
@@ -109,15 +95,7 @@ def _bindings(
     variables = variables_of(atoms)
     var_sorts = variable_sorts(atoms, domain, where)
     sort_map = domain.sort_map()
-    pools: list[tuple[str, ...]] = []
-    for var in variables:
-        sort = var_sorts.get(var)
-        if sort is None or sort not in sort_map:
-            raise GroundingError(f"variable {var} has no resolvable sort")
-        members = sort_map[sort].members
-        if not members:
-            raise GroundingError(f"sort {sort} has no members")
-        pools.append(members)
+    pools = [sort_map[var_sorts[var]].members for var in variables]
     return variables, (dict(zip(variables, values)) for values in product(*pools))
 
 
@@ -162,7 +140,7 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
         key = atom.predicate, atom.args, lit.positive
         return shared.get(key) or shared.setdefault(key, Literal(atom, lit.positive))
 
-    ground_rules: list[GroundRule] = []
+    ground_rules: list[PolicyRule] = []
     rule_by_label = policy.rule_map()
 
     for rule in policy.rules:
@@ -178,7 +156,7 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
             )
             for binding in bindings:
                 ground_rules.append(
-                    GroundRule(
+                    PolicyRule(
                         label=_ground_label(rule.label, variables, binding),
                         kind=RuleKind.PREFERENCE,
                         preferred=_ground_label(rule.preferred, pref_vars, binding),
@@ -193,7 +171,7 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
         for binding in bindings:
             action = Happening(ground_atom(happening.action, binding), happening.positive)
             ground_rules.append(
-                GroundRule(
+                PolicyRule(
                     label=_ground_label(rule.label, variables, binding),
                     kind=rule.kind,
                     head=HeadLiteral(head.modality, action, head.positive),

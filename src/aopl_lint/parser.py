@@ -359,11 +359,12 @@ def _parse_statements(
 
     while parser.peek()[0] is not _TokKind.EOF:
         kind, keyword, offset = parser.peek()
+        if kind is not _TokKind.IDENT:
+            # Left unread: it may be the period that ``synchronize`` stops at.
+            errors.add("expected a statement keyword", offset)
+            parser.synchronize()
+            continue
         try:
-            # A token that is not a keyword stays unread: it may be the period
-            # that ``synchronize`` stops at.
-            if kind is not _TokKind.IDENT:
-                raise _ParseError("expected a statement keyword", offset)
             parser.index += 1
             if keyword in _LABELLED:
                 position = parser.position(offset)

@@ -20,11 +20,11 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 from .diagnostics import Frozen, set_field
-from .model import Atom, Literal, Modality, RuleKind
+from .model import Atom, Literal, Modality, PolicyRule, RuleKind
 
 if TYPE_CHECKING:
     from .engine import WorldState
-    from .grounding import GroundPolicy, GroundRule
+    from .grounding import GroundPolicy
 
 
 class Index:
@@ -54,12 +54,13 @@ class Index:
     read: per component, its mask and the sub-masks it accepts, as a
     frozenset for at most ``COMPONENT_BITS`` bits and else as
     ``ConstraintChecks``, where a missing or unsatisfiable head needs a bit
-    past the last state atom.  ``by_label`` maps each label to its ground rule.
+    past the last state atom.  Entries name rules by label, and
+    ``GroundPolicy.by_label`` maps a label to its rule.
     """
 
     __slots__ = (
         "bits", "rules", "prefers", "actions", "slices", "relevant",
-        "exec_conditions", "constraints", "by_label", "sort_facts",
+        "exec_conditions", "constraints", "sort_facts",
     )
 
     def __init__(self, gp: GroundPolicy) -> None:
@@ -71,7 +72,7 @@ class Index:
             if (masks := _body_masks(rule.condition, bits, sort_facts)) is not None
         }
         action_index = {action: i for i, action in enumerate(gp.action_atoms)}
-        authorizations: list[list[GroundRule]] = [[] for _ in gp.action_atoms]
+        authorizations: list[list[PolicyRule]] = [[] for _ in gp.action_atoms]
         slices: list[tuple[list, list]] = [([], []) for _ in gp.action_atoms]
         relevant = [0] * len(gp.action_atoms)
         action_of = {}
@@ -132,7 +133,6 @@ class Index:
         self.relevant = tuple(relevant)
         self.exec_conditions = tuple(map(tuple, conditions))
         self.constraints = tuple(constraints)
-        self.by_label = {rule.label: rule for rule in gp.rules}
 
     def mask(self, state: WorldState) -> int:
         """The state as an int over ``state_atoms``: its ``mask`` when it is over them."""
@@ -176,7 +176,7 @@ class ReifiedBase(Frozen):
         return self.ground.index
 
 
-def _display_text(rule: GroundRule) -> str:
+def _display_text(rule: PolicyRule) -> str:
     if rule.text is not None:
         return rule.text
     if rule.kind is RuleKind.PREFERENCE:

@@ -221,7 +221,7 @@ def direct_program_models(
     matches how the reified translation treats complementary heads.  Used to
     check that reification preserves the policy's conclusions.
     """
-    rule_map = gp.rule_map()
+    by_label = gp.by_label
     program: list[Rule_] = []
     for lit in state.literals():
         program.append((("lit", lit), (), ()))
@@ -230,7 +230,7 @@ def direct_program_models(
 
     for rule in gp.rules:
         if rule.kind is RuleKind.PREFERENCE:
-            stronger = rule_map[rule.preferred]
+            stronger = by_label[rule.preferred]
             body = tuple(("lit", m) for m in stronger.condition)
             program.append((("ab", rule.dispreferred), body, ()))
             continue

@@ -62,7 +62,7 @@ from aopl_lint.analysis import (
 )
 from aopl_lint.engine import AmbiguityStats, WorldState, factor, factor_rules, state_literals
 from aopl_lint.diagnostics import Diagnostic, Position, Severity, has_errors
-from aopl_lint.grounding import GroundingError, GroundPolicy, GroundRule
+from aopl_lint.grounding import GroundingError, GroundPolicy
 from aopl_lint.model import (
     Atom,
     DomainSpec,
@@ -358,7 +358,7 @@ def detect_inconsistency(
     return [records[key] for key in sorted(records)]
 
 
-def _authorization_rules(base: ReifiedBase, action: Atom) -> list[GroundRule]:
+def _authorization_rules(base: ReifiedBase, action: Atom) -> list[PolicyRule]:
     return [
         rule
         for rule in base.ground.rules
@@ -1118,7 +1118,7 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
     state_atoms = _ground_atoms(domain, (PredicateKind.STATIC, PredicateKind.FLUENT))
     action_atoms = _ground_atoms(domain, (PredicateKind.ACTION,))
 
-    ground_rules: list[GroundRule] = []
+    ground_rules: list[PolicyRule] = []
     rule_by_label = policy.rule_map()
 
     for rule in policy.rules:
@@ -1133,7 +1133,7 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
                 var_sorts.setdefault(var, sort)
             for binding in _bindings(variables, var_sorts, domain):
                 ground_rules.append(
-                    GroundRule(
+                    PolicyRule(
                         label=_ground_label(rule.label, variables, binding),
                         kind=RuleKind.PREFERENCE,
                         preferred=_ground_label(rule.preferred, pref_vars, binding),
@@ -1147,7 +1147,7 @@ def ground(policy: Policy, domain: DomainSpec) -> GroundPolicy:
         var_sorts = rule_variable_sorts(rule, policy, domain)
         for binding in _bindings(variables, var_sorts, domain):
             ground_rules.append(
-                GroundRule(
+                PolicyRule(
                     label=_ground_label(rule.label, variables, binding),
                     kind=rule.kind,
                     head=_substitute(rule.head, binding),

@@ -357,6 +357,12 @@ class TestCheck:
         assert main(["check", "--state", STATE, "--action", "fly(c,m)", DOM, STRICT]) == 2
         assert "not a ground action" in capsys.readouterr().err
 
+    def test_unparsable_action_exits_two_with_the_parsers_message(self, capsys):
+        assert main(["check", "--state", STATE, "--action", "go(", DOM, STRICT]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cannot parse atom 'go(': expected a constant or variable\n"
+
     def test_invalid_state_file_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.state"
         bad.write_text("ghost(c)\n", encoding="utf-8")
@@ -399,6 +405,23 @@ class TestClassify:
         out = capsys.readouterr().out
         assert "assume_comm(c,m): non compliant" in out
         assert "event authorization: non compliant" in out
+
+    def test_an_underspecified_action_makes_the_event_weakly_compliant(self, capsys):
+        code = main(
+            ["classify", "--state", STATE, "--do", "authorize_comm(c,m)", DOM, DEFEASIBLE]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            "authorize_comm(c,m): underspecified",
+            "event authorization: weakly compliant",
+            "event obligations: satisfied",
+        ]
+
+    def test_unparsable_event_action_exits_two(self, capsys):
+        assert main(["classify", "--state", STATE, "--do", "go(", DOM, DEFEASIBLE]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cannot parse atom 'go(': expected a constant or variable\n"
 
     def test_violated_obligation(self, capsys, tmp_path):
         state = tmp_path / "ordered.state"

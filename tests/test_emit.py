@@ -1,10 +1,10 @@
 """Solver-ready text output: golden files, determinism, escaping, and the
-meaning of the ``lp`` program."""
+meaning of the ``lp`` and ``rei`` programs."""
 
 import pytest
 from hypothesis import assume, given, reject, settings
 
-from aopl_lint import emit_asp, enumerate_states, ground, reify
+from aopl_lint import HeadLiteral, emit_asp, enumerate_states, ground, reify
 from aopl_lint.emit import POLICY_INDEPENDENT_RULES, mangle_label
 
 from corpus import corpus
@@ -200,5 +200,195 @@ class TestLpMeaning:
         assume(len(base.ground.state_atoms) <= 4 and len(base.ground.rules) <= 24)
         try:
             assert_lp_means_the_engine(base, max_guess_atoms=12)
+        except OracleSizeError:
+            reject()
+
+
+def _unwrap(term: str, functor: str) -> str | None:
+    """The argument of ``functor(..)`` when ``term`` is one, else None."""
+    if term.startswith(f"{functor}(") and term.endswith(")"):
+        return term[len(functor) + 1 : -1]
+    return None
+
+
+def rei_read(program: str) -> tuple[list[tuple[str, ...]], list[str]]:
+    """An ``rei`` program read back as its facts, each (predicate, argument
+    terms...), and the lines of its policy-independent block.  ``text`` facts
+    are left out: no evaluation rule reads them."""
+    facts, block, in_block = [], [], False
+    for line in program.splitlines():
+        if line == "% policy-independent evaluation rules":
+            in_block = True
+        elif in_block:
+            in_block = bool(line)  # a blank line ends the block
+            block += [line] if line else []
+        elif line and not line.startswith(("%", "text(")):
+            assert line.endswith(")."), line
+            name, _, args = line[:-2].partition("(")
+            assert name in ("rule", "type", "head", "mbr", "prefer", "holds"), line
+            facts.append((name, *_split_top_level(args)))
+    return facts, block
+
+
+def _facts(facts, name):
+    return [fact[1:] for fact in facts if fact[0] == name]
+
+
+# ``emit.POLICY_INDEPENDENT_RULES`` instantiated by hand: one function per
+# line, whose docstring is that line, gives the line's instances as (head,
+# positive body, negative body) over the facts that can match its first body
+# atom.
+
+
+def _body_terms(facts):
+    """body(R, b(R)) :- rule(R)."""
+    for (r,) in _facts(facts, "rule"):
+        yield ("body", r, f"b({r})"), (("rule", r),), ()
+
+
+def _strict(facts):
+    """holds(R) :- type(R, strict), holds(b(R))."""
+    for r, kind in _facts(facts, "type"):
+        if kind == "strict":
+            yield ("holds", r), (("type", r, kind), ("holds", f"b({r})")), ()
+
+
+def _defeasible(facts):
+    """holds(R) :- type(R, defeasible), holds(b(R)), opp(R, O), not holds(O), not holds(ab(R))."""
+    opposites = [head for opp in _OPPOSITES for head, _, _ in opp(facts)]
+    for r, kind in _facts(facts, "type"):
+        if kind == "defeasible":
+            for _, _, o in (atom for atom in opposites if atom[1] == r):
+                yield (
+                    ("holds", r),
+                    (("type", r, kind), ("holds", f"b({r})"), ("opp", r, o)),
+                    (("holds", o), ("holds", f"ab({r})")),
+                )
+
+
+def _every_member(facts):
+    """holds(B) :- body(R, B), N = #count{ L : mbr(B, L) }, N = #count{ L : mbr(B, L), holds(L) }."""
+    # The two counts agree when every member holds.
+    members = {}
+    for b, lit in _facts(facts, "mbr"):
+        members.setdefault(b, []).append(("holds", lit))
+    for (r,) in _facts(facts, "rule"):
+        b = f"b({r})"
+        yield ("holds", b), (("body", r, b), *members.get(b, ())), ()
+
+
+def _defeat(facts):
+    """holds(ab(R2)) :- prefer(R1, R2), holds(b(R1))."""
+    for r1, r2 in _facts(facts, "prefer"):
+        yield ("holds", f"ab({r2})"), (("prefer", r1, r2), ("holds", f"b({r1})")), ()
+
+
+def _head_holds(facts):
+    """holds(H) :- rule(R), holds(R), head(R, H)."""
+    for r, h in _facts(facts, "head"):
+        yield ("holds", h), (("rule", r), ("holds", r), ("head", r, h)), ()
+
+
+def _opposite(modality: str, var: str, negated: bool):
+    """The ``opp`` rule from a ``modality`` head that is ``negated`` or not."""
+    term = f"{modality}({var})"
+
+    def instantiate(facts):
+        for r, h in _facts(facts, "head"):
+            inner = _unwrap(h, "neg") if negated else h
+            if inner is not None and _unwrap(inner, modality) is not None:
+                yield ("opp", r, inner if negated else f"neg({h})"), (("head", r, h),), ()
+
+    instantiate.__doc__ = (
+        f"opp(R, {term}) :- head(R, neg({term}))." if negated
+        else f"opp(R, neg({term})) :- head(R, {term})."
+    )
+    return instantiate
+
+
+_OPPOSITES = [
+    _opposite("permitted", "E", True), _opposite("permitted", "E", False),
+    _opposite("obl", "H", True), _opposite("obl", "H", False),
+]
+META_RULES = [_body_terms, _strict, _defeasible, _every_member, _defeat, _head_holds, *_OPPOSITES]
+
+
+def rei_term(lit) -> str:
+    """A state literal or deontic head as ``rei`` writes it: ``neg(..)`` for negation."""
+    if isinstance(lit, HeadLiteral):
+        action = str(lit.happening.action)
+        term = f"{lit.modality.value}({action if lit.happening.positive else f'neg({action})'})"
+    else:
+        term = str(lit.atom)
+    return term if lit.positive else f"neg({term})"
+
+
+def rei_holds(model) -> list[str]:
+    """The terms an engine answer set holds, as ``rei`` spells them."""
+    return sorted(
+        [rei_term(lit) for lit in model.state_literals]
+        + [f"b({mangle_label(label)})" for label in model.satisfied_bodies]
+        + [mangle_label(label) for label in model.fired_rules]
+        + [rei_term(head) for head in model.heads]
+        + [f"ab({mangle_label(label)})" for label in model.ab_rules]
+    )
+
+
+def assert_rei_means_the_engine(base, max_guess_atoms=18):
+    """In every state, the ``holds`` atoms of the answer sets of the emitted
+    ``rei`` program are those of the engine's answer sets.
+
+    ``neg(..)`` is a term like any other, so a model may hold both ``x`` and
+    ``neg(x)``, as the engine's reified form does: no model is dropped.
+    """
+    for state in enumerate_states(base.ground):
+        facts, block = rei_read(emit_asp(base, "rei", state))
+        assert block == ([rule.__doc__ for rule in META_RULES] if base.ground.rules else [])
+        program = [(fact, (), ()) for fact in facts]
+        program += [instance for rule in META_RULES for instance in rule(facts)]
+        emitted = sorted(
+            sorted(atom[1] for atom in model if atom[0] == "holds")
+            for model in stable_models(program, max_guess_atoms=max_guess_atoms)
+        )
+        assert emitted == sorted(map(rei_holds, answer_sets(base, state))), str(state)
+
+
+class TestReiMeaning:
+    def test_the_hand_instantiation_mirrors_the_emitted_block(self):
+        assert [rule.__doc__ for rule in META_RULES] == POLICY_INDEPENDENT_RULES.splitlines()
+
+    def test_the_reader_keeps_facts_and_the_block(self):
+        base = base_from(
+            "sorts s: a.\nfluent f(s).\naction go(s).\n"
+            "rule d1: normally !obl(-go(X)) if f(X), s(X).\ntext d1: \"x, (y)\".\n"
+        )
+        facts, block = rei_read(emit_asp(base, "rei", make_state(base.ground)))
+        assert facts == [
+            ("rule", "d1(a)"),
+            ("type", "d1(a)", "defeasible"),
+            ("head", "d1(a)", "neg(obl(neg(go(a))))"),
+            ("mbr", "b(d1(a))", "f(a)"),
+            ("mbr", "b(d1(a))", "s(a)"),
+            ("holds", "neg(f(a))"),
+            ("holds", "s(a)"),
+        ]
+        assert block == POLICY_INDEPENDENT_RULES.splitlines()
+
+    @pytest.mark.parametrize("fixture", ["mission_strict", "mission_defeasible", "mission_ambiguous"])
+    def test_on_the_mission_fixtures(self, fixture, request):
+        assert_rei_means_the_engine(request.getfixturevalue(fixture))
+
+    def test_on_the_corpus(self):
+        for policy, domain in corpus():
+            assert_rei_means_the_engine(reify(ground(policy, domain)))
+
+    @given(domain_and_policy())
+    @settings(max_examples=200, deadline=None)
+    def test_on_generated_policies(self, pair):
+        base = reify(ground(*pair))
+        # The guess-and-check oracle is exponential in the ground policy.
+        assume(len(base.ground.state_atoms) <= 4 and len(base.ground.rules) <= 24)
+        try:
+            assert_rei_means_the_engine(base, max_guess_atoms=12)
         except OracleSizeError:
             reject()

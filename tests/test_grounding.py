@@ -23,7 +23,7 @@ class TestMissionGrounding:
         assert {r.label.split("[")[0] for r in gp.rules} == {"d1", "d2", "s3", "o1", "p1"}
 
     def test_preference_targets_are_ground_labels(self, mission_defeasible):
-        pref = mission_defeasible.ground.rule_map()["p1[c,m]"]
+        pref = mission_defeasible.ground.by_label["p1[c,m]"]
         assert pref.kind is RuleKind.PREFERENCE
         assert pref.preferred == "d2[c,m]"
         assert pref.dispreferred == "d1[c,m]"
@@ -46,7 +46,7 @@ class TestMissionGrounding:
                 assert lit.atom.is_ground
 
     def test_texts_survive_grounding(self, mission_strict):
-        s3 = mission_strict.ground.rule_map()["s3[c,m]"]
+        s3 = mission_strict.ground.by_label["s3[c,m]"]
         assert s3.text == "A military observer can never authorize a mission."
 
 

@@ -1,6 +1,7 @@
 """Source hygiene: no module under src/ or tests/ imports a name it never reads,
-every module-level function or class under src/ is read or exported, and every
-method or property of a class under src/ is read."""
+every module-level function or class under src/ is read or exported, every
+method or property of a class under src/ is read, and the stable-model oracle
+never reads the engine's integer index."""
 
 from __future__ import annotations
 
@@ -201,3 +202,28 @@ def test_nothing_under_src_is_or_imports_a_dataclass():
         for name in dataclass_names(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def attribute_loads(source: str, name: str) -> list[int]:
+    """Lines that load the attribute ``name``, as ``x.name`` or ``getattr(x, "name")``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr == name
+        or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+        and any(isinstance(arg, ast.Constant) and arg.value == name for arg in node.args[1:2])
+    )
+
+
+def test_the_attribute_scan_finds_loads_but_not_stores():
+    source = (
+        "a = gp.index\nb = base.index.bits[x]\nself.index = 0\nindex = 1\n"
+        "c = getattr(gp, 'index')\nd = getattr(gp, 'rules', 'index')\ne = gp.by_label\n"
+    )
+    assert attribute_loads(source, "index") == [1, 2, 5]
+
+
+# The oracle is the engine's independent reference: it reads the ground rules
+# and never the integer form (``reify.Index``) that the engine evaluates.
+def test_the_oracle_never_reads_the_engines_index():
+    assert attribute_loads((ROOT / "tests" / "oracle.py").read_text(encoding="utf-8"), "index") == []

@@ -473,6 +473,22 @@ class TestStatementsMatchTheReference:
                 text = path.read_text(encoding="utf-8")
                 assert _parsed(text) == _parsed_by_reference(text)
 
+    def test_a_run_of_non_keyword_tokens_raises_nothing(self, monkeypatch):
+        raised = []
+
+        class Counting(parser_module._ParseError):
+            def __init__(self, message, offset):
+                raised.append(offset)
+                super().__init__(message, offset)
+
+        monkeypatch.setattr(parser_module, "_ParseError", Counting)
+        result = parse("." * 1000)
+        assert raised == []
+        assert [str(d) for d in result.diagnostics] == [
+            *(f"error: 1:{c}: expected a statement keyword" for c in range(1, 101)),
+            "error: <string>: 900 more parse errors not shown",
+        ]
+
     def test_a_run_of_digits_that_are_not_decimals_is_read_in_one_match(self, monkeypatch):
         calls = []
         pattern = parser_module._TOKEN

@@ -37,7 +37,7 @@ class TestMissionFacts:
 
     def test_bodies_group_condition_literals(self, mission_defeasible):
         base = mission_defeasible
-        rules = base.ground.rule_map()
+        rules = base.ground.by_label
         assert rules["d1[c,m]"].condition == (parse_ground_literal("authorized(c,m)"),)
         assert facts_about(base, "mbr(b(d1(c,m))") == ["mbr(b(d1(c,m)), authorized(c,m))."]
         assert rules["p1[c,m]"].condition == ()
@@ -93,7 +93,7 @@ class TestInjectivity:
 
     def test_empty_condition_still_has_a_body_entry(self):
         base = base_from("action go.\nrule r1: permitted(go).\n")
-        assert base.ground.rule_map()["r1"].condition == ()
+        assert base.ground.by_label["r1"].condition == ()
         assert "rule(r1)." in facts(base)
         assert facts_about(base, "mbr(") == []
 
@@ -117,7 +117,7 @@ class TestIndex:
         actions = dict(zip(base.ground.action_atoms, index.actions))
         assert len(index.rules) == 6
         for _, _, label, pair, _, _ in index.rules:
-            head = index.by_label[label].head
+            head = base.ground.by_label[label].head
             slot = 0 if head.modality is Modality.PERMITTED else 1 if head.happening.positive else 2
             assert pair == actions[head.happening.action][slot]
 

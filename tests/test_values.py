@@ -23,7 +23,7 @@ from aopl_lint.analysis import (
 )
 from aopl_lint.diagnostics import Diagnostic, Frozen, Position, Severity, SourceFile
 from aopl_lint.engine import AmbiguityStats, WorldState
-from aopl_lint.grounding import GroundPolicy, GroundRule
+from aopl_lint.grounding import GroundPolicy
 from aopl_lint.model import (
     Atom,
     DomainSpec,
@@ -35,6 +35,7 @@ from aopl_lint.model import (
     Policy,
     PolicyRule,
     PredicateDecl,
+    RuleKind,
     SortDecl,
     StateConstraint,
 )
@@ -49,9 +50,10 @@ REQUIRED = inspect.Parameter.empty
 NEW_LIST = "a new list"
 
 # Every field and its default, as each type declared them when it was a
-# frozen dataclass, less the fields removed since (``GroundRule.base_label``
-# and ``GroundPolicy.head_universe``).  ``reify.Index`` is no longer a value
-# type: a ground policy builds it once, and nothing compares or copies one.
+# frozen dataclass, less the fields removed since (``GroundPolicy.head_universe``)
+# and the types: ``reify.Index`` is no longer a value type (a ground policy
+# builds it once, and nothing compares or copies one), and ``GroundRule`` is
+# gone, since a ground rule is a ``PolicyRule`` with no ``where``.
 FIELDS = {
     Position: {"line": REQUIRED, "column": REQUIRED},
     SourceFile: {"path": REQUIRED, "text": REQUIRED},
@@ -66,15 +68,6 @@ FIELDS = {
     ExecConstraint: {"action": REQUIRED, "condition": ()},
     WorldState: {"universe": REQUIRED, "true_atoms": REQUIRED},
     AmbiguityStats: {"n": REQUIRED, "n_p": REQUIRED, "n_np": REQUIRED},
-    GroundRule: {
-        "label": REQUIRED,
-        "kind": REQUIRED,
-        "head": None,
-        "condition": (),
-        "preferred": None,
-        "dispreferred": None,
-        "text": None,
-    },
     ReifiedBase: {"display": REQUIRED, "ground": REQUIRED},
     IssueRecord: {
         "kind": REQUIRED,
@@ -245,6 +238,14 @@ def test_replace_leaves_a_ground_policys_cached_index_behind():
     assert "index" not in vars(copy_)
     assert copy_.index is not index and copy_.index.sort_facts != index.sort_facts
     assert copy_.replace(sort_facts=()) == policy
+
+
+def test_a_ground_policy_builds_its_label_map_once_and_replace_leaves_it_behind():
+    rule = PolicyRule("r", RuleKind.STRICT)
+    policy = GroundPolicy((rule,), (), ())
+    assert policy.by_label == {"r": rule} and policy.by_label is policy.by_label
+    copy_ = policy.replace(rules=())
+    assert "by_label" not in vars(copy_) and copy_.by_label == {}
 
 
 def test_a_parse_result_gets_a_list_of_its_own_and_no_hash():
